@@ -41,7 +41,7 @@ from .spikes import (
     canonical_form,
     check_axioms,
     normalize,
-    orbit,
+    orbit_size,
     signature,
     spike_census,
 )
@@ -181,25 +181,22 @@ def dispatch(args: argparse.Namespace) -> tuple[dict, dict, int]:
             "input": list(d.x),
             "canonical": list(c.x),
             "text": c.text(),
-            "orbit_size": len(orbit(d)),
+            "orbit_size": orbit_size(d),
         }
         return params, result, 0
 
     if cmd == "enumerate":
         report = spike_census(args.p, args.n)
-        report.pop("ms", None)
         return {"p": args.p, "n": args.n}, report, 0
 
     if cmd in ("lemma21", "lemma22"):
         verify = verify_lemma_2_1 if cmd == "lemma21" else verify_lemma_2_2
         report = verify(args.p, args.n)
-        report.pop("ms", None)
         code = 0 if not report["failures"] else 1
         return {"p": args.p, "n": args.n}, report, code
 
     if cmd == "detcheck":
         report = verify_det_identity(args.p, args.n_max, args.samples, args.seed)
-        report.pop("ms", None)
         params = {
             "p": args.p,
             "n_max": args.n_max,
@@ -210,7 +207,6 @@ def dispatch(args: argparse.Namespace) -> tuple[dict, dict, int]:
 
     if cmd == "unique":
         report = uniqueness_audit(args.p, args.n)
-        report.pop("elapsed_ms", None)
         # collisions are a theorem violation only in the guaranteed range
         failing = report["collisions"] > 0 and args.n >= 2 * args.p - 1
         return {"p": args.p, "n": args.n}, report, 1 if failing else 0
@@ -236,7 +232,6 @@ def dispatch(args: argparse.Namespace) -> tuple[dict, dict, int]:
         d = Diagonal.parse(args.diag)
         primes = _parse_primes(args.primes)
         report = characteristic_set(d, primes, args.node_budget)
-        report.pop("elapsed_ms", None)
         params = {
             "diag": args.diag,
             "primes": primes,
@@ -249,42 +244,29 @@ def dispatch(args: argparse.Namespace) -> tuple[dict, dict, int]:
         params = {"variant": args.variant, "p": args.p}
         if args.variant == "prop41":
             c = construct_multichar(args.p)
-            d = c.over(args.p)
-            result = {
-                "p": args.p,
-                "n": c.n,
-                "integer_diagonal": list(c.values),
-                "diagonal": list(d.x),
-                "text": d.text(),
-            }
-            if args.q is not None:
-                params["q"] = args.q
-                dq = c.over(args.q)
-                result["q"] = args.q
-                result["diagonal_mod_q"] = list(dq.x)
-                result["text_mod_q"] = dq.text()
+            integers = {"integer_diagonal": list(c.values)}
         else:
             c = construct_char_only(args.p)
-            d = c.over(args.p)
-            result = {
-                "p": args.p,
-                "n": c.n,
-                "inverse_integers": list(c.inverse_values),
-                "diagonal": list(d.x),
-                "text": d.text(),
-            }
-            if args.q is not None:
-                params["q"] = args.q
-                dq = c.over(args.q)
-                result["q"] = args.q
-                result["diagonal_mod_q"] = list(dq.x)
-                result["text_mod_q"] = dq.text()
+            integers = {"inverse_integers": list(c.inverse_values)}
+        d = c.over(args.p)
+        result = {
+            "p": args.p,
+            "n": c.n,
+            **integers,
+            "diagonal": list(d.x),
+            "text": d.text(),
+        }
+        if args.q is not None:
+            params["q"] = args.q
+            dq = c.over(args.q)
+            result["q"] = args.q
+            result["diagonal_mod_q"] = list(dq.x)
+            result["text_mod_q"] = dq.text()
         return params, result, 0
 
     if cmd == "lbound":
         primes = _parse_primes(args.primes)
         report = estimate_L(args.p, primes, args.n_max, args.node_budget)
-        report.pop("elapsed_ms", None)
         params = {
             "p": args.p,
             "primes": primes,
@@ -319,15 +301,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    threads = os.environ.get("SPIKE_LAB_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(f"error: SPIKE_LAB_THREADS must be a positive integer", file=sys.stderr)
-            return 2
-        # current implementation is serial; the variable is accepted as a cap
     t0 = time.perf_counter()
     try:
         params, result, code = dispatch(args)

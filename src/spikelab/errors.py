@@ -67,3 +67,7 @@ class BudgetExceededError(SpikeLabError, RuntimeError):
 
 class InconclusiveError(SpikeLabError, RuntimeError):
     """A claim is supported only by search, with no certificate to close it."""
+
+
+class VerdictMismatchError(SpikeLabError, RuntimeError):
+    """Two independent routes to the same verdict disagree."""

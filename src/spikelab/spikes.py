@@ -11,7 +11,8 @@ transversals (circuit-hyperplanes).
 from __future__ import annotations
 
 import itertools
-import time
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -402,34 +403,37 @@ def normalize(x: Diagonal) -> Diagonal:
 def swap_closure(x: Diagonal) -> list[Diagonal]:
     """All diagonals reachable by sequences of swaps, in first-seen order.
 
-    One application per valid S already gives the closure (swaps compose by
-    symmetric difference of their sets); breadth-first search keeps that a
-    checked fact rather than an assumption.
+    Swaps compose by symmetric difference of their sets (T is a valid swap
+    of swap(x, S) iff S xor T is one of x), so one application per valid S
+    already gives the closure.
     """
-    n = x.n
-    seen = {x.x}
-    queue = [x]
-    out = [x]
-    while queue:
-        z = queue.pop()
-        sig = signature(z)
-        for smask in range(1, 1 << n):
-            if smask in sig:
-                continue
-            w = swap(z, smask)
-            if w.x not in seen:
-                seen.add(w.x)
-                queue.append(w)
-                out.append(w)
-    return out
+    sig = signature(x)
+    members = {x.x: x}
+    for smask in range(1, 1 << x.n):
+        if not sig.bits >> smask & 1:
+            w = swap(x, smask)
+            members.setdefault(w.x, w)
+    return list(members.values())
+
+
+def _closure_multisets(x: Diagonal) -> list[tuple[int, ...]]:
+    """Distinct sorted swap-closure members, ascending: the orbit's multisets."""
+    return sorted({tuple(sorted(z.x)) for z in swap_closure(x)})
+
+
+def _permutation_count(multisets: list[tuple[int, ...]]) -> int:
+    """Arrangements of all the multisets: the sum of n!/prod(multiplicity!)."""
+    return sum(
+        math.factorial(len(m)) // math.prod(map(math.factorial, Counter(m).values()))
+        for m in multisets
+    )
 
 
 def canonical_form(x: Diagonal) -> Diagonal:
     """Lexicographically least diagonal over the swap-and-permutation orbit."""
     if x.n > CANONICAL_MAX_N:
         raise TooLargeError(f"canonical form capped at n={CANONICAL_MAX_N}")
-    best = min(tuple(sorted(z.x)) for z in swap_closure(x))
-    return Diagonal(x.field, best)
+    return Diagonal(x.field, _closure_multisets(x)[0])
 
 
 def weakly_equivalent(x: Diagonal, y: Diagonal) -> bool:
@@ -449,6 +453,12 @@ def orbit(x: Diagonal) -> set[tuple[int, ...]]:
     }
 
 
+def orbit_size(x: Diagonal) -> int:
+    """len(orbit(x)) without building it: the orbit is the disjoint union of
+    the permutations of each distinct closure multiset."""
+    return _permutation_count(_closure_multisets(x))
+
+
 def enumerate_spikes(p: int, n: int) -> list[Diagonal]:
     """One canonical representative per weak-equivalence class, lex order."""
     return [d for d, _ in _enumerate_orbits(p, n)]
@@ -456,7 +466,6 @@ def enumerate_spikes(p: int, n: int) -> list[Diagonal]:
 
 def spike_census(p: int, n: int) -> dict:
     """Class census with orbit sizes; orbit sizes must add up to (p-1)^n."""
-    t0 = time.perf_counter()
     classes = _enumerate_orbits(p, n)
     total = sum(size for _, size in classes)
     assert total == (p - 1) ** n, "orbits failed to partition the diagonals"
@@ -468,7 +477,6 @@ def spike_census(p: int, n: int) -> dict:
             {"diagonal": list(d.x), "orbit_size": size} for d, size in classes
         ],
         "total_diagonals": total,
-        "ms": round((time.perf_counter() - t0) * 1000.0, 3),
     }
 
 
@@ -480,11 +488,12 @@ def _enumerate_orbits(p: int, n: int) -> list[tuple[Diagonal, int]]:
         raise TooLargeError(f"enumeration capped at p={ENUMERATE_MAX_P}")
     seen: set[tuple[int, ...]] = set()
     classes: list[tuple[Diagonal, int]] = []
-    for vec in itertools.product(range(1, p), repeat=n):
+    for vec in itertools.combinations_with_replacement(range(1, p), n):
         if vec in seen:
             continue
-        orb = orbit(Diagonal(field, vec))
-        assert vec == min(orb), "lex scan should meet each orbit at its minimum"
-        seen.update(orb)
-        classes.append((Diagonal(field, vec), len(orb)))
+        d = Diagonal(field, vec)
+        multisets = _closure_multisets(d)
+        assert vec == multisets[0], "lex scan should meet each orbit at its minimum"
+        seen.update(multisets)
+        classes.append((d, _permutation_count(multisets)))
     return classes

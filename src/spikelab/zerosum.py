@@ -8,7 +8,6 @@ which lands on the least-bitmask witness by construction.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
@@ -103,7 +102,6 @@ def verify_lemma_2_1(p: int, n: int, budget: int = VERIFY_BUDGET) -> dict:
     cost = (p - 1) ** n * (p - 1)
     if cost > budget:
         raise BudgetExceededError(f"{cost} checks exceed budget {budget}")
-    t0 = time.perf_counter()
     checked = 0
     failures = []
     targets = range(1, p)
@@ -124,7 +122,6 @@ def verify_lemma_2_1(p: int, n: int, budget: int = VERIFY_BUDGET) -> dict:
         "n": n,
         "checked": checked,
         "failures": failures,
-        "ms": round((time.perf_counter() - t0) * 1000.0, 3),
     }
 
 
@@ -136,7 +133,6 @@ def verify_lemma_2_2(p: int, n: int, budget: int = VERIFY_BUDGET) -> dict:
     cost = p**n
     if cost > budget:
         raise BudgetExceededError(f"{cost} tuples exceed budget {budget}")
-    t0 = time.perf_counter()
     checked = 0
     failures = []
     for a in product(range(p), repeat=n):
@@ -154,5 +150,4 @@ def verify_lemma_2_2(p: int, n: int, budget: int = VERIFY_BUDGET) -> dict:
         "n": n,
         "checked": checked,
         "failures": failures,
-        "ms": round((time.perf_counter() - t0) * 1000.0, 3),
     }

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from spikelab import Diagonal, MatrixGF, PrimeField
+from spikelab import Diagonal, MatrixGF, PrimeField, signature, swap
 
 
 def det_cofactor(p: int, rows: list[list[int]]) -> int:
@@ -102,6 +102,37 @@ def bases_bruteforce(M: MatrixGF) -> tuple[int, ...]:
         if M.select_columns(list(cols)).rank() == r:
             out.append(sum(1 << j for j in cols))
     return tuple(sorted(out))
+
+
+def swap_closure_bfs(x: Diagonal) -> list[Diagonal]:
+    """All diagonals reachable by sequences of swaps, by search to a fixpoint.
+
+    Applies every valid swap to every member found, so it assumes nothing
+    about how swaps compose.  First-seen order.
+    """
+    n = x.n
+    seen = {x.x}
+    queue = [x]
+    out = [x]
+    while queue:
+        z = queue.pop()
+        sig = signature(z)
+        for smask in range(1, 1 << n):
+            if smask in sig:
+                continue
+            w = swap(z, smask)
+            if w.x not in seen:
+                seen.add(w.x)
+                queue.append(w)
+                out.append(w)
+    return out
+
+
+def orbit_materialized(x: Diagonal) -> set[tuple[int, ...]]:
+    """Weak-equivalence orbit as a set: every permutation of every BFS member."""
+    return {
+        perm for z in swap_closure_bfs(x) for perm in itertools.permutations(z.x)
+    }
 
 
 def random_diagonal(rng: random.Random, p: int, n: int) -> Diagonal:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from spikelab import CharCertificate, represent
 from spikelab.cli import build_parser, main
 
 
@@ -175,14 +176,18 @@ def test_charset_unknown_verdict_exits_3(capsys):
     assert doc["result"]["verdicts"][0]["representable"] == "unknown"
 
 
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("SPIKE_LAB_THREADS", "0")
-    assert main(["signature", "--diag", "p=3;x=1,1"]) == 2
-    monkeypatch.setenv("SPIKE_LAB_THREADS", "abc")
-    assert main(["signature", "--diag", "p=3;x=1,1"]) == 2
-    capsys.readouterr()
-    monkeypatch.setenv("SPIKE_LAB_THREADS", "4")
-    assert main(["signature", "--diag", "p=3;x=1,1"]) == 0
+def test_charset_certificate_disagreement_exits_1(capsys, monkeypatch):
+    # a certificate admitting no prime contradicts the search's GF(3) witness
+    def contradicting(sig, facts, p):
+        return CharCertificate(n=sig.n, sig_bits=sig.bits, m=(1,) * sig.n, kind="finite")
+
+    monkeypatch.setattr(represent, "build_certificate", contradicting)
+    assert main(["charset", "--diag", "p=3;x=1,1,1", "--primes", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: certificate and search disagree")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 # output file and determinism ---------------------------------------------------------

@@ -30,6 +30,7 @@ from spikelab import (
     mask_from_indices,
     normalize,
     orbit,
+    orbit_size,
     signature,
     spike_census,
     swap,
@@ -39,9 +40,11 @@ from spikelab import (
 
 from oracles import (
     is_circuit,
+    orbit_materialized,
     random_diagonal,
     signature_by_rank,
     signature_by_sums,
+    swap_closure_bfs,
     transversal_matrix,
 )
 
@@ -394,6 +397,17 @@ def test_swap_closure_contains_start_and_is_closed():
                 assert swap(z, smask).x in seen
 
 
+def test_swap_closure_matches_bfs_oracle():
+    rng = random.Random(83)
+    for p in (3, 5, 7):
+        for n in range(1, 7):
+            for _ in range(8):
+                d = random_diagonal(rng, p, n)
+                assert [z.x for z in swap_closure(d)] == [
+                    z.x for z in swap_closure_bfs(d)
+                ]
+
+
 def test_canonical_form_is_orbit_invariant():
     for n in (3, 4):
         for x in itertools.product((1, 2), repeat=n):
@@ -421,21 +435,25 @@ def test_weak_equivalence_examples():
 
 
 def test_orbits_partition_the_cube():
-    for p, n in ((3, 3), (3, 4), (5, 3)):
+    for p, n in ((3, 3), (3, 4), (5, 3), (5, 4), (7, 3)):
         f = PrimeField(p)
-        all_orbits = []
+        size_by_min = {}
         covered = set()
         for x in itertools.product(range(1, p), repeat=n):
             if x in covered:
                 continue
-            orb = orbit(Diagonal(f, x))
+            orb = orbit_materialized(Diagonal(f, x))
+            assert orbit(Diagonal(f, x)) == orb
             assert not (orb & covered)
             covered |= orb
-            all_orbits.append(orb)
+            size_by_min[min(orb)] = len(orb)
         assert len(covered) == (p - 1) ** n
         reps = enumerate_spikes(p, n)
-        assert len(reps) == len(all_orbits)
-        assert {r.x for r in reps} == {min(orb) for orb in all_orbits}
+        assert [r.x for r in reps] == sorted(size_by_min)
+        census = spike_census(p, n)["classes"]
+        assert {tuple(c["diagonal"]): c["orbit_size"] for c in census} == size_by_min
+        for r in reps:
+            assert orbit_size(r) == size_by_min[r.x]
 
 
 def test_census_frozen_gf3_n3():
