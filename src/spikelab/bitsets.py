@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+import numpy as np
+
 
 def mask_from_indices(indices: Iterable[int]) -> int:
     m = 0
@@ -37,3 +39,17 @@ def iter_submasks(mask: int):
         if s == 0:
             return
         s = (s - 1) & mask
+
+
+def subset_sums(values: "np.ndarray") -> "np.ndarray":
+    """Sums of every subset of the last axis, indexed by mask; one row per leading index.
+
+    Doubling: the upper half of the first 2^(j+1) entries is the lower half
+    plus value j, so 2^n sums cost n vector adds.  The input's dtype is kept.
+    """
+    n = values.shape[-1]
+    sums = np.zeros(values.shape[:-1] + (1 << n,), dtype=values.dtype)
+    for j in range(n):
+        size = 1 << j
+        np.add(sums[..., :size], values[..., j : j + 1], out=sums[..., size : 2 * size])
+    return sums

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bitsets import indices_from_mask
+from .bitsets import indices_from_mask, subset_sums
 from .errors import (
     BudgetExceededError,
     InconclusiveError,
@@ -72,6 +72,7 @@ def search_rep(
     def dfs(k: int) -> bool:
         nonlocal nodes
         base = 1 << k
+        # fills one lattice level per node and exits early: not subset_sums
         for v in range(1, q):
             nodes += 1
             if nodes > node_budget:
@@ -99,13 +100,6 @@ def search_rep(
     return None, nodes
 
 
-def find_rep_over(
-    sig: Signature, q: int, node_budget: int = DEFAULT_NODE_BUDGET
-) -> Optional[Diagonal]:
-    witness, _ = search_rep(sig, q, node_budget)
-    return witness
-
-
 # ---------------------------------------------------------------------------
 # uniqueness audit (signature-map injectivity)
 
@@ -119,21 +113,13 @@ def _decode_diagonals(p: int, n: int, ts: "np.ndarray") -> "np.ndarray":
 def _packed_sig_rows(field: PrimeField, diags: "np.ndarray") -> "np.ndarray":
     """Signature bit rows (little-endian packed bytes) for a block of diagonals.
 
-    Subset sums grow along the mask lattice one low bit at a time, which
-    keeps the work at one vector add per mask instead of a matrix product.
+    Sums stay in int16 while n(p-1) fits, else int32.
     """
     p = field.p
-    rows, n = diags.shape
-    inv_table = np.array(field.inverse_table(), dtype=np.int16)
-    Z = inv_table[diags]
-    size = 1 << n
-    sums = np.zeros((rows, size), dtype=np.int16)
-    for mask in range(1, size):
-        low = mask & -mask
-        sums[:, mask] = sums[:, mask ^ low] + Z[:, low.bit_length() - 1]
-    bits = (sums % p) == (p - 1)
-    bits[:, 0] = False
-    return np.packbits(bits, axis=1, bitorder="little")
+    n = diags.shape[1]
+    dtype = np.int16 if n * (p - 1) < 1 << 15 else np.int32
+    Z = np.array(field.inverse_table(), dtype=dtype)[diags]
+    return np.packbits(subset_sums(Z) % p == p - 1, axis=1, bitorder="little")
 
 
 def uniqueness_audit(p: int, n: int, budget: int = AUDIT_BUDGET) -> dict:
@@ -259,20 +245,6 @@ class CharCertificate:
             return q in self.primes
         return q not in self.excluded
 
-    def admits_direct(self, q: int) -> bool:
-        """Recheck from scratch over all subsets; used to validate the lists."""
-        if any(mi % q == 0 for mi in self.m):
-            return False
-        size = 1 << self.n
-        sums = [0] * size
-        for mask in range(1, size):
-            low = mask & -mask
-            sums[mask] = sums[mask ^ low] + self.m[low.bit_length() - 1]
-            member = bool(self.sig_bits >> mask & 1)
-            if ((sums[mask] + 1) % q == 0) != member:
-                return False
-        return True
-
     def to_report(self) -> dict:
         out = {
             "kind": self.kind,
@@ -298,18 +270,12 @@ def build_certificate(
     if any(not vals for vals in pinned.values()):
         return None
     m = tuple(min(pinned[i], key=lambda c: (abs(c), c)) for i in range(n))
-    size = 1 << n
-    sums = [0] * size
+    # |sum| <= FACTS_MAX_N * p(p-1)/2 < 2^63
+    sums = subset_sums(np.array(m, dtype=np.int64)).tolist()
     required: list[int] = []
     forbidden: list[int] = list(m)
-    for mask in range(1, size):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + m[low.bit_length() - 1]
-        v = sums[mask] + 1
-        if sig.bits >> mask & 1:
-            required.append(v)
-        else:
-            forbidden.append(v)
+    for mask in range(1, 1 << n):
+        (required if sig.bits >> mask & 1 else forbidden).append(sums[mask] + 1)
     if any(v == 0 for v in forbidden):
         # some divisibility is demanded of every prime and refused of every
         # prime at once: no characteristic works

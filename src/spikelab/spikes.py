@@ -16,7 +16,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .bitsets import indices_from_mask, mask_from_indices
+import numpy as np
+
+from .bitsets import indices_from_mask, mask_from_indices, subset_sums
 from .errors import (
     DependentTransversalError,
     MismatchedShapeError,
@@ -257,26 +259,15 @@ class Signature:
 
 
 def signature(x: Diagonal) -> Signature:
-    """All nonempty I with sum over I of x_i^-1 = -1; Gray-code incremental sums."""
+    """All nonempty I with sum over I of x_i^-1 = -1, read off the subset-sum table."""
     n = x.n
     if n > SIGNATURE_MAX_N:
         raise TooLargeError(f"signature enumeration capped at n={SIGNATURE_MAX_N}")
     p = x.p
-    invs = x.inverses()
-    target = p - 1
-    bits = 0
-    gray = 0
-    acc = 0
-    for k in range(1, 1 << n):
-        low = k & -k
-        j = low.bit_length() - 1
-        gray ^= low
-        if gray & low:
-            acc = (acc + invs[j]) % p
-        else:
-            acc = (acc - invs[j]) % p
-        if acc == target:
-            bits |= 1 << gray
+    # int32 holds n(p-1) at the caps; the remainder reuses the 64 MB table at n=24
+    sums = subset_sums(np.array(x.inverses(), dtype=np.int32))
+    hits = np.remainder(sums, p, out=sums) == p - 1
+    bits = int.from_bytes(np.packbits(hits, bitorder="little").tobytes(), "little")
     return Signature(n=n, bits=bits)
 
 

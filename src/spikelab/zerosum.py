@@ -39,6 +39,7 @@ class ZeroSumInstance:
 
 def _reach_history(p: int, a: Sequence[int]) -> list[int]:
     """hist[i] = bitmask of sums attainable by nonempty subsets of a[:i+1]."""
+    # a reachability register over residues, not a per-mask table: no subset_sums
     full = (1 << p) - 1
     hist = []
     R = 0

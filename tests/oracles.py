@@ -72,6 +72,17 @@ def signature_by_sums(x: Diagonal) -> int:
     return bits
 
 
+def certificate_admits_by_sums(cert, q: int) -> bool:
+    """Recheck a certificate at q by summing each subset of its integers directly."""
+    if any(mi % q == 0 for mi in cert.m):
+        return False
+    for mask in range(1, 1 << cert.n):
+        s = sum(cert.m[i] for i in range(cert.n) if mask >> i & 1)
+        if ((s + 1) % q == 0) != bool(cert.sig_bits >> mask & 1):
+            return False
+    return True
+
+
 def is_circuit(M: MatrixGF) -> bool:
     """The column set is dependent but every proper subset is independent."""
     k = M.cols

@@ -93,6 +93,14 @@ def test_unique_below_threshold_collisions_are_not_failures(capsys):
     assert doc["result"]["collisions"] > 0
 
 
+def test_unique_past_int16_inverses(capsys):
+    # n = 1 at p > 2^15: inverse entries need more than 16 bits
+    code, doc = run_cli(capsys, "unique", "--p", "40009", "--n", "1")
+    assert code == 0
+    assert doc["result"]["distinct_signatures"] == 2
+    assert doc["result"]["collisions"] == 40006
+
+
 def test_transfer(capsys):
     code, doc = run_cli(capsys, "transfer", "--diag", "p=3;x=2,2,2,1", "--q", "5")
     assert code == 0

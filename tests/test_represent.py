@@ -26,7 +26,6 @@ from spikelab import (
     construct_char_only,
     construct_multichar,
     estimate_L,
-    find_rep_over,
     propagate_facts,
     search_rep,
     signature,
@@ -34,7 +33,7 @@ from spikelab import (
     uniqueness_audit,
 )
 
-from oracles import random_diagonal
+from oracles import certificate_admits_by_sums, random_diagonal
 
 GF3 = PrimeField(3)
 GF5 = PrimeField(5)
@@ -57,7 +56,7 @@ def test_search_finds_the_defining_class():
         p = rng.choice((3, 5, 7))
         d = random_diagonal(rng, p, rng.randrange(2, 7))
         sig = signature(d)
-        w = find_rep_over(sig, p)
+        w = search_rep(sig, p)[0]
         assert w is not None
         assert signature(w) == sig
 
@@ -91,7 +90,7 @@ def test_search_witness_entries_nonzero():
     rng = random.Random(311)
     for _ in range(10):
         d = random_diagonal(rng, 3, 4)
-        w = find_rep_over(signature(d), 7)
+        w = search_rep(signature(d), 7)[0]
         if w is not None:
             assert all(1 <= v < 7 for v in w.x)
 
@@ -178,7 +177,7 @@ def test_certificate_lists_match_direct_recomputation():
     assert any(c is not None for c in certs)
     for cert in certs:
         for q in test_primes:
-            assert cert.admits(q) == cert.admits_direct(q), (cert, q)
+            assert cert.admits(q) == certificate_admits_by_sums(cert, q), (cert, q)
 
 
 def test_certificate_agrees_with_search_exhaustive_gf3_n4():
@@ -189,7 +188,7 @@ def test_certificate_agrees_with_search_exhaustive_gf3_n4():
             continue
         sig = signature(d)
         for q in (2, 3, 5, 7):
-            assert cert.admits(q) == (find_rep_over(sig, q) is not None), (x, q)
+            assert cert.admits(q) == (search_rep(sig, q)[0] is not None), (x, q)
 
 
 def test_certificate_report_shape():

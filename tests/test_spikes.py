@@ -198,6 +198,13 @@ def test_signature_matches_oracles_sampled():
         assert bits == signature_by_sums(d)
         if d.n <= 6:
             assert bits == signature_by_rank(d)
+    # wide tables, and p = 65521 where the sums need more than 16 bits
+    wide = [random_diagonal(rng, p, n) for p in (3, 5) for n in (10, 14)]
+    f = PrimeField(65521)
+    big = Diagonal(f, tuple(f.inv(z) for z in (30000, 35520, 40000, 50000)))
+    for d in wide + [big]:
+        assert signature(d).bits == signature_by_sums(d)
+    assert (1, 2) in signature(big).member_indices()
 
 
 def test_signature_size_cap():
