@@ -27,20 +27,6 @@ def indices_from_mask(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
-def iter_submasks(mask: int):
-    """All submasks of mask, descending; includes mask and 0."""
-    s = mask
-    while True:
-        yield s
-        if s == 0:
-            return
-        s = (s - 1) & mask
-
-
 def subset_sums(values: "np.ndarray") -> "np.ndarray":
     """Sums of every subset of the last axis, indexed by mask; one row per leading index.
 

@@ -15,16 +15,7 @@ import sys
 import tempfile
 import time
 
-from .errors import (
-    BudgetExceededError,
-    CompositeModulusError,
-    InconclusiveError,
-    OutOfRangeError,
-    SpikeLabError,
-    TooLargeError,
-    TooSmallError,
-    ZeroEntryError,
-)
+from .errors import BudgetExceededError, InconclusiveError, SpikeLabError
 from .matrix import verify_det_identity
 from .represent import (
     DEFAULT_NODE_BUDGET,
@@ -304,14 +295,7 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         params, result, code = dispatch(args)
-    except (
-        ValueError,
-        CompositeModulusError,
-        OutOfRangeError,
-        TooLargeError,
-        TooSmallError,
-        ZeroEntryError,
-    ) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BudgetExceededError, InconclusiveError) as exc:

@@ -18,7 +18,7 @@ class ZeroInverseError(SpikeLabError, ZeroDivisionError):
 
 
 class MismatchedModulusError(SpikeLabError, ValueError):
-    """Arithmetic attempted between elements of different fields."""
+    """Matrices over different fields were combined."""
 
 
 class NonSquareError(SpikeLabError, ValueError):

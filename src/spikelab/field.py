@@ -1,20 +1,13 @@
 """Exact arithmetic in GF(p) for prime p.
 
-Residues are plain ints in [0, p); ``PrimeField`` carries the modulus and
-does the arithmetic, ``FieldElem`` is a thin checked wrapper used at API
-boundaries.  Hot loops work on raw ints via the ``PrimeField`` methods.
+Residues are plain ints in [0, p).  ``PrimeField`` validates and carries the
+modulus and supplies the two operations plain int arithmetic lacks: the
+inverse (Python's ``pow(a, -1, p)``) and the balanced lift.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import (
-    CompositeModulusError,
-    MismatchedModulusError,
-    OutOfRangeError,
-    ZeroInverseError,
-)
+from .errors import CompositeModulusError, OutOfRangeError, ZeroInverseError
 
 MAX_MODULUS = 65521  # largest 16-bit prime
 
@@ -33,17 +26,6 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, s, t) with s*a + t*b = g = gcd(a, b)."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return a, s0, t0
 
 
 class PrimeField:
@@ -69,31 +51,12 @@ class PrimeField:
     def __hash__(self) -> int:
         return hash(("PrimeField", self.p))
 
-    # raw-int arithmetic -------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
     def inv(self, a: int) -> int:
-        """Inverse of a mod p by extended Euclid."""
+        """Inverse of a mod p."""
         a %= self.p
         if a == 0:
             raise ZeroInverseError(f"0 has no inverse in {self!r}")
-        g, s, _ = _xgcd(a, self.p)
-        assert g == 1
-        return s % self.p
-
-    def div(self, a: int, b: int) -> int:
-        return (a * self.inv(b)) % self.p
+        return pow(a, -1, self.p)
 
     def balanced_lift(self, a: int) -> int:
         """The representative of a in [-(p-1)/2, (p-1)/2]; for p=2 the residue itself."""
@@ -102,77 +65,6 @@ class PrimeField:
             return a
         return a if a <= (self.p - 1) // 2 else a - self.p
 
-    # element plumbing ---------------------------------------------------
-
-    def elem(self, value: int) -> "FieldElem":
-        return FieldElem(value % self.p, self)
-
-    def elements(self) -> list[int]:
-        return list(range(self.p))
-
-    def nonzero(self) -> list[int]:
-        return list(range(1, self.p))
-
     def inverse_table(self) -> list[int]:
         """inv_table[v] = v^-1 for v in [1,p), with inv_table[0] = 0 as filler."""
         return [0] + [self.inv(v) for v in range(1, self.p)]
-
-
-@dataclass(frozen=True)
-class FieldElem:
-    """A residue in [0, p) tied to its field; cross-field arithmetic is rejected."""
-
-    value: int
-    field: PrimeField
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.field.p:
-            raise OutOfRangeError(
-                f"value {self.value} outside [0, {self.field.p})"
-            )
-
-    def _check(self, other: "FieldElem") -> None:
-        if not isinstance(other, FieldElem):
-            raise TypeError(f"expected FieldElem, got {type(other).__name__}")
-        if other.field.p != self.field.p:
-            raise MismatchedModulusError(
-                f"mixing GF({self.field.p}) with GF({other.field.p})"
-            )
-
-    def __add__(self, other: "FieldElem") -> "FieldElem":
-        self._check(other)
-        return FieldElem(self.field.add(self.value, other.value), self.field)
-
-    def __sub__(self, other: "FieldElem") -> "FieldElem":
-        self._check(other)
-        return FieldElem(self.field.sub(self.value, other.value), self.field)
-
-    def __mul__(self, other: "FieldElem") -> "FieldElem":
-        self._check(other)
-        return FieldElem(self.field.mul(self.value, other.value), self.field)
-
-    def __truediv__(self, other: "FieldElem") -> "FieldElem":
-        self._check(other)
-        return FieldElem(self.field.div(self.value, other.value), self.field)
-
-    def __neg__(self) -> "FieldElem":
-        return FieldElem(self.field.neg(self.value), self.field)
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.field.p})"
-
-    def inverse(self) -> "FieldElem":
-        return FieldElem(self.field.inv(self.value), self.field)
-
-
-def make_field(p: int) -> PrimeField:
-    """Build GF(p); raises CompositeModulusError / OutOfRangeError."""
-    return PrimeField(p)
-
-
-def inv(a: FieldElem) -> FieldElem:
-    return a.inverse()
-
-
-def balanced_lift(a: FieldElem) -> int:
-    return a.field.balanced_lift(a.value)

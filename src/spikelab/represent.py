@@ -135,10 +135,13 @@ def uniqueness_audit(p: int, n: int, budget: int = AUDIT_BUDGET) -> dict:
         stop = min(start + _AUDIT_CHUNK, total)
         ts = np.arange(start, stop, dtype=np.int64)
         rows[start:stop] = _packed_sig_rows(field, _decode_diagonals(p, n, ts))
+    # rows as opaque byte strings: the same bytewise order as
+    # np.unique(axis=0), without its structured dtype of one field per byte
     _, inverse, counts = np.unique(
-        rows, axis=0, return_inverse=True, return_counts=True
+        rows.view(np.dtype((np.void, width))).ravel(),
+        return_inverse=True,
+        return_counts=True,
     )
-    inverse = inverse.reshape(-1)
     distinct = len(counts)
     collisions = total - distinct
     examples = []
@@ -535,7 +538,9 @@ def estimate_L(
     Scans canonical class representatives; a class counts only when a
     certificate excludes every other tested prime.  A class that defeats
     every search yet has no certificate makes the level inconclusive, which
-    raises rather than guesses.
+    raises rather than guesses.  The winning class is searched again over
+    every prime; a conclusive verdict that its certificate contradicts
+    raises VerdictMismatchError.
     """
     PrimeField(p)
     if p > LBOUND_MAX_P:
@@ -599,6 +604,14 @@ def estimate_L(
         # cross-check the winning class against plain search on every prime
         confirm = characteristic_set(found, list(primes), node_budget)
         nodes_total += confirm["nodes_visited"]
+        for v in confirm["verdicts"]:
+            if v["representable"] != "unknown" and (
+                (v["representable"] == "yes") != found_cert.admits(v["q"])
+            ):
+                raise VerdictMismatchError(
+                    f"confirming run disagrees with the certificate at q={v['q']} "
+                    f"for diagonal {found.text()}"
+                )
     return {
         "command": "lbound",
         "p": p,

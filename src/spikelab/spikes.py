@@ -34,6 +34,7 @@ from .field import PrimeField
 from .matrix import MatrixGF
 
 SIGNATURE_MAX_N = 24
+AXIOMS_MAX_N = 12  # 2^n - 2 rank checks: the cost doubles with each n
 CANONICAL_MAX_N = 7
 ENUMERATE_MAX_P = 13
 
@@ -165,6 +166,8 @@ def check_axioms(R: SpikeRep) -> bool:
     n = R.n
     if n < 3:
         raise TooSmallError(f"spike matroids need n >= 3, got n={n}")
+    if n > AXIOMS_MAX_N:
+        raise TooLargeError(f"axiom check capped at n={AXIOMS_MAX_N}")
     M = R.matrix
     if M.cols != 2 * n + 1:
         raise MismatchedShapeError(f"expected {2 * n + 1} columns, got {M.cols}")

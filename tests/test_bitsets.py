@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spikelab import indices_from_mask, iter_submasks, mask_from_indices, popcount
+from spikelab import indices_from_mask, mask_from_indices
 from spikelab.bitsets import subset_sums
 
 
@@ -27,19 +27,6 @@ def test_indices_are_one_based_and_sorted():
         mask_from_indices([0])
     with pytest.raises(ValueError):
         mask_from_indices([-2])
-
-
-def test_popcount():
-    for mask in range(1 << 10):
-        assert popcount(mask) == bin(mask).count("1")
-
-
-def test_iter_submasks():
-    for mask in (0, 0b1, 0b110, 0b10101, 0b1111):
-        subs = list(iter_submasks(mask))
-        expect = [s for s in range(mask + 1) if s & mask == s]
-        assert sorted(subs) == expect
-        assert len(set(subs)) == len(subs)
 
 
 def _sums_by_subset(row: list[int]) -> list[int]:

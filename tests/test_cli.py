@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spikelab import CharCertificate, represent
+from spikelab import CharCertificate, MatrixGF, represent
 from spikelab.cli import build_parser, main
 
 
@@ -169,6 +173,17 @@ def test_missing_required_argument_exits_2(capsys):
     assert main(["signature"]) == 2
 
 
+def test_axioms_refused_past_cap_before_rank_work(capsys, monkeypatch):
+    def no_rank(self):
+        raise AssertionError("rank work ran past the axioms cap")
+
+    monkeypatch.setattr(MatrixGF, "rank", no_rank)
+    assert main(["axioms", "--diag", "p=3;x=" + ",".join(["1"] * 13)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: axiom check capped at n=12\n"
+
+
 def test_budget_exhaustion_exits_3(capsys):
     code = main(["transfer", "--diag", "p=3;x=1,1,1,1", "--q", "11", "--node-budget", "2"])
     assert code == 3
@@ -196,6 +211,64 @@ def test_charset_certificate_disagreement_exits_1(capsys, monkeypatch):
     assert captured.err.startswith("error: certificate and search disagree")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def test_lbound_confirming_run_disagreement_exits_1(capsys, monkeypatch):
+    real = represent.characteristic_set
+
+    def flip_first_verdict(x, primes, node_budget):
+        report = real(x, primes, node_budget)
+        v = report["verdicts"][0]
+        v["representable"] = {"yes": "no", "no": "yes"}[v["representable"]]
+        return report
+
+    monkeypatch.setattr(represent, "characteristic_set", flip_first_verdict)
+    assert main(["lbound", "--p", "2", "--primes", "2,3,5", "--n-max", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: confirming run disagrees with the certificate")
+    assert captured.err.count("\n") == 1
+
+
+# fuzzed --diag and --primes never escape as a traceback
+
+_number = st.integers(-3, 120).map(str)
+_token = st.one_of(_number, st.sampled_from(["", " 1", "x", "1.5", "+1", "0x3", "65521"]))
+_well_formed = st.sampled_from([2, 3, 5, 7, 13, 65521]).flatmap(
+    lambda p: st.lists(st.integers(1, p - 1).map(str), min_size=1, max_size=6).map(
+        lambda xs: f"p={p};x=" + ",".join(xs)
+    )
+)
+_garbled = st.builds(
+    lambda p, xs: f"p={p};x=" + ",".join(xs),
+    st.one_of(st.sampled_from(["65537", "4", "1", "-3"]), _token),
+    st.lists(_token, max_size=6),
+)
+# free text of 16 characters holds at most five entries, so n stays small
+_diag = st.one_of(_well_formed, _garbled, st.text(max_size=16))
+_q = st.one_of(st.sampled_from(["2", "3", "5", "7", "11", "97"]), _token)
+_primes = st.one_of(
+    st.lists(_q, max_size=4).map(",".join),
+    st.lists(st.text(max_size=3), max_size=4).map(",".join),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cmd=st.sampled_from(["axioms", "signature", "normalize", "canonical", "transfer", "charset"]),
+    diag=_diag,
+    q=_q,
+    primes=_primes,
+)
+def test_fuzzed_diag_and_primes_exit_with_a_code(cmd, diag, q, primes):
+    argv = [cmd, "--diag", diag]
+    if cmd == "transfer":
+        argv += ["--q", q, "--node-budget", "200"]
+    elif cmd == "charset":
+        argv += ["--primes", primes, "--node-budget", "200"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
 
 
 # output file and determinism ---------------------------------------------------------

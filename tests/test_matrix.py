@@ -18,9 +18,7 @@ from spikelab import (
     ZeroEntryError,
     basis_family,
     build_rep,
-    det,
     ones_plus_diag,
-    rank,
     spike_det,
     verify_det_identity,
 )
@@ -88,19 +86,19 @@ def test_det_against_cofactor_oracle():
         for _ in range(50):
             n = rng.randrange(1, 6)
             rows = random_matrix(rng, p, n, n)
-            assert det(MatrixGF(f, rows)).value == det_cofactor(p, rows)
+            assert MatrixGF(f, rows).det() == det_cofactor(p, rows)
 
 
 def test_det_known_values():
     f = PrimeField(5)
-    assert det(MatrixGF.identity(f, 4)).value == 1
-    assert det(MatrixGF(f, [[2, 0], [0, 3]])).value == 1
-    assert det(MatrixGF(f, [[1, 2], [2, 4]])).value == 0  # proportional rows
+    assert MatrixGF.identity(f, 4).det() == 1
+    assert MatrixGF(f, [[2, 0], [0, 3]]).det() == 1
+    assert MatrixGF(f, [[1, 2], [2, 4]]).det() == 0  # proportional rows
 
 
 def test_det_requires_square():
     with pytest.raises(NonSquareError):
-        det(MatrixGF(PrimeField(3), [[1, 2, 0], [0, 1, 1]]))
+        MatrixGF(PrimeField(3), [[1, 2, 0], [0, 1, 1]]).det()
 
 
 def test_rank_against_minor_oracle():
@@ -110,15 +108,15 @@ def test_rank_against_minor_oracle():
         for _ in range(40):
             m, n = rng.randrange(1, 5), rng.randrange(1, 5)
             rows = random_matrix(rng, p, m, n)
-            assert rank(MatrixGF(f, rows)) == rank_by_minors(p, rows)
+            assert MatrixGF(f, rows).rank() == rank_by_minors(p, rows)
 
 
 def test_rank_known_cases():
     f = PrimeField(3)
-    assert rank(MatrixGF(f, [[0, 0], [0, 0]])) == 0
-    assert rank(MatrixGF.identity(f, 4)) == 4
-    assert rank(MatrixGF(f, [[1, 2, 0], [2, 1, 0], [0, 0, 0]])) == 1  # rows proportional mod 3
-    assert rank(MatrixGF(f, [[1, 1, 0], [0, 1, 1], [1, 2, 1]])) == 2  # row3 = row1 + row2
+    assert MatrixGF(f, [[0, 0], [0, 0]]).rank() == 0
+    assert MatrixGF.identity(f, 4).rank() == 4
+    assert MatrixGF(f, [[1, 2, 0], [2, 1, 0], [0, 0, 0]]).rank() == 1  # rows proportional mod 3
+    assert MatrixGF(f, [[1, 1, 0], [0, 1, 1], [1, 2, 1]]).rank() == 2  # row3 = row1 + row2
 
 
 def test_inverse_round_trip():
@@ -130,7 +128,7 @@ def test_inverse_round_trip():
             n = rng.randrange(1, 6)
             rows = random_matrix(rng, p, n, n)
             M = MatrixGF(f, rows)
-            if det(M).value == 0:
+            if M.det() == 0:
                 continue
             assert M.matmul(M.inverse()) == MatrixGF.identity(f, n)
             assert M.inverse().matmul(M) == MatrixGF.identity(f, n)
@@ -153,7 +151,7 @@ def test_spike_det_exhaustive_small():
         f = PrimeField(p)
         for n in range(1, 5):
             for x in itertools.product(range(1, p), repeat=n):
-                assert spike_det(f, x) == det(ones_plus_diag(f, x))
+                assert spike_det(f, x) == ones_plus_diag(f, x).det()
 
 
 def test_spike_det_random_larger():
@@ -163,7 +161,7 @@ def test_spike_det_random_larger():
         for _ in range(60):
             n = rng.randrange(1, 8)
             x = tuple(rng.randrange(1, p) for _ in range(n))
-            assert spike_det(f, x) == det(ones_plus_diag(f, x))
+            assert spike_det(f, x) == ones_plus_diag(f, x).det()
 
 
 def test_spike_det_zero_entry_rejected():
@@ -192,7 +190,7 @@ def test_basis_family_against_bruteforce_random():
         while done < 12:
             m, n = rng.randrange(1, 4), rng.randrange(1, 7)
             M = MatrixGF(f, random_matrix(rng, p, m, n))
-            if rank(M) < M.rows:
+            if M.rank() < M.rows:
                 continue  # full row rank required by contract
             fam = basis_family(M)
             assert fam.members == bases_bruteforce(M)
@@ -214,10 +212,10 @@ def test_basis_family_row_operation_invariance():
     rng = random.Random(67)
     f = PrimeField(5)
     M = MatrixGF(f, random_matrix(rng, 5, 3, 7))
-    while rank(M) < 3:
+    while M.rank() < 3:
         M = MatrixGF(f, random_matrix(rng, 5, 3, 7))
     T = MatrixGF(f, random_matrix(rng, 5, 3, 3))
-    while det(T).value == 0:
+    while T.det() == 0:
         T = MatrixGF(f, random_matrix(rng, 5, 3, 3))
     assert basis_family(M) == basis_family(T.matmul(M))
 

@@ -33,7 +33,7 @@ from spikelab import (
     uniqueness_audit,
 )
 
-from oracles import certificate_admits_by_sums, random_diagonal
+from oracles import certificate_admits_by_sums, random_diagonal, signature_by_sums
 
 GF3 = PrimeField(3)
 GF5 = PrimeField(5)
@@ -214,6 +214,23 @@ def test_audit_matches_pure_python_count(p, n):
     assert report["collisions"] == (p - 1) ** n - len(groups)
 
 
+def _audit_examples_oracle(p: int, n: int) -> list[list[list[int]]]:
+    """First 5 colliding groups by packed signature bytes, 4 diagonals each.
+
+    Diagonals are visited in the audit's mixed-radix order (coordinate 1
+    fastest); groups are ordered by their little-endian signature bytes.
+    """
+    f = PrimeField(p)
+    width = ((1 << n) + 7) // 8
+    groups: dict[bytes, list[list[int]]] = {}
+    for t in itertools.product(range(1, p), repeat=n):
+        x = t[::-1]
+        key = signature_by_sums(Diagonal(f, x)).to_bytes(width, "little")
+        groups.setdefault(key, []).append(list(x))
+    dups = [groups[k] for k in sorted(groups) if len(groups[k]) > 1]
+    return [g[:4] for g in dups[:5]]
+
+
 def test_audit_collision_examples_are_real():
     report = uniqueness_audit(5, 3)
     assert report["collisions"] == 64 - 25
@@ -221,6 +238,9 @@ def test_audit_collision_examples_are_real():
     for group in report["collision_examples"]:
         sigs = {signature(Diagonal(GF5, tuple(x))).bits for x in group}
         assert len(group) > 1 and len(sigs) == 1
+    for p, n in [(5, 3), (3, 4), (7, 3), (2, 6), (5, 4), (11, 2)]:
+        got = uniqueness_audit(p, n)["collision_examples"]
+        assert got == _audit_examples_oracle(p, n), (p, n)
 
 
 def test_audit_injective_at_guarantee_threshold():
