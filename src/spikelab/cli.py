@@ -45,7 +45,153 @@ def _parse_primes(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise ValueError(f"expected comma-separated primes, got {text!r}") from None
+        msg = f"expected comma-separated primes, got {text!r}"
+        raise argparse.ArgumentTypeError(msg) from None
+
+
+# A handler takes the parsed arguments and the parsed --diag (None without one)
+# and returns (result payload, exit code).  Handlers are private and look library
+# functions up at call time, so wrappers patched into this module see every call.
+
+
+def _about(d: Diagonal, key: str = "diagonal") -> dict:
+    return {"p": d.p, "n": d.n, key: list(d.x)}
+
+
+def _verdict(report: dict) -> tuple[dict, int]:
+    return report, 1 if report["failures"] else 0
+
+
+def _axioms(args: argparse.Namespace, d: Diagonal) -> tuple[dict, int]:
+    holds = check_axioms(build_rep(d))
+    return {**_about(d), "holds": holds}, 0 if holds else 1
+
+
+def _signature(args: argparse.Namespace, d: Diagonal) -> tuple[dict, int]:
+    sig = signature(d)
+    result = {**_about(d), "balanced": list(d.balanced()), "hex": sig.hex(), "size": sig.size}
+    result["members"] = [list(t) for t in sig.member_indices()]
+    return result, 0
+
+
+def _normalize(args: argparse.Namespace, d: Diagonal) -> tuple[dict, int]:
+    y = normalize(d)
+    return {
+        **_about(d, "input"),
+        "normalized": list(y.x),
+        "balanced": list(y.balanced()),
+        "text": y.text(),
+    }, 0
+
+
+def _canonical(args: argparse.Namespace, d: Diagonal) -> tuple[dict, int]:
+    c = canonical_form(d)
+    return {
+        **_about(d, "input"),
+        "canonical": list(c.x),
+        "text": c.text(),
+        "orbit_size": orbit_size(d),
+    }, 0
+
+
+def _unique(args: argparse.Namespace, d: None) -> tuple[dict, int]:
+    report = uniqueness_audit(args.p, args.n)
+    # collisions are a theorem violation only in the guaranteed range
+    failing = report["collisions"] > 0 and args.n >= 2 * args.p - 1
+    return report, 1 if failing else 0
+
+
+def _transfer(args: argparse.Namespace, d: Diagonal) -> tuple[dict, int]:
+    sig = signature(d)
+    witness, nodes = search_rep(sig, args.q, args.node_budget)
+    return {
+        **_about(d),
+        "q": args.q,
+        "signature_hex": sig.hex(),
+        "witness": list(witness.x) if witness else None,
+        "witness_text": witness.text() if witness else None,
+        "nodes_visited": nodes,
+    }, 0
+
+
+def _charset(args: argparse.Namespace, d: Diagonal) -> tuple[dict, int]:
+    report = characteristic_set(d, args.primes, args.node_budget)
+    unknown = any(v["representable"] == "unknown" for v in report["verdicts"])
+    return report, 3 if unknown else 0
+
+
+def _construct(args: argparse.Namespace, d: None) -> tuple[dict, int]:
+    if args.variant == "prop41":
+        c = construct_multichar(args.p)
+        integers = {"integer_diagonal": list(c.values)}
+    else:
+        c = construct_char_only(args.p)
+        integers = {"inverse_integers": list(c.inverse_values)}
+    dp = c.over(args.p)
+    result = {"p": args.p, "n": c.n, **integers, "diagonal": list(dp.x), "text": dp.text()}
+    if args.q is not None:
+        dq = c.over(args.q)
+        result.update(q=args.q, diagonal_mod_q=list(dq.x), text_mod_q=dq.text())
+    return result, 0
+
+
+def _arg(flag: str, **kwargs) -> tuple[str, dict]:
+    return flag, kwargs
+
+
+_DIAG = _arg("--diag", required=True, metavar="p=<prime>;x=<v1>,...,<vn>")
+_P = _arg("--p", type=int, required=True)
+_N = _arg("--n", type=int, required=True)
+_PRIMES = _arg("--primes", type=_parse_primes, required=True, metavar="q1,q2,...")
+_BUDGET = _arg("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+_VARIANT_HELP = "prop41: n=2p-2 multi-characteristic; prop43: characteristic-p-only"
+
+# name -> (help, arguments, handler), in the order the parser lists them
+_COMMANDS = {
+    "axioms": ("verify the three spike conditions with the rank oracle", [_DIAG], _axioms),
+    "signature": ("dependent-transversal family of a diagonal", [_DIAG], _signature),
+    "normalize": ("weakly equivalent diagonal with first entry -1", [_DIAG], _normalize),
+    "canonical": ("orbit-minimal diagonal under swaps and relabelings", [_DIAG], _canonical),
+    "enumerate": (
+        "census of weak-equivalence classes", [_P, _N], lambda a, d: (spike_census(a.p, a.n), 0)
+    ),
+    "lemma21": (
+        "exhaustive nonzero subset-sum guarantee", [_P, _N],
+        lambda a, d: _verdict(verify_lemma_2_1(a.p, a.n)),
+    ),
+    "lemma22": (
+        "exhaustive zero-sum subset guarantee", [_P, _N],
+        lambda a, d: _verdict(verify_lemma_2_2(a.p, a.n)),
+    ),
+    "detcheck": (
+        "closed-form determinant vs elimination",
+        [_P, _arg("--n-max", type=int, default=7), _arg("--samples", type=int, default=500),
+         _arg("--seed", type=int, default=0)],
+        lambda a, d: _verdict(verify_det_identity(a.p, a.n_max, a.samples, a.seed)),
+    ),
+    "unique": ("signature-map injectivity audit", [_P, _N], _unique),
+    "transfer": (
+        "search for the same signature over another prime field",
+        [_DIAG, _arg("--q", type=int, required=True), _BUDGET],
+        _transfer,
+    ),
+    "charset": (
+        "representability verdicts across primes, with certificate",
+        [_DIAG, _PRIMES, _BUDGET],
+        _charset,
+    ),
+    "construct": (
+        "the two integer diagonal constructions",
+        [_arg("variant", choices=["prop41", "prop43"], help=_VARIANT_HELP), _P,
+         _arg("--q", type=int, default=None, help="also reduce mod this prime")],
+        _construct,
+    ),
+    "lbound": (
+        "least n with a single-characteristic spike",
+        [_P, _PRIMES, _arg("--n-max", type=int, default=5), _BUDGET],
+        lambda a, d: (estimate_L(a.p, a.primes, a.n_max, a.node_budget), 0),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,213 +206,21 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_cmd(name: str, help_text: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=help_text, parents=[common])
-
-    def diag_cmd(name: str, help_text: str) -> argparse.ArgumentParser:
-        c = add_cmd(name, help_text)
-        c.add_argument("--diag", required=True, metavar="p=<prime>;x=<v1>,...,<vn>")
-        return c
-
-    diag_cmd("axioms", "verify the three spike conditions with the rank oracle")
-    diag_cmd("signature", "dependent-transversal family of a diagonal")
-    diag_cmd("normalize", "weakly equivalent diagonal with first entry -1")
-    diag_cmd("canonical", "orbit-minimal diagonal under swaps and relabelings")
-
-    c = add_cmd("enumerate", "census of weak-equivalence classes")
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--n", type=int, required=True)
-
-    for name, blurb in (
-        ("lemma21", "exhaustive nonzero subset-sum guarantee"),
-        ("lemma22", "exhaustive zero-sum subset guarantee"),
-    ):
-        c = add_cmd(name, blurb)
-        c.add_argument("--p", type=int, required=True)
-        c.add_argument("--n", type=int, required=True)
-
-    c = add_cmd("detcheck", "closed-form determinant vs elimination")
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--n-max", type=int, default=7)
-    c.add_argument("--samples", type=int, default=500)
-    c.add_argument("--seed", type=int, default=0)
-
-    c = add_cmd("unique", "signature-map injectivity audit")
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--n", type=int, required=True)
-
-    c = diag_cmd("transfer", "search for the same signature over another prime field")
-    c.add_argument("--q", type=int, required=True)
-    c.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
-
-    c = diag_cmd("charset", "representability verdicts across primes, with certificate")
-    c.add_argument("--primes", required=True, metavar="q1,q2,...")
-    c.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
-
-    c = add_cmd("construct", "the two integer diagonal constructions")
-    c.add_argument(
-        "variant",
-        choices=["prop41", "prop43"],
-        help="prop41: n=2p-2 multi-characteristic; prop43: characteristic-p-only",
-    )
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--q", type=int, default=None, help="also reduce mod this prime")
-
-    c = add_cmd("lbound", "least n with a single-characteristic spike")
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--primes", required=True, metavar="q1,q2,...")
-    c.add_argument("--n-max", type=int, default=5)
-    c.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
-
+    for name, (help_text, arguments, _) in _COMMANDS.items():
+        c = sub.add_parser(name, help=help_text, parents=[common])
+        for flag, kwargs in arguments:
+            c.add_argument(flag, **kwargs)
     return parser
 
 
 def dispatch(args: argparse.Namespace) -> tuple[dict, dict, int]:
     """Run one subcommand; returns (params echo, result payload, exit code)."""
-    cmd = args.command
-
-    if cmd == "axioms":
-        d = Diagonal.parse(args.diag)
-        holds = check_axioms(build_rep(d))
-        params = {"diag": args.diag}
-        result = {"p": d.p, "n": d.n, "diagonal": list(d.x), "holds": holds}
-        return params, result, 0 if holds else 1
-
-    if cmd == "signature":
-        d = Diagonal.parse(args.diag)
-        sig = signature(d)
-        params = {"diag": args.diag}
-        result = {
-            "p": d.p,
-            "n": d.n,
-            "diagonal": list(d.x),
-            "balanced": list(d.balanced()),
-            "hex": sig.hex(),
-            "size": sig.size,
-            "members": [list(t) for t in sig.member_indices()],
-        }
-        return params, result, 0
-
-    if cmd == "normalize":
-        d = Diagonal.parse(args.diag)
-        y = normalize(d)
-        params = {"diag": args.diag}
-        result = {
-            "p": d.p,
-            "n": d.n,
-            "input": list(d.x),
-            "normalized": list(y.x),
-            "balanced": list(y.balanced()),
-            "text": y.text(),
-        }
-        return params, result, 0
-
-    if cmd == "canonical":
-        d = Diagonal.parse(args.diag)
-        c = canonical_form(d)
-        params = {"diag": args.diag}
-        result = {
-            "p": d.p,
-            "n": d.n,
-            "input": list(d.x),
-            "canonical": list(c.x),
-            "text": c.text(),
-            "orbit_size": orbit_size(d),
-        }
-        return params, result, 0
-
-    if cmd == "enumerate":
-        report = spike_census(args.p, args.n)
-        return {"p": args.p, "n": args.n}, report, 0
-
-    if cmd in ("lemma21", "lemma22"):
-        verify = verify_lemma_2_1 if cmd == "lemma21" else verify_lemma_2_2
-        report = verify(args.p, args.n)
-        code = 0 if not report["failures"] else 1
-        return {"p": args.p, "n": args.n}, report, code
-
-    if cmd == "detcheck":
-        report = verify_det_identity(args.p, args.n_max, args.samples, args.seed)
-        params = {
-            "p": args.p,
-            "n_max": args.n_max,
-            "samples": args.samples,
-            "seed": args.seed,
-        }
-        return params, report, 0 if not report["failures"] else 1
-
-    if cmd == "unique":
-        report = uniqueness_audit(args.p, args.n)
-        # collisions are a theorem violation only in the guaranteed range
-        failing = report["collisions"] > 0 and args.n >= 2 * args.p - 1
-        return {"p": args.p, "n": args.n}, report, 1 if failing else 0
-
-    if cmd == "transfer":
-        d = Diagonal.parse(args.diag)
-        sig = signature(d)
-        witness, nodes = search_rep(sig, args.q, args.node_budget)
-        params = {"diag": args.diag, "q": args.q, "node_budget": args.node_budget}
-        result = {
-            "p": d.p,
-            "n": d.n,
-            "diagonal": list(d.x),
-            "q": args.q,
-            "signature_hex": sig.hex(),
-            "witness": list(witness.x) if witness else None,
-            "witness_text": witness.text() if witness else None,
-            "nodes_visited": nodes,
-        }
-        return params, result, 0
-
-    if cmd == "charset":
-        d = Diagonal.parse(args.diag)
-        primes = _parse_primes(args.primes)
-        report = characteristic_set(d, primes, args.node_budget)
-        params = {
-            "diag": args.diag,
-            "primes": primes,
-            "node_budget": args.node_budget,
-        }
-        unknown = any(v["representable"] == "unknown" for v in report["verdicts"])
-        return params, report, 3 if unknown else 0
-
-    if cmd == "construct":
-        params = {"variant": args.variant, "p": args.p}
-        if args.variant == "prop41":
-            c = construct_multichar(args.p)
-            integers = {"integer_diagonal": list(c.values)}
-        else:
-            c = construct_char_only(args.p)
-            integers = {"inverse_integers": list(c.inverse_values)}
-        d = c.over(args.p)
-        result = {
-            "p": args.p,
-            "n": c.n,
-            **integers,
-            "diagonal": list(d.x),
-            "text": d.text(),
-        }
-        if args.q is not None:
-            params["q"] = args.q
-            dq = c.over(args.q)
-            result["q"] = args.q
-            result["diagonal_mod_q"] = list(dq.x)
-            result["text_mod_q"] = dq.text()
-        return params, result, 0
-
-    if cmd == "lbound":
-        primes = _parse_primes(args.primes)
-        report = estimate_L(args.p, primes, args.n_max, args.node_budget)
-        params = {
-            "p": args.p,
-            "primes": primes,
-            "n_max": args.n_max,
-            "node_budget": args.node_budget,
-        }
-        return params, report, 0
-
-    raise ValueError(f"unknown command {cmd!r}")
+    params = {
+        k: v for k, v in vars(args).items() if k not in ("command", "output") and v is not None
+    }
+    d = Diagonal.parse(args.diag) if "diag" in params else None
+    result, code = _COMMANDS[args.command][2](args, d)
+    return params, result, code
 
 
 def _emit(payload: dict, output: str | None) -> None:
@@ -312,7 +266,11 @@ def main(argv: list[str] | None = None) -> int:
         "result": result,
         "timing": {"elapsed_ms": elapsed_ms},
     }
-    _emit(payload, args.output)
+    try:
+        _emit(payload, args.output)
+    except OSError as exc:
+        print(f"error: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -17,6 +17,7 @@ from .errors import (
     NonSquareError,
     RankDeficientError,
     TooLargeError,
+    TooSmallError,
     ZeroEntryError,
 )
 from .field import PrimeField
@@ -245,6 +246,10 @@ def basis_family(M: MatrixGF) -> BasisFamily:
 def verify_det_identity(p: int, n_max: int = 7, samples: int = 500, seed: int = 0) -> dict:
     """Check spike_det against Gaussian elimination on random diagonals."""
     field = PrimeField(p)
+    if n_max < 1:
+        raise TooSmallError(f"determinant check needs n_max >= 1, got {n_max}")
+    if samples < 0:
+        raise TooSmallError(f"sample count must be >= 0, got {samples}")
     rng = Random(seed)
     failures = []
     checked = 0

@@ -330,6 +330,13 @@ class CharVerdict:
         }
 
 
+def _check_test_primes(primes: Sequence[int]) -> None:
+    for q in primes:
+        if q > MAX_TEST_PRIME:
+            raise OutOfRangeError(f"test primes capped at {MAX_TEST_PRIME}, got {q}")
+        PrimeField(q)
+
+
 def characteristic_set(
     x: Diagonal,
     primes: Sequence[int],
@@ -342,10 +349,7 @@ def characteristic_set(
     """
     if x.n > SEARCH_MAX_N:
         raise TooLargeError(f"characteristic scan capped at n={SEARCH_MAX_N}")
-    for q in primes:
-        if q > MAX_TEST_PRIME:
-            raise OutOfRangeError(f"test primes capped at {MAX_TEST_PRIME}, got {q}")
-        PrimeField(q)
+    _check_test_primes(primes)
     sig = signature(x)
     facts = propagate_facts(sig, x.p)
     cert = build_certificate(sig, facts, x.p)
@@ -549,13 +553,8 @@ def estimate_L(
         raise TooLargeError(f"experiment capped at n_max={CANONICAL_MAX_N}")
     if n_max < 3:
         raise TooSmallError("spikes need n >= 3")
-    others = []
-    for q in primes:
-        if q > MAX_TEST_PRIME:
-            raise OutOfRangeError(f"test primes capped at {MAX_TEST_PRIME}, got {q}")
-        PrimeField(q)
-        if q != p:
-            others.append(q)
+    _check_test_primes(primes)
+    others = [q for q in primes if q != p]
     nodes_total = 0
     levels = []
     found: Optional[Diagonal] = None

@@ -156,6 +156,8 @@ def test_lbound(capsys):
         ["lemma21", "--p", "5", "--n", "2"],  # too short for the guarantee
         ["charset", "--diag", "p=3;x=1,1", "--primes", "5,x"],
         ["transfer", "--diag", "p=3;x=1,1", "--q", "6"],
+        ["detcheck", "--p", "5", "--n-max", "0"],  # no matrix size to sample
+        ["detcheck", "--p", "5", "--samples", "-1"],
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -163,6 +165,20 @@ def test_usage_errors_exit_2(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""  # no report on the data stream
     assert "error" in captured.err.lower() or captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["charset", "--diag", "p=3;x=1,1", "--primes", "5,x"],
+        ["lbound", "--p", "3", "--primes", "2,,three", "--n-max", "4"],
+    ],
+)
+def test_bad_primes_exit_2_with_message(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected comma-separated primes" in captured.err
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -292,33 +308,75 @@ def test_output_overwrites_atomically(tmp_path):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+@pytest.mark.parametrize("target", ["missing/r.json", "is_a_dir"])
+def test_unwritable_output_exits_2(tmp_path, capsys, target):
+    (tmp_path / "is_a_dir").mkdir()
+    path = tmp_path / target
+    assert main(["signature", "--diag", "p=3;x=1,1,1", "--output", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+    assert captured.err.count("\n") == 1
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+_BUDGET = represent.DEFAULT_NODE_BUDGET
+
+# (argv, the params echo it must produce, in key order)
 SUBCOMMANDS = [
-    ["axioms", "--diag", "p=3;x=1,1,1"],
-    ["signature", "--diag", "p=3;x=2,2,1,1"],
-    ["normalize", "--diag", "p=3;x=1,1,1"],
-    ["canonical", "--diag", "p=3;x=2,2,2"],
-    ["enumerate", "--p", "3", "--n", "3"],
-    ["lemma21", "--p", "3", "--n", "2"],
-    ["lemma22", "--p", "3", "--n", "3"],
-    ["detcheck", "--p", "5", "--n-max", "5", "--samples", "60", "--seed", "1"],
-    ["unique", "--p", "3", "--n", "4"],
-    ["transfer", "--diag", "p=3;x=2,2,2,1", "--q", "5"],
-    ["charset", "--diag", "p=3;x=2,2,1,1", "--primes", "2,5,7"],
-    ["construct", "prop41", "--p", "3", "--q", "5"],
-    ["construct", "prop43", "--p", "3"],
-    ["lbound", "--p", "2", "--primes", "2,3,5", "--n-max", "3"],
+    (["axioms", "--diag", "p=3;x=1,1,1"], {"diag": "p=3;x=1,1,1"}),
+    (["signature", "--diag", "p=3;x=2,2,1,1"], {"diag": "p=3;x=2,2,1,1"}),
+    (["normalize", "--diag", "p=3;x=1,1,1"], {"diag": "p=3;x=1,1,1"}),
+    (["canonical", "--diag", "p=3;x=2,2,2"], {"diag": "p=3;x=2,2,2"}),
+    (["enumerate", "--p", "3", "--n", "3"], {"p": 3, "n": 3}),
+    (["lemma21", "--p", "3", "--n", "2"], {"p": 3, "n": 2}),
+    (["lemma22", "--p", "3", "--n", "3"], {"p": 3, "n": 3}),
+    (
+        ["detcheck", "--p", "5", "--n-max", "5", "--samples", "60", "--seed", "1"],
+        {"p": 5, "n_max": 5, "samples": 60, "seed": 1},
+    ),
+    (["unique", "--p", "3", "--n", "4"], {"p": 3, "n": 4}),
+    (
+        ["transfer", "--diag", "p=3;x=2,2,2,1", "--q", "5"],
+        {"diag": "p=3;x=2,2,2,1", "q": 5, "node_budget": _BUDGET},
+    ),
+    (
+        ["charset", "--diag", "p=3;x=2,2,1,1", "--primes", "2,5,7"],
+        {"diag": "p=3;x=2,2,1,1", "primes": [2, 5, 7], "node_budget": _BUDGET},
+    ),
+    (["construct", "prop41", "--p", "3", "--q", "5"], {"variant": "prop41", "p": 3, "q": 5}),
+    (["construct", "prop43", "--p", "3"], {"variant": "prop43", "p": 3}),
+    (
+        ["lbound", "--p", "2", "--primes", "2,3,5", "--n-max", "3"],
+        {"p": 2, "primes": [2, 3, 5], "n_max": 3, "node_budget": _BUDGET},
+    ),
 ]
 
 
-@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda a: a[0] + ("-" + a[1] if a[0] == "construct" else ""))
-def test_every_subcommand_is_deterministic(capsys, argv):
+@pytest.mark.parametrize(
+    "argv, params",
+    SUBCOMMANDS,
+    ids=[a[0] + ("-" + a[1] if a[0] == "construct" else "") for a, _ in SUBCOMMANDS],
+)
+def test_every_subcommand_is_deterministic(capsys, argv, params):
     code1, doc1 = run_cli(capsys, *argv)
     code2, doc2 = run_cli(capsys, *argv)
     assert code1 == code2 == 0
     payload1 = json.dumps(doc1["result"], indent=2).encode()
     payload2 = json.dumps(doc2["result"], indent=2).encode()
     assert payload1 == payload2
+    assert list(doc1["params"].items()) == list(params.items())
     assert doc1["params"] == doc2["params"]
+
+
+def test_params_echo_skips_unset_options_and_output(tmp_path, capsys):
+    _, doc = run_cli(capsys, "construct", "prop41", "--p", "3")
+    assert list(doc["params"].items()) == [("variant", "prop41"), ("p", 3)]
+    path = tmp_path / "r.json"
+    assert main(["--output", str(path), "charset", "--diag", "p=3;x=1,1,1", "--primes", "5"]) == 0
+    doc = json.loads(path.read_text())
+    expected = {"diag": "p=3;x=1,1,1", "primes": [5], "node_budget": _BUDGET}
+    assert list(doc["params"].items()) == list(expected.items())
 
 
 def test_parser_lists_all_subcommands():

@@ -15,6 +15,7 @@ from spikelab import (
     PrimeField,
     RankDeficientError,
     TooLargeError,
+    TooSmallError,
     ZeroEntryError,
     basis_family,
     build_rep,
@@ -177,6 +178,12 @@ def test_verify_det_identity_report():
     assert "ms" not in report
     # same seed, same outcome
     assert report == verify_det_identity(5, n_max=6, samples=120, seed=7)
+
+
+@pytest.mark.parametrize("n_max, samples", [(0, 10), (-2, 10), (3, -1)])
+def test_verify_det_identity_rejects_bad_sizes(n_max, samples):
+    with pytest.raises(TooSmallError):
+        verify_det_identity(5, n_max=n_max, samples=samples)
 
 
 # basis families ---------------------------------------------------------------
