@@ -3,7 +3,7 @@
 Reports are deterministic: timing lives in a separate `timing` field so the
 `result` payload is byte-identical across repeated runs with the same
 arguments.  Exit codes: 0 success, 1 verified-property failure, 2 usage
-error, 3 budget exhaustion or inconclusive experiment.
+error, 3 budget exhausted.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 import tempfile
 import time
 
-from .errors import BudgetExceededError, InconclusiveError, SpikeLabError
+from .errors import BudgetExceededError, SpikeLabError
 from .matrix import verify_det_identity
 from .represent import (
     DEFAULT_NODE_BUDGET,
@@ -43,10 +43,12 @@ SCHEMA_VERSION = 1
 
 def _parse_primes(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        primes = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        msg = f"expected comma-separated primes, got {text!r}"
-        raise argparse.ArgumentTypeError(msg) from None
+        primes = []
+    if not primes:
+        raise argparse.ArgumentTypeError(f"expected comma-separated primes, got {text!r}")
+    return primes
 
 
 # A handler takes the parsed arguments and the parsed --diag (None without one)
@@ -114,12 +116,6 @@ def _transfer(args: argparse.Namespace, d: Diagonal) -> tuple[dict, int]:
     }, 0
 
 
-def _charset(args: argparse.Namespace, d: Diagonal) -> tuple[dict, int]:
-    report = characteristic_set(d, args.primes, args.node_budget)
-    unknown = any(v["representable"] == "unknown" for v in report["verdicts"])
-    return report, 3 if unknown else 0
-
-
 def _construct(args: argparse.Namespace, d: None) -> tuple[dict, int]:
     if args.variant == "prop41":
         c = construct_multichar(args.p)
@@ -178,7 +174,7 @@ _COMMANDS = {
     "charset": (
         "representability verdicts across primes, with certificate",
         [_DIAG, _PRIMES, _BUDGET],
-        _charset,
+        lambda a, d: (characteristic_set(d, a.primes, a.node_budget), 0),
     ),
     "construct": (
         "the two integer diagonal constructions",
@@ -252,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BudgetExceededError, InconclusiveError) as exc:
+    except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except SpikeLabError as exc:

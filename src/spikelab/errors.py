@@ -65,9 +65,5 @@ class BudgetExceededError(SpikeLabError, RuntimeError):
     """The operation would exceed (or has exhausted) its work budget."""
 
 
-class InconclusiveError(SpikeLabError, RuntimeError):
-    """A claim is supported only by search, with no certificate to close it."""
-
-
 class VerdictMismatchError(SpikeLabError, RuntimeError):
     """Two independent routes to the same verdict disagree."""

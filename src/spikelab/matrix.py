@@ -1,15 +1,16 @@
-"""Dense exact matrices over GF(p).
+"""Dense exact matrices over GF(p), and reduced row echelon form over Q or GF(q).
 
 Entries are raw ints in [0, p); the modulus rides along as a PrimeField.
-Everything here is pivoted Gaussian elimination — exact over a finite
-field, no fraction-free tricks needed.
+Everything here is pivoted Gaussian elimination, exact over a finite field
+or, through ``rref``, over the rationals with ``Fraction`` entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from random import Random
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     MismatchedModulusError,
@@ -140,20 +141,54 @@ class MatrixGF:
         if self.rows != self.cols:
             raise NonSquareError(f"inverse of {self.rows}x{self.cols} matrix")
         n = self.rows
-        p = self.field.p
-        aug = [self.entries[i][:] + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if aug[r][col]), -1)
-            if pivot == -1:
-                raise RankDeficientError("matrix is singular")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = self.field.inv(aug[col][col])
-            aug[col] = [(v * inv) % p for v in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    factor = aug[r][col]
-                    aug[r] = [(a - factor * b) % p for a, b in zip(aug[r], aug[col])]
-        return MatrixGF(self.field, [row[n:] for row in aug])
+        aug = [row + [1 if j == i else 0 for j in range(n)] for i, row in enumerate(self.entries)]
+        reduced, cols, _ = rref(aug, self.field.p)
+        if cols[:n] != list(range(n)):
+            raise RankDeficientError("matrix is singular")
+        return MatrixGF(self.field, [row[n:] for row in reduced])
+
+
+def rref(
+    rows: Sequence[Sequence[int]], q: Optional[int] = None
+) -> tuple[list[list], list[int], list[int]]:
+    """Reduced row echelon form of an integer matrix over Q (q None) or over GF(q).
+
+    Returns the nonzero reduced rows (Fraction entries over Q), their pivot
+    columns, and each pivot as it was met.  Fraction-free Gauss-Jordan: each
+    step multiplies every row by the new pivot and divides exactly by the
+    previous one, so over Q the entries stay integers (minors of the input).
+    The pivot row is the first at or below the rank with a nonzero entry, so
+    over GF(q) this is the run over Q reduced mod q if q divides no pivot.
+    """
+    mat = [[v if q is None else v % q for v in row] for row in rows]
+    cols: list[int] = []
+    pivots: list[int] = []
+    prev = 1
+    for col in range(len(mat[0]) if mat else 0):
+        rank = len(cols)
+        r = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if r is None:
+            continue
+        mat[rank], mat[r] = mat[r], mat[rank]
+        pivot_row = mat[rank]
+        pv = pivot_row[col]
+        inv = 1 if q is None else pow(prev, -1, q)
+        for i, other in enumerate(mat):
+            if i == rank:
+                continue
+            c = other[col]
+            if q is None:
+                mat[i] = [(pv * a - c * b) // prev for a, b in zip(other, pivot_row)]
+            else:
+                mat[i] = [(pv * a - c * b) * inv % q for a, b in zip(other, pivot_row)]
+        cols.append(col)
+        pivots.append(pv)
+        prev = pv
+    # every pivot entry now equals the last pivot
+    if q is None:
+        return [[Fraction(v, prev) for v in row] for row in mat[: len(cols)]], cols, pivots
+    inv = pow(prev, -1, q)
+    return [[v * inv % q for v in row] for row in mat[: len(cols)]], cols, pivots
 
 
 def spike_det(field: PrimeField, x: Sequence[int]) -> int:

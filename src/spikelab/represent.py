@@ -2,43 +2,42 @@
 
 A signature is field-agnostic data: which transversals are dependent.  This
 module decides, for a given signature, over which prime fields a diagonal
-with exactly that signature exists — by pruned exhaustive search, and when
-integer fact propagation pins every coordinate, by an exact divisibility
-certificate that covers all characteristics at once.
+with exactly that signature exists: per prime by pruned exhaustive search,
+and for every characteristic at once by one elimination over Q, with a
+pruned search over GF(q) for the finitely many primes it leaves open.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import lcm
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .bitsets import indices_from_mask, subset_sums
+from .bitsets import subset_sums
 from .errors import (
     BudgetExceededError,
-    InconclusiveError,
     OutOfRangeError,
     TooLargeError,
     TooSmallError,
     VerdictMismatchError,
     ZeroEntryError,
 )
-from .field import PrimeField
+from .field import PrimeField, is_prime
+from .matrix import rref
 from .spikes import (
     CANONICAL_MAX_N,
+    SIGNATURE_MAX_N,
     Diagonal,
     Signature,
     enumerate_spikes,
     signature,
-    swap_closure,
 )
 
 DEFAULT_NODE_BUDGET = 10**8
 AUDIT_BUDGET = 10**9
 SEARCH_MAX_N = 12
-FACTS_MAX_N = 16
 MAX_TEST_PRIME = 97
 LBOUND_MAX_P = 7
 
@@ -125,14 +124,18 @@ def _packed_sig_rows(field: PrimeField, diags: "np.ndarray") -> "np.ndarray":
 def uniqueness_audit(p: int, n: int, budget: int = AUDIT_BUDGET) -> dict:
     """Compute every diagonal's signature over GF(p) and count collisions."""
     field = PrimeField(p)
+    if n > SIGNATURE_MAX_N:
+        raise TooLargeError(f"audit capped at n={SIGNATURE_MAX_N}")
     total = (p - 1) ** n
     cost = total * (1 << n)
     if cost > budget:
         raise BudgetExceededError(f"{cost} subset sums exceed budget {budget}")
     width = ((1 << n) + 7) // 8
     rows = np.empty((total, width), dtype=np.uint8)
-    for start in range(0, total, _AUDIT_CHUNK):
-        stop = min(start + _AUDIT_CHUNK, total)
+    # no chunk's sum table outgrows signature's at its cap
+    chunk = min(_AUDIT_CHUNK, (1 << SIGNATURE_MAX_N) >> n)
+    for start in range(0, total, chunk):
+        stop = min(start + chunk, total)
         ts = np.arange(start, stop, dtype=np.int64)
         rows[start:stop] = _packed_sig_rows(field, _decode_diagonals(p, n, ts))
     # rows as opaque byte strings: the same bytewise order as
@@ -163,52 +166,7 @@ def uniqueness_audit(p: int, n: int, budget: int = AUDIT_BUDGET) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# integer fact propagation and the characteristic certificate
-
-
-@dataclass(frozen=True, order=True)
-class LinearFact:
-    """Sum of inverse-diagonal entries over `mask` equals the integer c in
-    every special standard representation of the spike, over any field."""
-
-    mask: int
-    c: int
-
-    def indices(self) -> tuple[int, ...]:
-        return indices_from_mask(self.mask)
-
-
-def propagate_facts(sig: Signature, p: int) -> frozenset[LinearFact]:
-    """Saturate: members give -1; disjoint facts add; nested facts subtract.
-
-    Values beyond p(p-1)/2 in absolute value cannot occur and are dropped.
-    The rule set is sound but not claimed complete.
-    """
-    n = sig.n
-    if n > FACTS_MAX_N:
-        raise TooLargeError(f"fact propagation capped at n={FACTS_MAX_N}")
-    bound = p * (p - 1) // 2
-    seeds = [(m, -1) for m in sig.members()]
-    facts: set[tuple[int, int]] = set(seeds)
-    work = list(seeds)
-    while work:
-        I, c = work.pop()
-        for J, d in list(facts):
-            if I & J == 0:
-                new = [(I | J, c + d)]
-            elif I == J:
-                continue
-            elif I & J == I:
-                new = [(J & ~I, d - c)]
-            elif I & J == J:
-                new = [(I & ~J, c - d)]
-            else:
-                continue
-            for item in new:
-                if abs(item[1]) <= bound and item not in facts:
-                    facts.add(item)
-                    work.append(item)
-    return frozenset(LinearFact(mask, c) for mask, c in facts)
+# the exact characteristic decision
 
 
 def _prime_factors(v: int) -> list[int]:
@@ -226,19 +184,108 @@ def _prime_factors(v: int) -> list[int]:
     return out
 
 
+def _solution_space(sig: Signature, q: Optional[int] = None) -> tuple[list, list[list], list]:
+    """The z with sum(z_i, i in I) = -1 for every member I, over Q (q None) or GF(q).
+
+    Returns (z0, directions, pivots): the solutions are z0 plus any
+    combination of the directions, one per free coordinate, which is 1 there
+    and 0 at the other free coordinates (mod q, its entries are left
+    unreduced); z0 is None when there is no solution.  pivots are the
+    elimination's, as ``rref`` met them.
+    """
+    n = sig.n
+    rows = [[mask >> i & 1 for i in range(n)] + [-1] for mask in sig.members()]
+    reduced, cols, pivots = rref(rows, q)
+    if cols and cols[-1] == n:
+        return None, [], pivots
+    z0 = [0] * n
+    for row, c in zip(reduced, cols):
+        z0[c] = row[n]
+    directions = []
+    for f in (j for j in range(n) if j not in cols):
+        v = [0] * n
+        v[f] = 1
+        for row, c in zip(reduced, cols):
+            v[c] = -row[f]
+        directions.append(v)
+    return z0, directions, pivots
+
+
+def _forms(sig: Signature, F: "np.ndarray", one: int) -> "np.ndarray":
+    """Coefficients of the forbidden affine forms on the solution space.
+
+    F stacks z0 and the directions as integers, scaled so that 1 reads
+    ``one``.  The columns are sum(z_i, i in J) + 1 for each nonempty
+    non-member J, then z_i for each i: row 0 the constant, row j the
+    coefficient on direction j.  A point is admissible iff no form vanishes.
+    """
+    sums = subset_sums(F)
+    sums[0] += one
+    nonmember = [mask for mask in range(1, 1 << sig.n) if not sig.bits >> mask & 1]
+    return np.concatenate([sums[:, nonmember], F], axis=1)
+
+
+def _admissible_point(sig: Signature, q: int, budget: int) -> tuple[Optional[list[int]], int]:
+    """An inverse vector over GF(q) with exactly this signature, or None; plus form values spent.
+
+    Row-reduces the member equations mod q, then searches the solution
+    space depth-first over nonzero free coordinates in ascending order.  A
+    forbidden form is checked as soon as its last free coordinate with a
+    nonzero coefficient is set, where it rules out one value, so a level
+    with fewer forms to check than q - 1 values never dead-ends.  A
+    complete pruned search is exhaustive, so None proves there is no point.
+    Each form value counts as one subset sum against the budget.
+    """
+    z0, directions, _ = _solution_space(sig, q)
+    if z0 is None:
+        return None, 0
+    # q < 2^29 (a special prime divides a form coefficient or a pivot), so
+    # sums of a dozen products of residues fit in int64
+    F = np.array([z0] + directions, dtype=np.int64)
+    forms = _forms(sig, F, 1) % q
+    spent = forms.size
+    k = len(directions)
+    # the level of each form's last nonzero direction, 0 for a constant form
+    nonzero = np.vstack([forms[:0:-1] != 0, np.ones(forms.shape[1], dtype=bool)])
+    settled_at = k - np.argmax(nonzero, axis=0)
+    if not forms[0, settled_at == 0].all():
+        return None, spent
+    levels = [np.flatnonzero(settled_at == j + 1) for j in range(k)]
+    t = np.zeros(k, dtype=np.int64)
+
+    def extend(j: int) -> bool:
+        nonlocal spent
+        cols = levels[j]
+        base = (forms[0, cols] + t[:j] @ forms[1 : j + 1, cols]) % q
+        coef = forms[j + 1, cols]
+        for v in range(1, q):
+            spent += len(cols)
+            if spent > budget:
+                raise BudgetExceededError(f"subset-sum budget exhausted searching GF({q})")
+            if ((base + v * coef) % q).all():
+                t[j] = v
+                if j + 1 == k or extend(j + 1):
+                    return True
+        return False
+
+    if k and not extend(0):
+        return None, spent
+    return ((F[0] + t @ F[1:]) % q).tolist(), spent
+
+
 @dataclass(frozen=True)
 class CharCertificate:
-    """Exact admissible-characteristic description from pinned integers m_i.
+    """The exact set of characteristics over which a signature is representable.
 
-    A prime q admits a diagonal with the signature iff q divides
-    sum(m_i, i in I) + 1 exactly for the member subsets I, and q divides no
-    m_i.  The derivation is exact, so the finite/cofinite description covers
-    every characteristic, not just the primes anyone tested.
+    A finite set lists its primes; a cofinite one lists the primes it
+    leaves out.  Either way every characteristic is covered, not just the
+    primes anyone tested.  m is the unique rational solution of the member
+    equations when it is integral, else None.
     """
 
     n: int
     sig_bits: int
-    m: tuple[int, ...]
+    m: Optional[tuple[int, ...]]
     kind: str  # "finite" | "cofinite"
     primes: tuple[int, ...] = ()
     excluded: tuple[int, ...] = ()
@@ -251,7 +298,7 @@ class CharCertificate:
     def to_report(self) -> dict:
         out = {
             "kind": self.kind,
-            "singleton_integers": list(self.m),
+            "singleton_integers": list(self.m) if self.m is not None else None,
             "covers_all_characteristics": True,
         }
         if self.kind == "finite":
@@ -261,52 +308,62 @@ class CharCertificate:
         return out
 
 
-def build_certificate(
-    sig: Signature, facts: frozenset[LinearFact], p: int
-) -> Optional[CharCertificate]:
-    """Certificate when the facts pin an integer for every singleton, else None."""
+def build_certificate(sig: Signature) -> CharCertificate:
+    """Decide every characteristic at once from one elimination over Q.
+
+    Let V be the rational solutions of the member equations, k its
+    dimension, and h the number of forbidden hyperplanes (one per nonempty
+    non-member, one per coordinate).  Outside the primes B that divide a
+    pivot of the elimination, reduction mod q commutes with it, so V mod q
+    is the solution space over GF(q).  There a prime q gets the
+    generic answer: no if V is empty or a forbidden hyperplane contains V,
+    yes otherwise, unless q divides every coefficient of some forbidden
+    form on V, or k >= 1 and q <= h (h hyperplanes cover at most
+    h q^(k-1) < q^k points only when q > h).  Those primes, and B, are
+    decided one by one by ``_admissible_point``.
+    """
     n = sig.n
-    pinned: dict[int, list[int]] = {i: [] for i in range(n)}
-    for f in facts:
-        if f.mask.bit_count() == 1:
-            pinned[f.mask.bit_length() - 1].append(f.c)
-    if any(not vals for vals in pinned.values()):
-        return None
-    m = tuple(min(pinned[i], key=lambda c: (abs(c), c)) for i in range(n))
-    # |sum| <= FACTS_MAX_N * p(p-1)/2 < 2^63
-    sums = subset_sums(np.array(m, dtype=np.int64)).tolist()
-    required: list[int] = []
-    forbidden: list[int] = list(m)
-    for mask in range(1, 1 << n):
-        (required if sig.bits >> mask & 1 else forbidden).append(sums[mask] + 1)
-    if any(v == 0 for v in forbidden):
-        # some divisibility is demanded of every prime and refused of every
-        # prime at once: no characteristic works
-        return CharCertificate(n=n, sig_bits=sig.bits, m=m, kind="finite")
-    g = 0
-    for v in required:
-        g = gcd(g, abs(v))
-    if g == 0:
-        excluded = sorted({q for v in forbidden for q in _prime_factors(v)})
-        return CharCertificate(
-            n=n, sig_bits=sig.bits, m=m, kind="cofinite", excluded=tuple(excluded)
-        )
-    admissible = [
-        q for q in _prime_factors(g) if all(v % q != 0 for v in forbidden)
-    ]
-    return CharCertificate(
-        n=n, sig_bits=sig.bits, m=m, kind="finite", primes=tuple(admissible)
-    )
+    if n > SEARCH_MAX_N:
+        raise TooLargeError(f"characteristic decision capped at n={SEARCH_MAX_N}")
+    z0, directions, pivots = _solution_space(sig)
+    special = {f for pv in pivots for f in _prime_factors(pv)}
+    generic = False
+    m = None
+    if z0 is not None:
+        scale = lcm(*(v.denominator for v in z0 + [c for d in directions for c in d]))
+        # scaled entries are minors of [A | -1], at most 13^6.5 < 2^25 (Hadamard)
+        # for n <= 12, so every form coefficient stays below 2^29
+        F = np.array([[int(v * scale) for v in row] for row in [z0] + directions], dtype=np.int64)
+        content = np.gcd.reduce(np.abs(_forms(sig, F, scale)), axis=0)
+        generic = bool(content.all())
+        if generic:
+            special.update(f for v in np.unique(content).tolist() for f in _prime_factors(v))
+            if directions:
+                h = (1 << n) - 1 - sig.size + n
+                special.update(v for v in range(2, h + 1) if is_prime(v))
+        if not directions and scale == 1:
+            m = tuple(int(v) for v in z0)
+    # a cofinite set lists the special primes that fail, a finite one those that pass
+    listed = []
+    spent = 0
+    for q in sorted(special):
+        point, cost = _admissible_point(sig, q, AUDIT_BUDGET - spent)
+        spent += cost
+        if (point is None) == generic:
+            listed.append(q)
+    if generic:
+        return CharCertificate(n, sig.bits, m, "cofinite", excluded=tuple(listed))
+    return CharCertificate(n, sig.bits, m, "finite", primes=tuple(listed))
 
 
-def _witness_from_certificate(cert: CharCertificate, q: int) -> Diagonal:
+def _witness(sig: Signature, q: int) -> Diagonal:
+    """The diagonal over GF(q) of the point ``_admissible_point`` finds."""
+    z, _ = _admissible_point(sig, q, AUDIT_BUDGET)
+    if z is None:
+        raise VerdictMismatchError(f"the certificate admits q={q} but GF({q}) has no point")
     field = PrimeField(q)
-    z = [mi % q for mi in cert.m]
-    assert all(z), "certificate admitted q yet a pinned integer vanishes mod q"
     diag = Diagonal(field, tuple(field.inv(v) for v in z))
-    assert signature(diag).bits == cert.sig_bits, (
-        "certificate witness failed signature recomputation"
-    )
+    assert signature(diag).bits == sig.bits, "witness failed signature recomputation"
     return diag
 
 
@@ -317,7 +374,7 @@ def _witness_from_certificate(cert: CharCertificate, q: int) -> Diagonal:
 @dataclass(frozen=True)
 class CharVerdict:
     q: int
-    representable: str  # "yes" | "no" | "unknown"
+    representable: str  # "yes" | "no"
     witness: Optional[Diagonal]
     method: str  # "exhaustive-search" | "certificate"
 
@@ -342,60 +399,38 @@ def characteristic_set(
     primes: Sequence[int],
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> dict:
-    """Per-prime verdicts by search, plus the exact certificate when facts allow.
+    """Per-prime verdicts by search, plus the exact certificate.
 
-    Certificate and search must agree on every prime where the search came
-    to a conclusion; disagreement means a bug and raises VerdictMismatchError.
+    Where the search runs out of budget the certificate gives the verdict,
+    with the point ``_admissible_point`` finds as the witness.  Certificate
+    and search must agree on every prime the search finished; disagreement
+    means a bug and raises VerdictMismatchError.
     """
     if x.n > SEARCH_MAX_N:
         raise TooLargeError(f"characteristic scan capped at n={SEARCH_MAX_N}")
     _check_test_primes(primes)
     sig = signature(x)
-    facts = propagate_facts(sig, x.p)
-    cert = build_certificate(sig, facts, x.p)
+    cert = build_certificate(sig)
     verdicts: list[CharVerdict] = []
     nodes_total = 0
     exhausted: list[int] = []
     for q in primes:
         try:
             witness, nodes = search_rep(sig, q, node_budget)
-            nodes_total += nodes
-            verdicts.append(
-                CharVerdict(
-                    q=q,
-                    representable="yes" if witness else "no",
-                    witness=witness,
-                    method="exhaustive-search",
-                )
-            )
         except BudgetExceededError:
             nodes_total += node_budget
             exhausted.append(q)
-            if cert is not None:
-                ok = cert.admits(q)
-                verdicts.append(
-                    CharVerdict(
-                        q=q,
-                        representable="yes" if ok else "no",
-                        witness=_witness_from_certificate(cert, q) if ok else None,
-                        method="certificate",
-                    )
-                )
-            else:
-                verdicts.append(
-                    CharVerdict(
-                        q=q, representable="unknown", witness=None,
-                        method="exhaustive-search",
-                    )
-                )
-    if cert is not None:
-        for v in verdicts:
-            if v.method == "exhaustive-search" and v.representable != "unknown":
-                if cert.admits(v.q) != (v.representable == "yes"):
-                    raise VerdictMismatchError(
-                        f"certificate and search disagree at q={v.q} "
-                        f"for diagonal {x.text()}"
-                    )
+            witness = _witness(sig, q) if cert.admits(q) else None
+            verdicts.append(CharVerdict(q, "yes" if witness else "no", witness, "certificate"))
+            continue
+        nodes_total += nodes
+        if cert.admits(q) != (witness is not None):
+            raise VerdictMismatchError(
+                f"certificate and search disagree at q={q} for diagonal {x.text()}"
+            )
+        verdicts.append(
+            CharVerdict(q, "yes" if witness else "no", witness, "exhaustive-search")
+        )
     return {
         "command": "charset",
         "p": x.p,
@@ -403,7 +438,7 @@ def characteristic_set(
         "diagonal": list(x.x),
         "primes": list(primes),
         "verdicts": [v.to_dict() for v in verdicts],
-        "certificate": cert.to_report() if cert else None,
+        "certificate": cert.to_report(),
         "budget_exhausted": exhausted,
         "nodes_visited": nodes_total,
     }
@@ -507,30 +542,6 @@ def threshold_interval(p: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _class_certificate(
-    d: Diagonal, p: int
-) -> tuple[Optional[CharCertificate], Optional[Diagonal]]:
-    """Certificate for d, else for any swap-equivalent labeled diagonal.
-
-    Representability over a field is a weak-equivalence invariant, so a
-    certificate for any orbit member settles the whole class.  Permutations
-    never help (the rules are label-equivariant), so only the swap closure
-    is scanned.
-    """
-    sig = signature(d)
-    cert = build_certificate(sig, propagate_facts(sig, p), p)
-    if cert is not None:
-        return cert, d
-    for z in swap_closure(d):
-        if z.x == d.x:
-            continue
-        s = signature(z)
-        cert = build_certificate(s, propagate_facts(s, p), p)
-        if cert is not None:
-            return cert, z
-    return None, None
-
-
 def estimate_L(
     p: int,
     primes: Sequence[int],
@@ -539,12 +550,10 @@ def estimate_L(
 ) -> dict:
     """Least n in [3, n_max] with a spike over GF(p) in no other tested characteristic.
 
-    Scans canonical class representatives; a class counts only when a
-    certificate excludes every other tested prime.  A class that defeats
-    every search yet has no certificate makes the level inconclusive, which
-    raises rather than guesses.  The winning class is searched again over
-    every prime; a conclusive verdict that its certificate contradicts
-    raises VerdictMismatchError.
+    Scans canonical class representatives in order; a class counts when its
+    certificate admits none of the other tested primes.  The winning class
+    is searched again over every prime; a verdict that its certificate
+    contradicts raises VerdictMismatchError.
     """
     PrimeField(p)
     if p > LBOUND_MAX_P:
@@ -555,62 +564,29 @@ def estimate_L(
         raise TooSmallError("spikes need n >= 3")
     _check_test_primes(primes)
     others = [q for q in primes if q != p]
-    nodes_total = 0
     levels = []
-    found: Optional[Diagonal] = None
-    found_cert: Optional[CharCertificate] = None
-    found_via: Optional[Diagonal] = None
-    found_n: Optional[int] = None
+    certified: list[tuple[Diagonal, CharCertificate]] = []
     for n in range(3, n_max + 1):
         reps = enumerate_spikes(p, n)
-        certified: list[tuple[Diagonal, CharCertificate, Diagonal]] = []
-        unexplained: list[Diagonal] = []
-        for d in reps:
-            cert, via = _class_certificate(d, p)
-            if cert is not None:
-                if all(not cert.admits(q) for q in others):
-                    certified.append((d, cert, via))
-                continue
-            sig = signature(d)
-            all_no = True
-            for q in others:
-                witness, nodes = search_rep(sig, q, node_budget)
-                nodes_total += nodes
-                if witness is not None:
-                    all_no = False
-                    break
-            if all_no:
-                unexplained.append(d)
-        levels.append(
-            {
-                "n": n,
-                "classes": len(reps),
-                "certified": len(certified),
-                "uncertified_candidates": len(unexplained),
-            }
-        )
+        certs = [(d, build_certificate(signature(d))) for d in reps]
+        certified = [(d, c) for d, c in certs if not any(c.admits(q) for q in others)]
+        levels.append({"n": n, "classes": len(reps), "certified": len(certified)})
         if certified:
-            found, found_cert, found_via = certified[0]
-            found_n = n
             break
-        if unexplained:
-            raise InconclusiveError(
-                f"n={n}: {unexplained[0].text()} defeated every search over "
-                f"{others} but no certificate pins its characteristic"
-            )
+    found, cert = certified[0] if certified else (None, None)
     lo, hi = threshold_interval(p)
-    if found is not None and found_cert is not None:
+    nodes_total = 0
+    if found is not None:
         # cross-check the winning class against plain search on every prime
         confirm = characteristic_set(found, list(primes), node_budget)
-        nodes_total += confirm["nodes_visited"]
+        nodes_total = confirm["nodes_visited"]
         for v in confirm["verdicts"]:
-            if v["representable"] != "unknown" and (
-                (v["representable"] == "yes") != found_cert.admits(v["q"])
-            ):
+            if (v["representable"] == "yes") != cert.admits(v["q"]):
                 raise VerdictMismatchError(
                     f"confirming run disagrees with the certificate at q={v['q']} "
                     f"for diagonal {found.text()}"
                 )
+    found_n = found.n if found else None
     return {
         "command": "lbound",
         "p": p,
@@ -619,8 +595,7 @@ def estimate_L(
         "found_n": found_n,
         "witness": list(found.x) if found else None,
         "witness_text": found.text() if found else None,
-        "certificate": found_cert.to_report() if found_cert else None,
-        "certified_via": list(found_via.x) if found_via is not None else None,
+        "certificate": cert.to_report() if cert else None,
         "interval": [lo, hi],
         "in_interval": found_n is not None and lo <= found_n <= hi,
         "levels": levels,

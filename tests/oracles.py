@@ -9,8 +9,21 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
+from math import gcd
+from typing import Optional
 
-from spikelab import Diagonal, MatrixGF, PrimeField, signature, swap
+from spikelab import (
+    CharCertificate,
+    Diagonal,
+    MatrixGF,
+    PrimeField,
+    Signature,
+    TooLargeError,
+    indices_from_mask,
+    signature,
+    swap,
+)
 
 
 def det_cofactor(p: int, rows: list[list[int]]) -> int:
@@ -81,6 +94,105 @@ def certificate_admits_by_sums(cert, q: int) -> bool:
         if ((s + 1) % q == 0) != bool(cert.sig_bits >> mask & 1):
             return False
     return True
+
+
+FACTS_MAX_N = 16
+
+
+@dataclass(frozen=True, order=True)
+class LinearFact:
+    """Sum of inverse-diagonal entries over `mask` equals the integer c in
+    every special standard representation of the spike, over any field."""
+
+    mask: int
+    c: int
+
+    def indices(self) -> tuple[int, ...]:
+        return indices_from_mask(self.mask)
+
+
+def propagate_facts(sig: Signature, p: int) -> frozenset[LinearFact]:
+    """Saturate: members give -1; disjoint facts add; nested facts subtract.
+
+    Values beyond p(p-1)/2 in absolute value cannot occur and are dropped.
+    The rule set is sound but not claimed complete.
+    """
+    n = sig.n
+    if n > FACTS_MAX_N:
+        raise TooLargeError(f"fact propagation capped at n={FACTS_MAX_N}")
+    bound = p * (p - 1) // 2
+    seeds = [(m, -1) for m in sig.members()]
+    facts: set[tuple[int, int]] = set(seeds)
+    work = list(seeds)
+    while work:
+        I, c = work.pop()
+        for J, d in list(facts):
+            if I & J == 0:
+                new = [(I | J, c + d)]
+            elif I == J:
+                continue
+            elif I & J == I:
+                new = [(J & ~I, d - c)]
+            elif I & J == J:
+                new = [(I & ~J, c - d)]
+            else:
+                continue
+            for item in new:
+                if abs(item[1]) <= bound and item not in facts:
+                    facts.add(item)
+                    work.append(item)
+    return frozenset(LinearFact(mask, c) for mask, c in facts)
+
+
+def _prime_divisors(v: int) -> list[int]:
+    v = abs(v)
+    return [d for d in range(2, v + 1) if v % d == 0 and all(d % e for e in range(2, d))]
+
+
+def certificate_by_facts(
+    sig: Signature, facts: frozenset[LinearFact], p: int
+) -> Optional[CharCertificate]:
+    """The certificate from facts that pin an integer for every singleton, else None."""
+    n = sig.n
+    pinned: dict[int, list[int]] = {i: [] for i in range(n)}
+    for f in facts:
+        if f.mask.bit_count() == 1:
+            pinned[f.mask.bit_length() - 1].append(f.c)
+    if any(not vals for vals in pinned.values()):
+        return None
+    return certificate_from_integers(
+        sig, tuple(min(pinned[i], key=lambda c: (abs(c), c)) for i in range(n))
+    )
+
+
+def certificate_from_integers(sig: Signature, m: tuple[int, ...]) -> CharCertificate:
+    """The certificate of inverse entries pinned to the integers m.
+
+    A prime q admits the signature iff q divides sum(m_i, i in I) + 1
+    exactly for the member subsets I, and q divides no m_i.
+    """
+    n = sig.n
+    required: list[int] = []
+    forbidden: list[int] = list(m)
+    for mask in range(1, 1 << n):
+        s = sum(m[i] for i in range(n) if mask >> i & 1) + 1
+        (required if sig.bits >> mask & 1 else forbidden).append(s)
+    if any(v == 0 for v in forbidden):
+        # some divisibility is demanded of every prime and refused of every
+        # prime at once: no characteristic works
+        return CharCertificate(n=n, sig_bits=sig.bits, m=m, kind="finite")
+    g = 0
+    for v in required:
+        g = gcd(g, abs(v))
+    if g == 0:
+        excluded = sorted({q for v in forbidden for q in _prime_divisors(v)})
+        return CharCertificate(
+            n=n, sig_bits=sig.bits, m=m, kind="cofinite", excluded=tuple(excluded)
+        )
+    admissible = [q for q in _prime_divisors(g) if all(v % q != 0 for v in forbidden)]
+    return CharCertificate(
+        n=n, sig_bits=sig.bits, m=m, kind="finite", primes=tuple(admissible)
+    )
 
 
 def is_circuit(M: MatrixGF) -> bool:

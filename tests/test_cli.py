@@ -172,6 +172,8 @@ def test_usage_errors_exit_2(capsys, argv):
     [
         ["charset", "--diag", "p=3;x=1,1", "--primes", "5,x"],
         ["lbound", "--p", "3", "--primes", "2,,three", "--n-max", "4"],
+        ["lbound", "--p", "3", "--primes", "", "--n-max", "4"],  # nothing to test
+        ["charset", "--diag", "p=3;x=1,1", "--primes", ","],
     ],
 )
 def test_bad_primes_exit_2_with_message(capsys, argv):
@@ -206,19 +208,45 @@ def test_budget_exhaustion_exits_3(capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_charset_unknown_verdict_exits_3(capsys):
+def test_certificate_budget_exhaustion_exits_3(capsys, monkeypatch):
+    # the per-prime searches of one certificate share the audit's budget
+    monkeypatch.setattr(represent, "AUDIT_BUDGET", 1000)
+    assert main(["charset", "--diag", "p=13;x=1,1,1,3,8,9", "--primes", "13"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: subset-sum budget exhausted searching GF(")
+    assert captured.err.count("\n") == 1
+
+
+def test_charset_certificate_answers_where_search_runs_out(capsys):
     code, doc = run_cli(
         capsys,
         "charset", "--diag", "p=3;x=1,1,1", "--primes", "7", "--node-budget", "2",
     )
-    assert code == 3
-    assert doc["result"]["verdicts"][0]["representable"] == "unknown"
+    assert code == 0
+    r = doc["result"]
+    assert r["budget_exhausted"] == [7]
+    v = r["verdicts"][0]
+    assert v["representable"] == "yes" and v["method"] == "certificate"
+    _, sig7 = run_cli(capsys, "signature", "--diag", "p=7;x=" + ",".join(map(str, v["witness"])))
+    _, sig3 = run_cli(capsys, "signature", "--diag", "p=3;x=1,1,1")
+    assert sig7["result"]["members"] == sig3["result"]["members"]
+
+
+def test_normalize_empty_signature_exits_2(capsys):
+    # no circuit-hyperplane to normalize at: input outside the command's domain
+    assert main(["normalize", "--diag", "p=5;x=1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 def test_charset_certificate_disagreement_exits_1(capsys, monkeypatch):
     # a certificate admitting no prime contradicts the search's GF(3) witness
-    def contradicting(sig, facts, p):
-        return CharCertificate(n=sig.n, sig_bits=sig.bits, m=(1,) * sig.n, kind="finite")
+    def contradicting(sig):
+        return CharCertificate(n=sig.n, sig_bits=sig.bits, m=None, kind="finite")
 
     monkeypatch.setattr(represent, "build_certificate", contradicting)
     assert main(["charset", "--diag", "p=3;x=1,1,1", "--primes", "3"]) == 1

@@ -8,10 +8,8 @@ import pytest
 from spikelab import (
     BudgetExceededError,
     Diagonal,
-    InconclusiveError,
     IntegerDiagonal,
     InverseIntegerDiagonal,
-    LinearFact,
     MatrixGF,
     OutOfRangeError,
     PrimeField,
@@ -25,15 +23,25 @@ from spikelab import (
     check_axioms,
     construct_char_only,
     construct_multichar,
+    enumerate_spikes,
     estimate_L,
-    propagate_facts,
+    represent,
     search_rep,
     signature,
     threshold_interval,
     uniqueness_audit,
 )
+from spikelab.bitsets import subset_sums
 
-from oracles import certificate_admits_by_sums, random_diagonal, signature_by_sums
+from oracles import (
+    LinearFact,
+    certificate_admits_by_sums,
+    certificate_by_facts,
+    certificate_from_integers,
+    propagate_facts,
+    random_diagonal,
+    signature_by_sums,
+)
 
 GF3 = PrimeField(3)
 GF5 = PrimeField(5)
@@ -95,7 +103,7 @@ def test_search_witness_entries_nonzero():
             assert all(1 <= v < 7 for v in w.x)
 
 
-# fact propagation ----------------------------------------------------------------
+# fact propagation (the reference in tests/oracles.py) ------------------------------
 
 
 def _facts_sound_for(d: Diagonal) -> None:
@@ -137,12 +145,12 @@ def test_fact_indices():
     assert LinearFact(mask=0b1010, c=3).indices() == (2, 4)
 
 
-# certificates ---------------------------------------------------------------------
+# certificates from facts (the reference in tests/oracles.py) ----------------------
 
 
 def _certificate_of(d: Diagonal):
     sig = signature(d)
-    return build_certificate(sig, propagate_facts(sig, d.p), d.p)
+    return certificate_by_facts(sig, propagate_facts(sig, d.p), d.p)
 
 
 def test_certificate_frozen_cases():
@@ -189,6 +197,43 @@ def test_certificate_agrees_with_search_exhaustive_gf3_n4():
         sig = signature(d)
         for q in (2, 3, 5, 7):
             assert cert.admits(q) == (search_rep(sig, q)[0] is not None), (x, q)
+
+
+def test_certificate_matches_facts_oracle_and_search():
+    """Every class at p in {3, 5, 7}, n <= 6, and the characteristic-only family."""
+    cases = [(d, None) for p in (3, 5, 7) for n in range(1, 7) for d in enumerate_spikes(p, n)]
+    # propagating facts at n = 8 takes seconds: the family's own integers stand in
+    for p in (3, 5, 7, 11, 13):
+        c = construct_char_only(p)
+        cases.append((c.over(p), c.inverse_values))
+    certified = 0
+    for d, integers in cases:
+        sig = signature(d)
+        cert = build_certificate(sig)
+        assert cert.admits(d.p)
+        old = _certificate_of(d) if integers is None else certificate_from_integers(sig, integers)
+        if old is not None:
+            certified += 1
+            assert (cert.kind, cert.primes, cert.excluded) == (old.kind, old.primes, old.excluded)
+            assert cert.m is None or cert.m == old.m, d
+        for q in (2, 3, 5, 7, 11, 13):
+            assert cert.admits(q) == (search_rep(sig, q)[0] is not None), (d, q)
+    assert certified > 0
+
+
+def test_certificate_singleton_integers_only_when_unique_and_integral():
+    # x = (-1, -1, 1, 1) over GF(5): unique integral rational solution
+    cert = build_certificate(signature(Diagonal(GF5, (4, 4, 1, 1))))
+    assert cert.m == (-1, -1, 1, 1)
+    # the free rank-3 spike: a 2-dimensional solution space
+    assert build_certificate(signature(Diagonal(GF3, (1, 1, 1)))).m is None
+    # solvable only modulo 3: no rational solution
+    assert build_certificate(signature(Diagonal(GF3, (2, 2, 1, 1)))).m is None
+
+
+def test_certificate_cap():
+    with pytest.raises(TooLargeError):
+        build_certificate(signature(Diagonal(PrimeField(2), (1,) * 13)))
 
 
 def test_certificate_report_shape():
@@ -247,6 +292,28 @@ def test_audit_injective_at_guarantee_threshold():
     report = uniqueness_audit(3, 5)  # n = 2p-1
     assert report["collisions"] == 0
     assert report["distinct_signatures"] == 32
+
+
+def test_audit_refuses_past_signature_cap_before_summing(monkeypatch):
+    def no_sums(values):
+        raise AssertionError("the audit summed past its cap")
+
+    monkeypatch.setattr(represent, "subset_sums", no_sums)
+    with pytest.raises(TooLargeError):
+        uniqueness_audit(2, 25)  # 2^25 subset sums: within budget, past the cap
+
+
+def test_audit_chunks_stay_within_the_signature_table(monkeypatch):
+    rows = []
+
+    def recording(values):
+        rows.append(values.shape[0])
+        return subset_sums(values)
+
+    monkeypatch.setattr(represent, "subset_sums", recording)
+    report = uniqueness_audit(3, 13)  # 2^13 diagonals of 2^13 sums each
+    assert report["collisions"] == 0
+    assert max(rows) << 13 <= 1 << 24 and sum(rows) == 1 << 13
 
 
 def test_audit_budget():
@@ -337,11 +404,17 @@ def test_charset_yes_verdicts_carry_witnesses():
         assert signature(w).bits == signature(Diagonal(GF3, (1, 1, 1))).bits
 
 
-def test_charset_unknown_when_budget_dies_without_certificate():
-    d = Diagonal(GF3, (1, 1, 1))  # no certificate exists for this one
-    report = characteristic_set(d, [7], node_budget=2)
-    assert report["verdicts"][0]["representable"] == "unknown"
-    assert report["budget_exhausted"] == [7]
+def test_charset_certificate_closes_the_p13_class():
+    # two members of rational rank 2: a 4-dimensional solution space off 67
+    # forbidden hyperplanes, so every q > 67 represents it; facts do not pin
+    # every singleton here, and a list of tested primes cannot show that
+    d = Diagonal.parse("p=13;x=1,1,1,3,8,9")
+    report = characteristic_set(d, [2, 3, 5, 7, 11, 13])
+    cert = report["certificate"]
+    assert cert["kind"] == "cofinite"
+    assert cert["excluded_primes"] == [2, 3, 5, 7, 11]
+    assert cert["singleton_integers"] is None
+    assert [v["representable"] for v in report["verdicts"]] == ["no"] * 5 + ["yes"]
 
 
 def test_charset_certificate_rescues_exhausted_budget():
@@ -387,12 +460,19 @@ def test_estimate_frozen_gf3():
     assert report["in_interval"] is True
     assert report["interval"] == [3, 4]
     # the n=3 level was scanned and nothing there qualified
-    assert report["levels"][0] == {
-        "n": 3,
-        "classes": 2,
-        "certified": 0,
-        "uncertified_candidates": 0,
-    }
+    assert report["levels"][0] == {"n": 3, "classes": 2, "certified": 0}
+
+
+@pytest.mark.parametrize(
+    "p, n_max, found_n, witness",
+    [(5, 5, 5, [1, 1, 2, 3, 3]), (7, 6, 6, [1, 1, 1, 2, 5, 5])],
+)
+def test_estimate_frozen_gf5_gf7(p, n_max, found_n, witness):
+    report = estimate_L(p, [2, 3, 5, 7, 11], n_max)
+    assert report["found_n"] == found_n
+    assert report["witness"] == witness
+    assert report["certificate"]["admissible_primes"] == [p]
+    assert report["in_interval"] is True
 
 
 def test_estimate_caps():
