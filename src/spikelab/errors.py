@@ -17,10 +17,6 @@ class ZeroInverseError(SpikeLabError, ZeroDivisionError):
     """Multiplicative inverse of zero requested."""
 
 
-class MismatchedModulusError(SpikeLabError, ValueError):
-    """Matrices over different fields were combined."""
-
-
 class NonSquareError(SpikeLabError, ValueError):
     """Determinant of a non-square matrix requested."""
 

@@ -1,8 +1,9 @@
 """Dense exact matrices over GF(p), and reduced row echelon form over Q or GF(q).
 
 Entries are raw ints in [0, p); the modulus rides along as a PrimeField.
-Everything here is pivoted Gaussian elimination, exact over a finite field
-or, through ``rref``, over the rationals with ``Fraction`` entries.
+Rank, determinant and ``rref`` share one fraction-free forward elimination,
+``_echelon``, which runs on integers over Z or on residues mod q; only
+``rref``'s final rows over Q are ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from random import Random
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
-    MismatchedModulusError,
     MismatchedShapeError,
     NonSquareError,
     RankDeficientError,
@@ -25,6 +25,8 @@ from .field import PrimeField
 
 BASIS_FAMILY_MAX_COLS = 21
 BASIS_FAMILY_MAX_ROWS = 10
+DETCHECK_MAX_N = 12  # (12, 10^4) takes about 1.2 s on a 2-core VM
+DETCHECK_MAX_SAMPLES = 10_000
 
 
 class MatrixGF:
@@ -62,9 +64,6 @@ class MatrixGF:
         body = "; ".join(" ".join(str(v) for v in row) for row in self.entries)
         return f"MatrixGF({self.field!r}, [{body}])"
 
-    def copy_entries(self) -> list[list[int]]:
-        return [row[:] for row in self.entries]
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(self.entries[i][j] for i in range(self.rows))
 
@@ -72,80 +71,70 @@ class MatrixGF:
         idx = list(cols)
         return MatrixGF(self.field, [[self.entries[i][j] for j in idx] for i in range(self.rows)])
 
-    def matmul(self, other: "MatrixGF") -> "MatrixGF":
-        if other.field != self.field:
-            raise MismatchedModulusError("matmul across different moduli")
-        if self.cols != other.rows:
-            raise MismatchedShapeError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        p = self.field.p
-        out = []
-        for i in range(self.rows):
-            arow = self.entries[i]
-            out.append(
-                [
-                    sum(arow[k] * other.entries[k][j] for k in range(self.cols)) % p
-                    for j in range(other.cols)
-                ]
-            )
-        return MatrixGF(self.field, out)
-
-    # elimination --------------------------------------------------------
-
-    def _eliminate(self, mat: list[list[int]]) -> tuple[int, int, int]:
-        """In-place row reduction; returns (rank, det_sign, pivot_product mod p)."""
-        p = self.field.p
-        nrows, ncols = len(mat), len(mat[0])
-        rank = 0
-        sign = 1
-        pivprod = 1
-        for col in range(ncols):
-            if rank == nrows:
-                break
-            pivot = next((r for r in range(rank, nrows) if mat[r][col]), -1)
-            if pivot == -1:
-                continue
-            if pivot != rank:
-                mat[rank], mat[pivot] = mat[pivot], mat[rank]
-                sign = -sign
-            pv = mat[rank][col]
-            pivprod = (pivprod * pv) % p
-            inv = self.field.inv(pv)
-            row = mat[rank]
-            for r in range(rank + 1, nrows):
-                c = mat[r][col]
-                if c:
-                    factor = (c * inv) % p
-                    mr = mat[r]
-                    for k in range(col, ncols):
-                        mr[k] = (mr[k] - factor * row[k]) % p
-            rank += 1
-        return rank, sign, pivprod
-
     def rank(self) -> int:
-        r, _, _ = self._eliminate(self.copy_entries())
-        return r
+        return len(_echelon(self.entries, self.field.p)[1])
 
     def det(self) -> int:
         if self.rows != self.cols:
             raise NonSquareError(f"det of {self.rows}x{self.cols} matrix")
-        mat = self.copy_entries()
-        rank, sign, pivprod = self._eliminate(mat)
-        if rank < self.rows:
+        _, cols, pivots, sign = _echelon(self.entries, self.field.p)
+        if len(cols) < self.rows:
             return 0
-        return pivprod if sign == 1 else -pivprod % self.field.p
+        return sign * pivots[-1] % self.field.p
 
-    def inverse(self) -> "MatrixGF":
-        """Inverse via Gauss-Jordan on [M | I]."""
-        if self.rows != self.cols:
-            raise NonSquareError(f"inverse of {self.rows}x{self.cols} matrix")
-        n = self.rows
-        aug = [row + [1 if j == i else 0 for j in range(n)] for i, row in enumerate(self.entries)]
-        reduced, cols, _ = rref(aug, self.field.p)
-        if cols[:n] != list(range(n)):
-            raise RankDeficientError("matrix is singular")
-        return MatrixGF(self.field, [row[n:] for row in reduced])
+
+def _echelon(
+    rows: Sequence[Sequence[int]], q: Optional[int] = None
+) -> tuple[list[list[int]], list[int], list[int], int]:
+    """Fraction-free forward elimination over Z (q None) or GF(q) (Bareiss).
+
+    Returns the nonzero echelon rows, their pivot columns, each pivot as it
+    was met, and the sign of the row swaps.  Each step replaces every row
+    below the pivot row by (pv*a - c*b) / prev, where pv is the new pivot
+    and prev the one before: exact division over Z, so every entry is a
+    minor of the input, and multiplication by prev^-1 over GF(q).  The
+    pivot row is the first at or below the rank with a nonzero entry, so
+    over GF(q) this is the run over Z reduced mod q if q divides no pivot.
+    The last pivot of a square matrix of full rank is sign * det.
+    """
+    mat = [[v if q is None else v % q for v in row] for row in rows]
+    nrows = len(mat)
+    cols: list[int] = []
+    pivots: list[int] = []
+    sign = 1
+    prev = 1
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        for r in range(rank, nrows):
+            if mat[r][col]:
+                break
+        else:
+            continue
+        if r != rank:
+            mat[rank], mat[r] = mat[r], mat[rank]
+            sign = -sign
+        pivot_row = mat[rank]
+        pv = pivot_row[col]
+        if q is not None:
+            inv = pow(prev, -1, q)
+            s = pv * inv % q
+        for i in range(rank + 1, nrows):
+            other = mat[i]
+            c = other[col]
+            if not c and pv == prev:
+                continue  # the update would leave the row as it is
+            if q is None:
+                mat[i] = [(pv * a - c * b) // prev for a, b in zip(other, pivot_row)]
+            else:
+                t = c * inv % q
+                mat[i] = [(s * a - t * b) % q for a, b in zip(other, pivot_row)]
+        cols.append(col)
+        pivots.append(pv)
+        prev = pv
+        rank += 1
+        if rank == nrows:
+            break
+    return mat[:rank], cols, pivots, sign
 
 
 def rref(
@@ -154,41 +143,33 @@ def rref(
     """Reduced row echelon form of an integer matrix over Q (q None) or over GF(q).
 
     Returns the nonzero reduced rows (Fraction entries over Q), their pivot
-    columns, and each pivot as it was met.  Fraction-free Gauss-Jordan: each
-    step multiplies every row by the new pivot and divides exactly by the
-    previous one, so over Q the entries stay integers (minors of the input).
-    The pivot row is the first at or below the rank with a nonzero entry, so
-    over GF(q) this is the run over Q reduced mod q if q divides no pivot.
+    columns, and each pivot as ``_echelon`` met it.  Back-substitution
+    keeps the rows integral: from the last pivot row up, row k becomes
+    (d*row_k - sum of row_k[c_j] * row_j over the later pivot rows) / pv_k,
+    with d the last pivot and the later rows already in this form, so every
+    pivot entry becomes d and every other pivot column entry 0; dividing by
+    d then gives the reduced form.
     """
-    mat = [[v if q is None else v % q for v in row] for row in rows]
-    cols: list[int] = []
-    pivots: list[int] = []
-    prev = 1
-    for col in range(len(mat[0]) if mat else 0):
-        rank = len(cols)
-        r = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if r is None:
-            continue
-        mat[rank], mat[r] = mat[r], mat[rank]
-        pivot_row = mat[rank]
-        pv = pivot_row[col]
-        inv = 1 if q is None else pow(prev, -1, q)
-        for i, other in enumerate(mat):
-            if i == rank:
-                continue
-            c = other[col]
-            if q is None:
-                mat[i] = [(pv * a - c * b) // prev for a, b in zip(other, pivot_row)]
-            else:
-                mat[i] = [(pv * a - c * b) * inv % q for a, b in zip(other, pivot_row)]
-        cols.append(col)
-        pivots.append(pv)
-        prev = pv
-    # every pivot entry now equals the last pivot
+    mat, cols, pivots, _ = _echelon(rows, q)
+    if not cols:
+        return [], cols, pivots
+    d = pivots[-1]
+    for k in range(len(cols) - 2, -1, -1):
+        row = mat[k]
+        acc = [d * a for a in row]
+        for j in range(k + 1, len(cols)):
+            c = row[cols[j]]
+            if c:
+                acc = [a - c * b for a, b in zip(acc, mat[j])]
+        if q is None:
+            mat[k] = [a // pivots[k] for a in acc]
+        else:
+            inv = pow(pivots[k], -1, q)
+            mat[k] = [a * inv % q for a in acc]
     if q is None:
-        return [[Fraction(v, prev) for v in row] for row in mat[: len(cols)]], cols, pivots
-    inv = pow(prev, -1, q)
-    return [[v * inv % q for v in row] for row in mat[: len(cols)]], cols, pivots
+        return [[Fraction(v, d) for v in row] for row in mat], cols, pivots
+    inv = pow(d, -1, q)
+    return [[v * inv % q for v in row] for row in mat], cols, pivots
 
 
 def spike_det(field: PrimeField, x: Sequence[int]) -> int:
@@ -285,6 +266,12 @@ def verify_det_identity(p: int, n_max: int = 7, samples: int = 500, seed: int = 
         raise TooSmallError(f"determinant check needs n_max >= 1, got {n_max}")
     if samples < 0:
         raise TooSmallError(f"sample count must be >= 0, got {samples}")
+    if n_max > DETCHECK_MAX_N:
+        raise TooLargeError(f"determinant check capped at n_max={DETCHECK_MAX_N}, got {n_max}")
+    if samples > DETCHECK_MAX_SAMPLES:
+        raise TooLargeError(
+            f"determinant check capped at {DETCHECK_MAX_SAMPLES} samples, got {samples}"
+        )
     rng = Random(seed)
     failures = []
     checked = 0

@@ -61,6 +61,8 @@ def search_rep(
     n = sig.n
     if n > SEARCH_MAX_N:
         raise TooLargeError(f"search capped at n={SEARCH_MAX_N}, got {n}")
+    if node_budget < 0:
+        raise TooSmallError(f"node budget must be >= 0, got {node_budget}")
     field = PrimeField(q)
     target = q - 1
     sigbits = sig.bits
@@ -124,6 +126,8 @@ def _packed_sig_rows(field: PrimeField, diags: "np.ndarray") -> "np.ndarray":
 def uniqueness_audit(p: int, n: int, budget: int = AUDIT_BUDGET) -> dict:
     """Compute every diagonal's signature over GF(p) and count collisions."""
     field = PrimeField(p)
+    if n < 1:
+        raise TooSmallError(f"audit needs n >= 1, got {n}")
     if n > SIGNATURE_MAX_N:
         raise TooLargeError(f"audit capped at n={SIGNATURE_MAX_N}")
     total = (p - 1) ** n

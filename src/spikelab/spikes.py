@@ -25,7 +25,6 @@ from .errors import (
     NoCircuitHyperplaneError,
     NotInSignatureError,
     OutOfRangeError,
-    RankDeficientError,
     TooLargeError,
     TooSmallError,
     ZeroEntryError,
@@ -105,41 +104,8 @@ class Diagonal:
         return f"Diagonal({self.text()!r})"
 
 
-@dataclass(frozen=True)
-class SpikeRep:
-    """n x (2n+1) special standard matrix; labels track which original column sits where."""
-
-    matrix: MatrixGF
-    labels: tuple[str, ...]
-
-    @property
-    def n(self) -> int:
-        return self.matrix.rows
-
-    def diagonal(self) -> Diagonal:
-        """Read the diagonal off the co-basis block; insists on the standard pattern."""
-        n = self.n
-        m = self.matrix.entries
-        p = self.matrix.field.p
-        x = []
-        for j in range(n):
-            for i in range(n):
-                want = 1 if i != j else None
-                got = m[i][n + 1 + j]
-                if want is not None and got != want:
-                    raise MismatchedShapeError("co-basis block is not in standard form")
-            x.append((m[j][n + 1 + j] - 1) % p)
-        return Diagonal(self.matrix.field, tuple(x))
-
-
-def default_labels(n: int) -> tuple[str, ...]:
-    return tuple(
-        [f"e{i}" for i in range(1, n + 1)] + ["t"] + [f"f{i}" for i in range(1, n + 1)]
-    )
-
-
-def build_rep(x: Diagonal) -> SpikeRep:
-    """The special standard matrix [I | 1 | t + x_i e_i]."""
+def build_rep(x: Diagonal) -> MatrixGF:
+    """The special standard matrix [I | 1 | t + x_i e_i], columns e_1..e_n, t, f_1..f_n."""
     n = x.n
     if n < 3:
         raise TooSmallError(f"spike matroids need n >= 3, got n={n}")
@@ -149,26 +115,25 @@ def build_rep(x: Diagonal) -> SpikeRep:
         e_block = [1 if j == i else 0 for j in range(n)]
         f_block = [(1 + x.x[j]) % p if j == i else 1 for j in range(n)]
         rows.append(e_block + [1] + f_block)
-    return SpikeRep(matrix=MatrixGF(x.field, rows), labels=default_labels(n))
+    return MatrixGF(x.field, rows)
 
 
 def _parallel(M: MatrixGF, j: int, k: int) -> bool:
     return M.select_columns([j, k]).rank() <= 1
 
 
-def check_axioms(R: SpikeRep) -> bool:
+def check_axioms(M: MatrixGF) -> bool:
     """Rank-oracle verification of the three spike conditions.
 
     (i) each line {e_i, t, f_i} is a rank-2 set of three pairwise
     non-parallel nonzero points; (ii) any k < n lines together have rank
     k+1; (iii) all n lines have rank n.
     """
-    n = R.n
+    n = M.rows
     if n < 3:
         raise TooSmallError(f"spike matroids need n >= 3, got n={n}")
     if n > AXIOMS_MAX_N:
         raise TooLargeError(f"axiom check capped at n={AXIOMS_MAX_N}")
-    M = R.matrix
     if M.cols != 2 * n + 1:
         raise MismatchedShapeError(f"expected {2 * n + 1} columns, got {M.cols}")
     line = [[i, n, n + 1 + i] for i in range(n)]
@@ -302,7 +267,7 @@ def swap(x: Diagonal, S: IndexSetLike) -> Diagonal:
 
     With s = sum over S of x_i^-1 the new transversal is a basis iff
     1 + s != 0, and the re-standardized diagonal is x_i (1+s) off S and
-    -x_i (1+s) on S (cross-checked against change_basis_standardize).
+    -x_i (1+s) on S (the tests check it against a change of basis on the matrix).
     """
     n = x.n
     smask = as_mask(S, n)
@@ -320,57 +285,6 @@ def swap(x: Diagonal, S: IndexSetLike) -> Diagonal:
         (-x.x[i] * fac) % p if smask >> i & 1 else (x.x[i] * fac) % p for i in range(n)
     )
     return Diagonal(x.field, y)
-
-
-def change_basis_standardize(R: SpikeRep, S: IndexSetLike) -> SpikeRep:
-    """Matrix-level swap: change to the transversal basis at S, then re-standardize.
-
-    Order of operations: invert the new basis block, reorder columns so the
-    new basis leads (labels move with their columns), scale each row to make
-    the tip column all ones (compensating in the basis block), then scale
-    each co-basis column to make its off-diagonal entries 1.  The final
-    pattern is asserted before the diagonal is read off.
-    """
-    n = R.n
-    smask = as_mask(S, n)
-    if smask == 0:
-        return R
-    field = R.matrix.field
-    p = field.p
-    basis_src = [n + 1 + i if smask >> i & 1 else i for i in range(n)]
-    cobasis_src = [i if smask >> i & 1 else n + 1 + i for i in range(n)]
-    B = R.matrix.select_columns(basis_src)
-    try:
-        Binv = B.inverse()
-    except RankDeficientError:
-        raise DependentTransversalError(
-            f"transversal at {indices_from_mask(smask)} is not a basis"
-        ) from None
-    M2 = Binv.matmul(R.matrix)
-    order = basis_src + [n] + cobasis_src
-    M3 = M2.select_columns(order)
-    labels = tuple(R.labels[j] for j in order)
-    ent = M3.entries
-    for i in range(n):
-        for j in range(n):
-            assert ent[i][j] == (1 if i == j else 0), "basis block failed to reduce"
-    tip = [ent[i][n] for i in range(n)]
-    assert all(tip), "tip column hit a zero coordinate"
-    alpha = [field.inv(t) for t in tip]
-    out = [[1 if j == i else 0 for j in range(n)] + [1] + [0] * n for i in range(n)]
-    for j in range(n):
-        col = [(alpha[i] * ent[i][n + 1 + j]) % p for i in range(n)]
-        off = {col[i] for i in range(n) if i != j}
-        assert len(off) == 1, "co-basis column off-diagonals disagree"
-        common = off.pop()
-        assert common != 0, "co-basis column has zero off-diagonal"
-        beta = field.inv(common)
-        d = (col[j] * beta) % p
-        y = (d - 1) % p
-        assert y != 0, "re-standardized diagonal entry is zero"
-        for i in range(n):
-            out[i][n + 1 + j] = 1 if i != j else (1 + y) % p
-    return SpikeRep(matrix=MatrixGF(field, out), labels=labels)
 
 
 def normalize(x: Diagonal) -> Diagonal:
@@ -476,6 +390,8 @@ def spike_census(p: int, n: int) -> dict:
 
 def _enumerate_orbits(p: int, n: int) -> list[tuple[Diagonal, int]]:
     field = PrimeField(p)
+    if n < 1:
+        raise TooSmallError(f"enumeration needs n >= 1, got {n}")
     if n > CANONICAL_MAX_N:
         raise TooLargeError(f"enumeration capped at n={CANONICAL_MAX_N}")
     if p > ENUMERATE_MAX_P:

@@ -1,8 +1,9 @@
 """Slow, independently written reference implementations.
 
-Everything here favors obviousness over speed: cofactor determinants,
-per-subset summation, rank probes against explicitly built column sets.
-Fast library code is only trusted where it agrees with these.
+Everything here favors obviousness over speed: cofactor determinants and
+inverses, per-subset summation, rank probes against explicitly built column
+sets, the swap as an explicit change of basis.  Fast library code is only
+trusted where it agrees with these.
 """
 
 from __future__ import annotations
@@ -15,11 +16,14 @@ from typing import Optional
 
 from spikelab import (
     CharCertificate,
+    DependentTransversalError,
     Diagonal,
     MatrixGF,
+    MismatchedShapeError,
     PrimeField,
     Signature,
     TooLargeError,
+    build_rep,
     indices_from_mask,
     signature,
     swap,
@@ -37,6 +41,32 @@ def det_cofactor(p: int, rows: list[list[int]]) -> int:
         term = rows[0][j] * det_cofactor(p, minor)
         total += term if j % 2 == 0 else -term
     return total % p
+
+
+def matmul(p: int, A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
+    """The product A B mod p, entry by entry as a plain sum."""
+    return [
+        [sum(A[i][t] * B[t][j] for t in range(len(B))) % p for j in range(len(B[0]))]
+        for i in range(len(A))
+    ]
+
+
+def inverse_by_cofactors(p: int, rows: list[list[int]]) -> list[list[int]] | None:
+    """The inverse mod p as the adjugate over the determinant; None if singular."""
+    n = len(rows)
+    det = det_cofactor(p, rows)
+    if det == 0:
+        return None
+    if n == 1:
+        return [[pow(det, -1, p)]]
+    inv = pow(det, -1, p)
+
+    def cofactor(i: int, j: int) -> int:
+        minor = [row[:j] + row[j + 1 :] for k, row in enumerate(rows) if k != i]
+        return (-1) ** (i + j) * det_cofactor(p, minor)
+
+    # the adjugate is the transposed cofactor matrix
+    return [[cofactor(j, i) * inv % p for j in range(n)] for i in range(n)]
 
 
 def rank_by_minors(p: int, rows: list[list[int]]) -> int:
@@ -265,3 +295,83 @@ def random_diagonal(rng: random.Random, p: int, n: int) -> Diagonal:
 
 def random_matrix(rng: random.Random, p: int, m: int, n: int) -> list[list[int]]:
     return [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+
+
+def default_labels(n: int) -> tuple[str, ...]:
+    return tuple(
+        [f"e{i}" for i in range(1, n + 1)] + ["t"] + [f"f{i}" for i in range(1, n + 1)]
+    )
+
+
+@dataclass(frozen=True)
+class SpikeRep:
+    """n x (2n+1) special standard matrix; labels track which original column sits where."""
+
+    matrix: MatrixGF
+    labels: tuple[str, ...]
+
+    @classmethod
+    def of(cls, x: Diagonal) -> "SpikeRep":
+        return cls(build_rep(x), default_labels(x.n))
+
+    @property
+    def n(self) -> int:
+        return self.matrix.rows
+
+    def diagonal(self) -> Diagonal:
+        """Read the diagonal off the co-basis block; insists on the standard pattern."""
+        n = self.n
+        m = self.matrix.entries
+        p = self.matrix.field.p
+        x = []
+        for j in range(n):
+            for i in range(n):
+                if i != j and m[i][n + 1 + j] != 1:
+                    raise MismatchedShapeError("co-basis block is not in standard form")
+            x.append((m[j][n + 1 + j] - 1) % p)
+        return Diagonal(self.matrix.field, tuple(x))
+
+
+def change_basis_standardize(R: SpikeRep, smask: int) -> SpikeRep:
+    """Matrix-level swap: change to the transversal basis at smask, then re-standardize.
+
+    Order of operations: invert the new basis block by cofactors, multiply,
+    reorder columns so the new basis leads (labels move with their
+    columns), scale each row to make the tip column all ones (compensating
+    in the basis block), then scale each co-basis column to make its
+    off-diagonal entries 1.  The final pattern is asserted before the
+    diagonal is read off.
+    """
+    n = R.n
+    if smask == 0:
+        return R
+    field = R.matrix.field
+    p = field.p
+    basis_src = [n + 1 + i if smask >> i & 1 else i for i in range(n)]
+    cobasis_src = [i if smask >> i & 1 else n + 1 + i for i in range(n)]
+    Binv = inverse_by_cofactors(p, R.matrix.select_columns(basis_src).entries)
+    if Binv is None:
+        raise DependentTransversalError(
+            f"transversal at {indices_from_mask(smask)} is not a basis"
+        )
+    order = basis_src + [n] + cobasis_src
+    ent = matmul(p, Binv, R.matrix.select_columns(order).entries)
+    labels = tuple(R.labels[j] for j in order)
+    for i in range(n):
+        for j in range(n):
+            assert ent[i][j] == (1 if i == j else 0), "basis block failed to reduce"
+    tip = [ent[i][n] for i in range(n)]
+    assert all(tip), "tip column hit a zero coordinate"
+    alpha = [field.inv(t) for t in tip]
+    out = [[1 if j == i else 0 for j in range(n)] + [1] + [0] * n for i in range(n)]
+    for j in range(n):
+        col = [(alpha[i] * ent[i][n + 1 + j]) % p for i in range(n)]
+        off = {col[i] for i in range(n) if i != j}
+        assert len(off) == 1, "co-basis column off-diagonals disagree"
+        common = off.pop()
+        assert common != 0, "co-basis column has zero off-diagonal"
+        y = (col[j] * field.inv(common) - 1) % p
+        assert y != 0, "re-standardized diagonal entry is zero"
+        for i in range(n):
+            out[i][n + 1 + j] = 1 if i != j else (1 + y) % p
+    return SpikeRep(MatrixGF(field, out), labels)

@@ -167,6 +167,39 @@ def test_usage_errors_exit_2(capsys, argv):
     assert "error" in captured.err.lower() or captured.err
 
 
+_NEGATIVE_BUDGET = "node budget must be >= 0, got -1"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["transfer", "--diag", "p=3;x=1,1,1", "--q", "3", "--node-budget", "-1"],
+         _NEGATIVE_BUDGET),
+        (["charset", "--diag", "p=3;x=1,1,1", "--primes", "3", "--node-budget", "-1"],
+         _NEGATIVE_BUDGET),
+        (["unique", "--p", "3", "--n", "-1"], "audit needs n >= 1, got -1"),
+        (["unique", "--p", "3", "--n", "0"], "audit needs n >= 1, got 0"),
+        (["enumerate", "--p", "3", "--n", "-1"], "enumeration needs n >= 1, got -1"),
+        (["enumerate", "--p", "3", "--n", "0"], "enumeration needs n >= 1, got 0"),
+        (["detcheck", "--p", "5", "--n-max", "13"],
+         "determinant check capped at n_max=12, got 13"),
+        (["detcheck", "--p", "5", "--n-max", "1000"],
+         "determinant check capped at n_max=12, got 1000"),
+        (["detcheck", "--p", "5", "--samples", "10001"],
+         "determinant check capped at 10000 samples, got 10001"),
+    ],
+)
+def test_refused_sizes_exit_2_with_message(capsys, monkeypatch, argv, message):
+    def no_elimination(self):
+        raise AssertionError("a refused call must not eliminate")
+
+    monkeypatch.setattr(MatrixGF, "det", no_elimination)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

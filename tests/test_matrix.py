@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,7 +10,6 @@ from spikelab import (
     BasisFamily,
     Diagonal,
     MatrixGF,
-    MismatchedModulusError,
     MismatchedShapeError,
     NonSquareError,
     PrimeField,
@@ -23,8 +23,9 @@ from spikelab import (
     spike_det,
     verify_det_identity,
 )
+from spikelab.matrix import DETCHECK_MAX_N, DETCHECK_MAX_SAMPLES, rref
 
-from oracles import bases_bruteforce, det_cofactor, random_matrix, rank_by_minors
+from oracles import bases_bruteforce, det_cofactor, matmul, random_matrix, rank_by_minors
 
 
 # construction ---------------------------------------------------------------
@@ -51,30 +52,6 @@ def test_identity_and_equality():
     assert I == MatrixGF(f, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert I != MatrixGF(PrimeField(5), [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert hash(I) == hash(MatrixGF.identity(f, 3))
-
-
-def test_matmul_against_integer_arithmetic():
-    rng = random.Random(11)
-    for p in (2, 3, 7):
-        f = PrimeField(p)
-        for _ in range(20):
-            m, k, n = rng.randrange(1, 5), rng.randrange(1, 5), rng.randrange(1, 5)
-            A = random_matrix(rng, p, m, k)
-            B = random_matrix(rng, p, k, n)
-            got = MatrixGF(f, A).matmul(MatrixGF(f, B))
-            want = [
-                [sum(A[i][t] * B[t][j] for t in range(k)) % p for j in range(n)]
-                for i in range(m)
-            ]
-            assert got.entries == want
-
-
-def test_matmul_shape_and_modulus_checks():
-    A = MatrixGF(PrimeField(3), [[1, 2]])
-    with pytest.raises(MismatchedShapeError):
-        A.matmul(MatrixGF(PrimeField(3), [[1, 2]]))
-    with pytest.raises(MismatchedModulusError):
-        A.matmul(MatrixGF(PrimeField(5), [[1], [2]]))
 
 
 # determinant and rank -------------------------------------------------------
@@ -120,28 +97,61 @@ def test_rank_known_cases():
     assert MatrixGF(f, [[1, 1, 0], [0, 1, 1], [1, 2, 1]]).rank() == 2  # row3 = row1 + row2
 
 
-def test_inverse_round_trip():
-    rng = random.Random(41)
-    for p in (3, 5, 11):
-        f = PrimeField(p)
-        done = 0
-        while done < 15:
-            n = rng.randrange(1, 6)
-            rows = random_matrix(rng, p, n, n)
-            M = MatrixGF(f, rows)
-            if M.det() == 0:
+# reduced row echelon form ------------------------------------------------------
+
+
+def _is_reduced(reduced, cols, q):
+    """Each row leads with 1 at its pivot column, and pivot columns are unit vectors."""
+    if cols != sorted(set(cols)):
+        return False
+    for i, (row, c) in enumerate(zip(reduced, cols)):
+        if any(row[:c]) or row[c] != 1:
+            return False
+        if any(other[c] for k, other in enumerate(reduced) if k != i):
+            return False
+    return all(0 <= v < q for row in reduced for v in row)
+
+
+def test_rref_over_gf_q_against_minor_oracle():
+    rng = random.Random(71)
+    for q in (2, 3, 5, 7):
+        for _ in range(40):
+            m, n = rng.randrange(1, 5), rng.randrange(1, 5)
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+            reduced, cols, pivots = rref(rows, q)
+            rank = rank_by_minors(q, rows)
+            assert len(cols) == len(pivots) == len(reduced) == rank
+            assert all(0 < pv < q for pv in pivots)
+            assert _is_reduced(reduced, cols, q)
+            # the reduced rows lie in the input's row space
+            assert rank_by_minors(q, [[v % q for v in r] for r in rows] + reduced) == rank
+
+
+def test_rref_over_q_reduces_to_rref_mod_q():
+    # outside the primes dividing a pivot, elimination commutes with reduction
+    # mod q: build_certificate's special set B rests on this
+    rng = random.Random(73)
+    checked = 0
+    for _ in range(150):
+        m, n = rng.randrange(1, 6), rng.randrange(1, 6)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+        reduced, cols, pivots = rref(rows)
+        assert all(isinstance(v, Fraction) for row in reduced for v in row)
+        for q in (2, 3, 5, 7, 11, 13):
+            if any(pv % q == 0 for pv in pivots):
                 continue
-            assert M.matmul(M.inverse()) == MatrixGF.identity(f, n)
-            assert M.inverse().matmul(M) == MatrixGF.identity(f, n)
-            done += 1
+            want = [[v.numerator * pow(v.denominator, -1, q) % q for v in row] for row in reduced]
+            assert rref(rows, q) == (want, cols, [pv % q for pv in pivots])
+            checked += 1
+    assert checked > 500
 
 
-def test_inverse_rejects_singular_and_nonsquare():
-    f = PrimeField(3)
-    with pytest.raises(RankDeficientError):
-        MatrixGF(f, [[1, 2], [2, 1 + 3]]).inverse()  # second row = 2 * first
-    with pytest.raises(NonSquareError):
-        MatrixGF(f, [[1, 2, 0]]).inverse()
+def test_rref_known_values():
+    reduced, cols, pivots = rref([[2, 4, 2], [1, 3, 4], [3, 7, 6]])
+    assert cols == [0, 1] and pivots == [2, 2]
+    assert reduced == [[1, 0, -5], [0, 1, 3]]
+    assert rref([[2, 4, 2], [1, 3, 4], [3, 7, 6]], 2) == ([[1, 1, 0]], [0], [1])
+    assert rref([[0, 0], [0, 0]]) == ([], [], [])
 
 
 # the closed-form spike determinant ------------------------------------------
@@ -186,6 +196,19 @@ def test_verify_det_identity_rejects_bad_sizes(n_max, samples):
         verify_det_identity(5, n_max=n_max, samples=samples)
 
 
+@pytest.mark.parametrize(
+    "n_max, samples",
+    [(DETCHECK_MAX_N + 1, 1), (DETCHECK_MAX_N, DETCHECK_MAX_SAMPLES + 1)],
+)
+def test_verify_det_identity_refuses_past_its_caps(monkeypatch, n_max, samples):
+    def no_elimination(self):
+        raise AssertionError("a refused check must not eliminate")
+
+    monkeypatch.setattr(MatrixGF, "det", no_elimination)
+    with pytest.raises(TooLargeError):
+        verify_det_identity(5, n_max=n_max, samples=samples)
+
+
 # basis families ---------------------------------------------------------------
 
 
@@ -207,7 +230,7 @@ def test_basis_family_against_bruteforce_random():
 
 def test_basis_family_of_a_spike():
     d = Diagonal(PrimeField(3), (1, 1, 1))
-    M = build_rep(d).matrix
+    M = build_rep(d)
     fam = basis_family(M)
     assert fam.members == bases_bruteforce(M)
     # the distinguished transversal (the identity columns) is a basis
@@ -224,7 +247,7 @@ def test_basis_family_row_operation_invariance():
     T = MatrixGF(f, random_matrix(rng, 5, 3, 3))
     while T.det() == 0:
         T = MatrixGF(f, random_matrix(rng, 5, 3, 3))
-    assert basis_family(M) == basis_family(T.matmul(M))
+    assert basis_family(M) == basis_family(MatrixGF(f, matmul(5, T.entries, M.entries)))
 
 
 def test_basis_family_caps_and_rank_requirement():

@@ -339,7 +339,7 @@ def test_multichar_reduction_matches_integer_matrix():
     c = construct_multichar(3)
     for q in (3, 5, 7):
         d = c.over(q)
-        assert build_rep(d).matrix == MatrixGF(PrimeField(q), c.rep_rows())
+        assert build_rep(d) == MatrixGF(PrimeField(q), c.rep_rows())
 
 
 def test_multichar_same_bases_across_fields():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from spikelab import matrix
 from spikelab import (
     DependentTransversalError,
     Diagonal,
@@ -15,16 +16,13 @@ from spikelab import (
     OutOfRangeError,
     PrimeField,
     Signature,
-    SpikeRep,
     TooLargeError,
     TooSmallError,
     ZeroEntryError,
     build_rep,
     canonical_form,
-    change_basis_standardize,
     check_axioms,
     circuit_hyperplane,
-    default_labels,
     enumerate_spikes,
     is_dependent_transversal,
     mask_from_indices,
@@ -39,6 +37,9 @@ from spikelab import (
 )
 
 from oracles import (
+    SpikeRep,
+    change_basis_standardize,
+    default_labels,
     is_circuit,
     orbit_materialized,
     random_diagonal,
@@ -113,21 +114,21 @@ def test_parse_tolerates_spacing():
 
 def test_build_rep_shape_and_labels():
     d = d3(1, 1, 2)
-    R = build_rep(d)
-    assert R.matrix.rows == 3 and R.matrix.cols == 7
-    assert R.labels == ("e1", "e2", "e3", "t", "f1", "f2", "f3")
-    assert default_labels(3) == R.labels
+    M = build_rep(d)
+    assert M.rows == 3 and M.cols == 7
+    assert SpikeRep.of(d).labels == ("e1", "e2", "e3", "t", "f1", "f2", "f3")
+    assert default_labels(3) == SpikeRep.of(d).labels
     # identity block, tip of ones, co-basis = ones + diag
-    assert R.matrix.column(0) == (1, 0, 0)
-    assert R.matrix.column(3) == (1, 1, 1)
-    assert R.matrix.column(4) == (2, 1, 1)
-    assert R.matrix.column(6) == (1, 1, 0)  # f3 = t + 2*e3, and 1+2 = 0 mod 3
+    assert M.column(0) == (1, 0, 0)
+    assert M.column(3) == (1, 1, 1)
+    assert M.column(4) == (2, 1, 1)
+    assert M.column(6) == (1, 1, 0)  # f3 = t + 2*e3, and 1+2 = 0 mod 3
 
 
 def test_rep_diagonal_round_trip():
     for x in itertools.product((1, 2), repeat=4):
         d = Diagonal(GF3, x)
-        assert build_rep(d).diagonal() == d
+        assert SpikeRep.of(d).diagonal() == d
 
 
 def test_build_rep_needs_three_lines():
@@ -153,20 +154,16 @@ def test_check_axioms_random_larger_fields():
 
 def test_check_axioms_detects_breakage():
     d = d3(1, 1, 1)
-    R = build_rep(d)
-    rows = R.matrix.copy_entries()
+    rows = [row[:] for row in build_rep(d).entries]
     for r in range(3):
         rows[r][3] = 0  # kill the tip column: lines no longer share a point
-    broken = SpikeRep(MatrixGF(GF3, rows), R.labels)
-    assert not check_axioms(broken)
+    assert not check_axioms(MatrixGF(GF3, rows))
 
 
 def test_check_axioms_rejects_wrong_shape():
-    d = d3(1, 1, 1)
-    R = build_rep(d)
-    narrower = R.matrix.select_columns(range(6))
+    narrower = build_rep(d3(1, 1, 1)).select_columns(range(6))
     with pytest.raises(MismatchedShapeError):
-        check_axioms(SpikeRep(narrower, R.labels[:6]))
+        check_axioms(narrower)
 
 
 # signatures ---------------------------------------------------------------------
@@ -274,12 +271,23 @@ def test_swap_matches_matrix_restandardization_exhaustive_gf3():
         for x in itertools.product((1, 2), repeat=n):
             d = Diagonal(GF3, x)
             sig = signature(d)
-            R = build_rep(d)
+            R = SpikeRep.of(d)
             for smask in range(1, 1 << n):
                 if smask in sig:
                     continue
                 via_matrix = change_basis_standardize(R, smask).diagonal()
                 assert swap(d, smask) == via_matrix
+
+
+def test_matrix_swap_oracle_runs_no_library_elimination(monkeypatch):
+    def no_elimination(*args, **kwargs):
+        raise AssertionError("the swap oracle must not run the elimination it checks")
+
+    monkeypatch.setattr(matrix, "_echelon", no_elimination)
+    d = Diagonal(GF5, (4, 1, 3, 2))
+    assert change_basis_standardize(SpikeRep.of(d), 0b101).diagonal() == swap(d, 0b101)
+    with pytest.raises(DependentTransversalError):
+        change_basis_standardize(SpikeRep.of(d3(2, 2, 1)), 0b001)  # {1} is a member
 
 
 def test_swap_matches_matrix_restandardization_sampled():
@@ -292,7 +300,7 @@ def test_swap_matches_matrix_restandardization_sampled():
         smask = rng.randrange(1, 1 << d.n)
         if smask in sig:
             continue
-        via_matrix = change_basis_standardize(build_rep(d), smask).diagonal()
+        via_matrix = change_basis_standardize(SpikeRep.of(d), smask).diagonal()
         assert swap(d, smask) == via_matrix
         done += 1
 
@@ -359,9 +367,9 @@ def test_swap_permutation_equivariance():
 def test_change_basis_standardize_round_trip():
     d = Diagonal(GF5, (4, 1, 3, 2))
     assert (1, 3) not in signature(d)
-    R = build_rep(d)
-    once = change_basis_standardize(R, (1, 3))
-    twice = change_basis_standardize(once, (1, 3))
+    R = SpikeRep.of(d)
+    once = change_basis_standardize(R, mask_from_indices((1, 3)))
+    twice = change_basis_standardize(once, mask_from_indices((1, 3)))
     assert twice.matrix == R.matrix
     assert twice.labels == R.labels
 
