@@ -31,6 +31,7 @@ from .spikes import (
     SIGNATURE_MAX_N,
     Diagonal,
     Signature,
+    _signature_rows,
     enumerate_spikes,
     signature,
 )
@@ -48,6 +49,11 @@ _AUDIT_CHUNK = 8192
 # exhaustive representability search
 
 
+def _check_node_budget(node_budget: int) -> None:
+    if node_budget < 0:
+        raise TooSmallError(f"node budget must be >= 0, got {node_budget}")
+
+
 def search_rep(
     sig: Signature, q: int, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> tuple[Optional[Diagonal], int]:
@@ -61,8 +67,7 @@ def search_rep(
     n = sig.n
     if n > SEARCH_MAX_N:
         raise TooLargeError(f"search capped at n={SEARCH_MAX_N}, got {n}")
-    if node_budget < 0:
-        raise TooSmallError(f"node budget must be >= 0, got {node_budget}")
+    _check_node_budget(node_budget)
     field = PrimeField(q)
     target = q - 1
     sigbits = sig.bits
@@ -112,18 +117,11 @@ def _decode_diagonals(p: int, n: int, ts: "np.ndarray") -> "np.ndarray":
 
 
 def _packed_sig_rows(field: PrimeField, diags: "np.ndarray") -> "np.ndarray":
-    """Signature bit rows (little-endian packed bytes) for a block of diagonals.
-
-    Sums stay in int16 while n(p-1) fits, else int32.
-    """
-    p = field.p
-    n = diags.shape[1]
-    dtype = np.int16 if n * (p - 1) < 1 << 15 else np.int32
-    Z = np.array(field.inverse_table(), dtype=dtype)[diags]
-    return np.packbits(subset_sums(Z) % p == p - 1, axis=1, bitorder="little")
+    """Signature bit rows (little-endian packed bytes) for a block of diagonals."""
+    return _signature_rows(field.p, np.array(field.inverse_table())[diags])
 
 
-def uniqueness_audit(p: int, n: int, budget: int = AUDIT_BUDGET) -> dict:
+def uniqueness_audit(p: int, n: int) -> dict:
     """Compute every diagonal's signature over GF(p) and count collisions."""
     field = PrimeField(p)
     if n < 1:
@@ -132,8 +130,8 @@ def uniqueness_audit(p: int, n: int, budget: int = AUDIT_BUDGET) -> dict:
         raise TooLargeError(f"audit capped at n={SIGNATURE_MAX_N}")
     total = (p - 1) ** n
     cost = total * (1 << n)
-    if cost > budget:
-        raise BudgetExceededError(f"{cost} subset sums exceed budget {budget}")
+    if cost > AUDIT_BUDGET:
+        raise BudgetExceededError(f"{cost} subset sums exceed budget {AUDIT_BUDGET}")
     width = ((1 << n) + 7) // 8
     rows = np.empty((total, width), dtype=np.uint8)
     # no chunk's sum table outgrows signature's at its cap
@@ -413,6 +411,7 @@ def characteristic_set(
     if x.n > SEARCH_MAX_N:
         raise TooLargeError(f"characteristic scan capped at n={SEARCH_MAX_N}")
     _check_test_primes(primes)
+    _check_node_budget(node_budget)
     sig = signature(x)
     cert = build_certificate(sig)
     verdicts: list[CharVerdict] = []
@@ -567,6 +566,7 @@ def estimate_L(
     if n_max < 3:
         raise TooSmallError("spikes need n >= 3")
     _check_test_primes(primes)
+    _check_node_budget(node_budget)
     others = [q for q in primes if q != p]
     levels = []
     certified: list[tuple[Diagonal, CharCertificate]] = []

@@ -171,14 +171,14 @@ class Signature:
         return self.bits.bit_count()
 
     def members(self) -> tuple[int, ...]:
-        """Member subsets as masks, ascending."""
-        out = []
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return tuple(out)
+        """Member subsets as masks, ascending, unpacked from the pattern's bytes.
+
+        One pass, linear in 2^n; peeling off low bits would rewrite the
+        2^n-bit int once per member.
+        """
+        raw = self.bits.to_bytes(((1 << self.n) + 7) // 8, "little")
+        flags = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+        return tuple(np.flatnonzero(flags).tolist())
 
     def member_indices(self) -> tuple[tuple[int, ...], ...]:
         return tuple(indices_from_mask(m) for m in self.members())
@@ -226,17 +226,26 @@ class Signature:
         return Signature(self.n, bits)
 
 
+def _signature_rows(p: int, z: "np.ndarray") -> "np.ndarray":
+    """Signature bits of each row of inverse entries, packed little-endian by mask.
+
+    Sums stay in int16 while n(p-1) fits, else int32, which holds them at
+    every cap; the remainder overwrites the sum table instead of copying it.
+    """
+    n = z.shape[-1]
+    dtype = np.int16 if n * (p - 1) < 1 << 15 else np.int32
+    sums = subset_sums(z.astype(dtype))
+    hits = np.remainder(sums, p, out=sums) == p - 1
+    return np.packbits(hits, axis=-1, bitorder="little")
+
+
 def signature(x: Diagonal) -> Signature:
     """All nonempty I with sum over I of x_i^-1 = -1, read off the subset-sum table."""
     n = x.n
     if n > SIGNATURE_MAX_N:
         raise TooLargeError(f"signature enumeration capped at n={SIGNATURE_MAX_N}")
-    p = x.p
-    # int32 holds n(p-1) at the caps; the remainder reuses the 64 MB table at n=24
-    sums = subset_sums(np.array(x.inverses(), dtype=np.int32))
-    hits = np.remainder(sums, p, out=sums) == p - 1
-    bits = int.from_bytes(np.packbits(hits, bitorder="little").tobytes(), "little")
-    return Signature(n=n, bits=bits)
+    row = _signature_rows(x.p, np.array(x.inverses()))
+    return Signature(n=n, bits=int.from_bytes(row.tobytes(), "little"))
 
 
 def is_dependent_transversal(x: Diagonal, K: IndexSetLike) -> bool:

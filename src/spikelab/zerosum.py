@@ -8,9 +8,8 @@ which lands on the least-bitmask witness by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -22,19 +21,6 @@ from .errors import (
 from .field import PrimeField
 
 VERIFY_BUDGET = 10**9
-
-
-@dataclass(frozen=True)
-class ZeroSumInstance:
-    field: PrimeField
-    a: tuple[int, ...]
-    k: Optional[int] = None  # target; None means the zero-sum problem
-
-    def __post_init__(self):
-        p = self.field.p
-        object.__setattr__(self, "a", tuple(int(v) % p for v in self.a))
-        if self.k is not None:
-            object.__setattr__(self, "k", int(self.k) % p)
 
 
 def _reach_history(p: int, a: Sequence[int]) -> list[int]:
@@ -70,43 +56,42 @@ def _reconstruct(p: int, a: Sequence[int], hist: list[int], target: int) -> tupl
     return tuple(reversed(out))
 
 
-def _solve(field: PrimeField, a: Sequence[int], target: int) -> tuple[int, ...]:
-    p = field.p
+def _solve(p: int, a: tuple[int, ...], target: int) -> tuple[int, ...]:
     hist = _reach_history(p, a)
     if not hist or not hist[-1] >> target & 1:
-        raise NoWitnessError(f"no nonempty subset of {tuple(a)} sums to {target} mod {p}")
+        raise NoWitnessError(f"no nonempty subset of {a} sums to {target} mod {p}")
     witness = _reconstruct(p, a, hist, target)
     assert sum(a[i - 1] for i in witness) % p == target, "witness failed re-summation"
     return witness
 
 
-def subset_with_sum(inst: ZeroSumInstance) -> tuple[int, ...]:
-    """Least-bitmask nonempty subset with the given nonzero sum; entries nonzero."""
-    p = inst.field.p
-    if any(v == 0 for v in inst.a):
+def subset_with_sum(field: PrimeField, a: Sequence[int], k: int) -> tuple[int, ...]:
+    """Least-bitmask nonempty subset of a summing to k mod p; entries and k nonzero mod p."""
+    p = field.p
+    a = tuple(int(v) % p for v in a)
+    k = int(k) % p
+    if 0 in a:
         raise ZeroEntryError("subset_with_sum requires nonzero entries")
-    if inst.k is None or inst.k == 0:
+    if k == 0:
         raise OutOfRangeError("subset_with_sum requires a nonzero target")
-    return _solve(inst.field, inst.a, inst.k)
+    return _solve(p, a, k)
 
 
-def zero_sum_subset(inst: ZeroSumInstance) -> tuple[int, ...]:
-    """Least-bitmask nonempty subset summing to zero; entries arbitrary."""
-    return _solve(inst.field, inst.a, 0)
+def zero_sum_subset(field: PrimeField, a: Sequence[int]) -> tuple[int, ...]:
+    """Least-bitmask nonempty subset of a summing to zero mod p; entries arbitrary."""
+    p = field.p
+    return _solve(p, tuple(int(v) % p for v in a), 0)
 
 
-def verify_lemma_2_1(p: int, n: int, budget: int = VERIFY_BUDGET) -> dict:
-    """Every length-n nonzero tuple reaches every nonzero target (needs n >= p-1)."""
-    field = PrimeField(p)
-    if n < p - 1:
-        raise TooSmallError(f"guarantee needs n >= p-1 = {p - 1}, got n={n}")
-    cost = (p - 1) ** n * (p - 1)
-    if cost > budget:
-        raise BudgetExceededError(f"{cost} checks exceed budget {budget}")
+def _sweep(lemma: str, p: int, n: int, low: int, targets: Sequence[int]) -> dict:
+    """Rebuild and re-sum a witness for every target of every tuple in [low, p)^n.
+
+    A failure names the tuple and target, plus the witness when one was
+    rebuilt but did not re-sum.
+    """
     checked = 0
     failures = []
-    targets = range(1, p)
-    for a in product(range(1, p), repeat=n):
+    for a in product(range(low, p), repeat=n):
         hist = _reach_history(p, a)
         final = hist[-1]
         for k in targets:
@@ -117,38 +102,26 @@ def verify_lemma_2_1(p: int, n: int, budget: int = VERIFY_BUDGET) -> dict:
             witness = _reconstruct(p, a, hist, k)
             if sum(a[i - 1] for i in witness) % p != k:
                 failures.append({"a": list(a), "k": k, "witness": list(witness)})
-    return {
-        "lemma": "2.1",
-        "p": p,
-        "n": n,
-        "checked": checked,
-        "failures": failures,
-    }
+    return {"lemma": lemma, "p": p, "n": n, "checked": checked, "failures": failures}
 
 
-def verify_lemma_2_2(p: int, n: int, budget: int = VERIFY_BUDGET) -> dict:
+def verify_lemma_2_1(p: int, n: int) -> dict:
+    """Every length-n nonzero tuple reaches every nonzero target (needs n >= p-1)."""
+    PrimeField(p)
+    if n < p - 1:
+        raise TooSmallError(f"guarantee needs n >= p-1 = {p - 1}, got n={n}")
+    cost = (p - 1) ** n * (p - 1)
+    if cost > VERIFY_BUDGET:
+        raise BudgetExceededError(f"{cost} checks exceed budget {VERIFY_BUDGET}")
+    return _sweep("2.1", p, n, 1, range(1, p))
+
+
+def verify_lemma_2_2(p: int, n: int) -> dict:
     """Every length-n tuple has a nonempty zero-sum subset (needs n >= p)."""
-    field = PrimeField(p)
+    PrimeField(p)
     if n < p:
         raise TooSmallError(f"guarantee needs n >= p = {p}, got n={n}")
     cost = p**n
-    if cost > budget:
-        raise BudgetExceededError(f"{cost} tuples exceed budget {budget}")
-    checked = 0
-    failures = []
-    for a in product(range(p), repeat=n):
-        checked += 1
-        hist = _reach_history(p, a)
-        if not hist[-1] & 1:
-            failures.append({"a": list(a)})
-            continue
-        witness = _reconstruct(p, a, hist, 0)
-        if sum(a[i - 1] for i in witness) % p != 0:
-            failures.append({"a": list(a), "witness": list(witness)})
-    return {
-        "lemma": "2.2",
-        "p": p,
-        "n": n,
-        "checked": checked,
-        "failures": failures,
-    }
+    if cost > VERIFY_BUDGET:
+        raise BudgetExceededError(f"{cost} tuples exceed budget {VERIFY_BUDGET}")
+    return _sweep("2.2", p, n, 0, (0,))

@@ -115,6 +115,16 @@ def signature_by_sums(x: Diagonal) -> int:
     return bits
 
 
+def members_by_peeling(bits: int) -> tuple[int, ...]:
+    """Set bit positions, ascending, by peeling off the lowest bit each step."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return tuple(out)
+
+
 def certificate_admits_by_sums(cert, q: int) -> bool:
     """Recheck a certificate at q by summing each subset of its integers directly."""
     if any(mi % q == 0 for mi in cert.m):

@@ -203,6 +203,27 @@ def test_refused_sizes_exit_2_with_message(capsys, monkeypatch, argv, message):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["lbound", "--p", "3", "--primes", "2,3,5,7", "--n-max", "3", "--node-budget", "-1"],
+        ["lbound", "--p", "3", "--primes", "2,3,5,7", "--n-max", "4", "--node-budget", "-1"],
+        ["charset", "--diag", "p=3;x=1,1,1", "--primes", "3", "--node-budget", "-1"],
+    ],
+)
+def test_negative_node_budget_refused_before_any_certificate(capsys, monkeypatch, argv):
+    # n_max = 3 finds no class, so no search would ever meet the budget
+    def refused(*args):
+        raise AssertionError("a refused call must not enumerate or certify")
+
+    monkeypatch.setattr(represent, "build_certificate", refused)
+    monkeypatch.setattr(represent, "enumerate_spikes", refused)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {_NEGATIVE_BUDGET}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["charset", "--diag", "p=3;x=1,1", "--primes", "5,x"],
         ["lbound", "--p", "3", "--primes", "2,,three", "--n-max", "4"],
         ["lbound", "--p", "3", "--primes", "", "--n-max", "4"],  # nothing to test

@@ -25,9 +25,9 @@ from spikelab import (
     construct_multichar,
     enumerate_spikes,
     estimate_L,
-    represent,
     search_rep,
     signature,
+    spikes,
     threshold_interval,
     uniqueness_audit,
 )
@@ -298,7 +298,7 @@ def test_audit_refuses_past_signature_cap_before_summing(monkeypatch):
     def no_sums(values):
         raise AssertionError("the audit summed past its cap")
 
-    monkeypatch.setattr(represent, "subset_sums", no_sums)
+    monkeypatch.setattr(spikes, "subset_sums", no_sums)
     with pytest.raises(TooLargeError):
         uniqueness_audit(2, 25)  # 2^25 subset sums: within budget, past the cap
 
@@ -310,7 +310,7 @@ def test_audit_chunks_stay_within_the_signature_table(monkeypatch):
         rows.append(values.shape[0])
         return subset_sums(values)
 
-    monkeypatch.setattr(represent, "subset_sums", recording)
+    monkeypatch.setattr(spikes, "subset_sums", recording)
     report = uniqueness_audit(3, 13)  # 2^13 diagonals of 2^13 sums each
     assert report["collisions"] == 0
     assert max(rows) << 13 <= 1 << 24 and sum(rows) == 1 << 13

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -41,6 +42,7 @@ from oracles import (
     change_basis_standardize,
     default_labels,
     is_circuit,
+    members_by_peeling,
     orbit_materialized,
     random_diagonal,
     signature_by_rank,
@@ -215,6 +217,29 @@ def test_signature_container_round_trips():
     assert Signature.from_members(4, sig.member_indices()) == sig
     assert (1,) in sig and (3, 4) in sig and (1, 2) not in sig
     assert mask_from_indices((1, 2, 3)) in sig
+
+
+def test_members_match_bit_peeling_on_random_signatures():
+    rng = random.Random(331)
+    for n in [*range(9), 11, 13]:
+        for _ in range(20):
+            dense = rng.getrandbits(1 << n)
+            bits = rng.choice((dense, dense & rng.getrandbits(1 << n), 1 << rng.randrange(1 << n)))
+            sig = Signature(n, bits & ~1)
+            assert sig.members() == members_by_peeling(sig.bits), (n, sig.hex())
+            assert all(type(m) is int for m in sig.members())
+
+
+def test_members_decode_dense_n20_within_budget():
+    # about 350000 members; peeling bits off the int took about 17 s on a 2-core VM
+    sig = signature(Diagonal(GF3, (1,) * 20))  # members: sizes 2 mod 3
+    start = time.perf_counter()
+    members = sig.members()
+    elapsed = time.perf_counter() - start
+    assert len(members) == sig.size > 300_000
+    assert members[:4] == (0b11, 0b101, 0b110, 0b1001)
+    assert members[-1] == (1 << 20) - 1  # 20 is 2 mod 3
+    assert elapsed < 2.0, f"decoding took {elapsed:.2f}s against a 2s budget"
 
 
 def test_signature_rejects_empty_subset_bit():

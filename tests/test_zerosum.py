@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import pytest
@@ -12,12 +13,13 @@ from spikelab import (
     PrimeField,
     TooSmallError,
     ZeroEntryError,
-    ZeroSumInstance,
     subset_with_sum,
     verify_lemma_2_1,
     verify_lemma_2_2,
     zero_sum_subset,
+    zerosum,
 )
+from spikelab.cli import main
 
 from oracles import least_mask_subset_sum
 
@@ -27,11 +29,11 @@ def _mask(indices: tuple[int, ...]) -> int:
 
 
 def test_witness_format_and_value():
-    inst = ZeroSumInstance(PrimeField(5), (2, 3, 1), k=4)
-    w = subset_with_sum(inst)
+    a = (2, 3, 1)
+    w = subset_with_sum(PrimeField(5), a, 4)
     assert w == tuple(sorted(w))
     assert all(1 <= i <= 3 for i in w)
-    assert sum(inst.a[i - 1] for i in w) % 5 == 4
+    assert sum(a[i - 1] for i in w) % 5 == 4
 
 
 def test_least_bitmask_witness_exhaustive():
@@ -44,9 +46,9 @@ def test_least_bitmask_witness_exhaustive():
                     want = least_mask_subset_sum(p, a, k)
                     if want is None:
                         with pytest.raises(NoWitnessError):
-                            subset_with_sum(ZeroSumInstance(f, a, k=k))
+                            subset_with_sum(f, a, k)
                     else:
-                        got = subset_with_sum(ZeroSumInstance(f, a, k=k))
+                        got = subset_with_sum(f, a, k)
                         assert _mask(got) == want, (p, a, k)
 
 
@@ -60,15 +62,15 @@ def test_least_bitmask_witness_sampled_gf7():
         want = least_mask_subset_sum(7, a, k)
         if want is None:
             with pytest.raises(NoWitnessError):
-                subset_with_sum(ZeroSumInstance(f, a, k=k))
+                subset_with_sum(f, a, k)
         else:
-            assert _mask(subset_with_sum(ZeroSumInstance(f, a, k=k))) == want
+            assert _mask(subset_with_sum(f, a, k)) == want
 
 
 def test_zero_sum_subset_allows_zero_entries_in_input():
     # zero-sum variant takes arbitrary residues; a zero entry is itself a witness
     f = PrimeField(5)
-    assert zero_sum_subset(ZeroSumInstance(f, (3, 0, 2))) == (2,)
+    assert zero_sum_subset(f, (3, 0, 2)) == (2,)
 
 
 def test_zero_sum_subset_matches_oracle():
@@ -80,26 +82,28 @@ def test_zero_sum_subset_matches_oracle():
         want = least_mask_subset_sum(7, a, 0)
         if want is None:
             with pytest.raises(NoWitnessError):
-                zero_sum_subset(ZeroSumInstance(f, a))
+                zero_sum_subset(f, a)
         else:
-            assert _mask(zero_sum_subset(ZeroSumInstance(f, a))) == want
+            assert _mask(zero_sum_subset(f, a)) == want
 
 
 def test_subset_with_sum_input_contract():
     f = PrimeField(5)
     with pytest.raises(ZeroEntryError):
-        subset_with_sum(ZeroSumInstance(f, (1, 0, 2), k=3))
+        subset_with_sum(f, (1, 0, 2), 3)
+    with pytest.raises(ZeroEntryError):
+        subset_with_sum(f, (1, 5, 2), 3)  # 5 is zero mod 5
     with pytest.raises(OutOfRangeError):
-        subset_with_sum(ZeroSumInstance(f, (1, 2), k=0))
+        subset_with_sum(f, (1, 2), 0)
     with pytest.raises(OutOfRangeError):
-        subset_with_sum(ZeroSumInstance(f, (1, 2)))
+        subset_with_sum(f, (1, 2), 10)  # 10 is zero mod 5
 
 
 def test_tightness_below_guarantee():
     # p-2 ones cannot reach p-1: the length bound in the guarantee is sharp
     f = PrimeField(5)
     with pytest.raises(NoWitnessError):
-        subset_with_sum(ZeroSumInstance(f, (1, 1, 1), k=4))
+        subset_with_sum(f, (1, 1, 1), 4)
 
 
 def test_verify_nonzero_targets_small():
@@ -126,14 +130,77 @@ def test_verify_length_requirements():
         verify_lemma_2_2(5, 4)  # needs n >= p
 
 
-def test_verify_budget():
+def test_verify_budget(monkeypatch, capsys):
+    # the first over-cap sizes at p = 7 are refused before any tuple is swept
+    def no_sweep(*args):
+        raise AssertionError("a refused size must not sweep")
+
+    monkeypatch.setattr(zerosum, "_sweep", no_sweep)
+    for p, n in ((7, 11), (7, 12)):  # 6^12 and 6^13 checks
+        with pytest.raises(BudgetExceededError):
+            verify_lemma_2_1(p, n)
     with pytest.raises(BudgetExceededError):
-        verify_lemma_2_1(7, 6, budget=100)
-    with pytest.raises(BudgetExceededError):
-        verify_lemma_2_2(7, 7, budget=100)
+        verify_lemma_2_2(7, 11)  # 7^11 tuples
+    assert main(["lemma22", "--p", "7", "--n", "11"]) == 3
+    assert capsys.readouterr().err == "error: 1977326743 tuples exceed budget 1000000000\n"
 
 
-def test_instance_normalizes_mod_p():
-    inst = ZeroSumInstance(PrimeField(5), (7, -1, 12), k=9)
-    assert inst.a == (2, 4, 2)
-    assert inst.k == 4
+def test_solvers_reduce_inputs_mod_p():
+    f = PrimeField(5)
+    assert subset_with_sum(f, (7, -1, 12), 9) == subset_with_sum(f, (2, 4, 2), 4)
+    assert zero_sum_subset(f, (7, -1, 13)) == zero_sum_subset(f, (2, 4, 3)) == (1, 3)
+
+
+def _wrong_witness(p, a, hist, target):
+    return (1,)  # sums to a[0], whatever the target
+
+
+def _drop_final_bits(mask):
+    real = zerosum._reach_history
+
+    def dropped(p, a):
+        hist = real(p, a)
+        hist[-1] &= ~mask
+        return hist
+
+    return dropped
+
+
+def test_sweep_reports_witness_that_fails_to_resum(monkeypatch):
+    monkeypatch.setattr(zerosum, "_reconstruct", _wrong_witness)
+    report = verify_lemma_2_1(3, 2)
+    assert report["checked"] == 8
+    assert report["failures"] == [
+        {"a": [1, 1], "k": 2, "witness": [1]},
+        {"a": [1, 2], "k": 2, "witness": [1]},
+        {"a": [2, 1], "k": 1, "witness": [1]},
+        {"a": [2, 2], "k": 1, "witness": [1]},
+    ]
+    report = verify_lemma_2_2(3, 3)
+    assert report["checked"] == 27
+    assert len(report["failures"]) == 18  # every tuple with a[0] != 0
+    assert report["failures"][0] == {"a": [1, 0, 0], "k": 0, "witness": [1]}
+
+
+def test_sweep_reports_unreached_target(monkeypatch):
+    monkeypatch.setattr(zerosum, "_reach_history", _drop_final_bits(0b100))
+    report = verify_lemma_2_1(3, 2)
+    assert report["checked"] == 8
+    assert report["failures"] == [{"a": list(a), "k": 2} for a in ((1, 1), (1, 2), (2, 1), (2, 2))]
+    monkeypatch.setattr(zerosum, "_reach_history", _drop_final_bits(0b001))
+    report = verify_lemma_2_2(3, 3)
+    assert report["checked"] == 27
+    assert report["failures"] == [
+        {"a": list(a), "k": 0} for a in itertools.product(range(3), repeat=3)
+    ]
+
+
+@pytest.mark.parametrize(
+    "attr, fault",
+    [("_reconstruct", _wrong_witness), ("_reach_history", _drop_final_bits(0b101))],
+)
+def test_lemma_failures_exit_1(monkeypatch, capsys, attr, fault):
+    monkeypatch.setattr(zerosum, attr, fault)
+    for argv in (["lemma21", "--p", "3", "--n", "2"], ["lemma22", "--p", "3", "--n", "3"]):
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().out)["result"]["failures"]
