@@ -40,6 +40,10 @@ from .zerosum import verify_lemma_2_1, verify_lemma_2_2
 
 SCHEMA_VERSION = 1
 
+# the signature report lists every member; a dense n = 20 signature would
+# list about 350,000 of them, so larger families are refused unlisted
+SIGNATURE_REPORT_MAX_MEMBERS = 1 << 16
+
 
 def _parse_primes(text: str) -> list[int]:
     try:
@@ -71,6 +75,10 @@ def _axioms(args: argparse.Namespace, d: Diagonal) -> tuple[dict, int]:
 
 def _signature(args: argparse.Namespace, d: Diagonal) -> tuple[dict, int]:
     sig = signature(d)
+    if sig.size > SIGNATURE_REPORT_MAX_MEMBERS:
+        raise BudgetExceededError(
+            f"{sig.size} members exceed the report cap {SIGNATURE_REPORT_MAX_MEMBERS}"
+        )
     result = {**_about(d), "balanced": list(d.balanced()), "hex": sig.hex(), "size": sig.size}
     result["members"] = [list(t) for t in sig.member_indices()]
     return result, 0

@@ -1,15 +1,19 @@
 """Subset-sum witnesses over GF(p) and the exhaustive lemma verifiers.
 
 Reachable sums are tracked as a p-bit register: adding a_i maps bit s to
-bit (s + a_i) mod p, a left rotation.  Keeping one register snapshot per
-step lets a witness be rebuilt by walking first-reach steps backwards,
-which lands on the least-bitmask witness by construction.
+bit (s + a_i) mod p, a left rotation.  One register per row advances one
+coordinate at a time over a whole block of rows, and the history of
+registers lets every row's witness be rebuilt at once by walking
+first-reach steps backwards, which lands on the least-bitmask witness by
+construction.
 """
 
 from __future__ import annotations
 
 from itertools import product
 from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     BudgetExceededError,
@@ -20,47 +24,64 @@ from .errors import (
 )
 from .field import PrimeField
 
-VERIFY_BUDGET = 10**9
+VERIFY_BUDGET = 10**8
+
+# rows per sweep block: it bounds the memory of the block's registers,
+# history and witness masks to a few MB per coordinate
+_SWEEP_CHUNK = 1 << 16
 
 
-def _reach_history(p: int, a: Sequence[int]) -> list[int]:
-    """hist[i] = bitmask of sums attainable by nonempty subsets of a[:i+1]."""
+def _register_dtype(p: int):
+    """A p-bit register fits a machine word below p = 64; past it, Python ints."""
+    return np.uint64 if p < 64 else object
+
+
+def _reach_history(p: int, a: np.ndarray) -> np.ndarray:
+    """hist[i, r] = bitmask of sums attainable by nonempty subsets of a[r, :i+1]."""
     # a reachability register over residues, not a per-mask table: no subset_sums
+    dtype = _register_dtype(p)
+    cols = np.ascontiguousarray(np.asarray(a, dtype=dtype).T)
+    n, rows = cols.shape
     full = (1 << p) - 1
-    hist = []
-    R = 0
-    for ai in a:
-        if ai:
-            rot = ((R << ai) | (R >> (p - ai))) & full
-        else:
-            rot = R
-        R = R | rot | (1 << ai)
-        hist.append(R)
-        if R == full:
-            break
+    hist = np.empty((n, rows), dtype=dtype)
+    R = np.zeros(rows, dtype=dtype)
+    for i, ai in enumerate(cols):
+        R = R | ((R << ai | R >> (p - ai)) & full) | (1 << ai)
+        hist[i] = R
     return hist
 
 
-def _reconstruct(p: int, a: Sequence[int], hist: list[int], target: int) -> tuple[int, ...]:
-    """Walk first-reach steps backwards; yields the least-bitmask witness."""
-    out = []
-    k = target
-    limit = len(hist)
-    while True:
-        step = next(i for i in range(1, limit + 1) if hist[i - 1] >> k & 1)
-        out.append(step)
-        k = (k - a[step - 1]) % p
-        if k == 0:
-            break
-        limit = step - 1
-    return tuple(reversed(out))
+def _reconstruct(
+    p: int, a: np.ndarray, hist: np.ndarray, target: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: whether the final register holds target, and the least-bitmask
+    witness as a (rows, n) step mask, all False where the target is unreached.
+
+    The history is monotone, so a residue the final register holds is first
+    reached at the step that counts the earlier registers lacking it; the
+    walk goes there, subtracts that step's entry and repeats until zero.
+    """
+    n, rows = hist.shape
+    a = np.asarray(a, dtype=hist.dtype)
+    reached = (hist[-1:] >> target & 1 != 0).any(axis=0)
+    mask = np.zeros((rows, n), dtype=bool)
+    live = np.flatnonzero(reached)
+    k = np.full(live.size, target, dtype=hist.dtype)
+    while live.size:
+        step = (hist[:-1, live] >> k & 1 == 0).sum(axis=0)
+        mask[live, step] = True
+        k = (k + p - a[live, step]) % p
+        going = k != 0
+        live, k = live[going], k[going]
+    return reached, mask
 
 
 def _solve(p: int, a: tuple[int, ...], target: int) -> tuple[int, ...]:
-    hist = _reach_history(p, a)
-    if not hist or not hist[-1] >> target & 1:
+    rows = np.array(a, dtype=_register_dtype(p)).reshape(1, len(a))
+    reached, mask = _reconstruct(p, rows, _reach_history(p, rows), target)
+    if not reached[0]:
         raise NoWitnessError(f"no nonempty subset of {a} sums to {target} mod {p}")
-    witness = _reconstruct(p, a, hist, target)
+    witness = tuple(int(i) + 1 for i in np.flatnonzero(mask[0]))
     assert sum(a[i - 1] for i in witness) % p == target, "witness failed re-summation"
     return witness
 
@@ -86,22 +107,41 @@ def zero_sum_subset(field: PrimeField, a: Sequence[int]) -> tuple[int, ...]:
 def _sweep(lemma: str, p: int, n: int, low: int, targets: Sequence[int]) -> dict:
     """Rebuild and re-sum a witness for every target of every tuple in [low, p)^n.
 
-    A failure names the tuple and target, plus the witness when one was
-    rebuilt but did not re-sum.
+    The product runs in blocks: the trailing coordinates that fit in
+    _SWEEP_CHUNK rows span a block, and the leading ones are enumerated.  A
+    failure names the tuple and target, plus the witness when one was rebuilt
+    but did not re-sum; failures come in product order, then target order.
     """
+    m = p - low
+    t = 0
+    while t < n and m ** (t + 1) <= _SWEEP_CHUNK:
+        t += 1
+    block = np.empty((m**t, n), dtype=_register_dtype(p))
+    codes = np.arange(m**t)
+    for j in range(n - 1, n - 1 - t, -1):  # the last coordinate varies fastest
+        codes, block[:, j] = np.divmod(codes, m)
+    block[:, n - t :] += low
     checked = 0
     failures = []
-    for a in product(range(low, p), repeat=n):
-        hist = _reach_history(p, a)
-        final = hist[-1]
+    for head in product(range(low, p), repeat=n - t):
+        block[:, : n - t] = head
+        hist = _reach_history(p, block)
+        verdicts = []
+        bad = np.zeros(len(block), dtype=bool)
         for k in targets:
-            checked += 1
-            if not final >> k & 1:
-                failures.append({"a": list(a), "k": k})
-                continue
-            witness = _reconstruct(p, a, hist, k)
-            if sum(a[i - 1] for i in witness) % p != k:
-                failures.append({"a": list(a), "k": k, "witness": list(witness)})
+            reached, mask = _reconstruct(p, block, hist, k)
+            checked += len(block)
+            wrong = reached & (np.where(mask, block, 0).sum(axis=1) % p != k)
+            bad |= ~reached | wrong
+            verdicts.append((k, reached, mask, wrong))
+        for r in np.flatnonzero(bad):
+            row = [int(v) for v in block[r]]
+            for k, reached, mask, wrong in verdicts:
+                if not reached[r]:
+                    failures.append({"a": row, "k": k})
+                elif wrong[r]:
+                    witness = [int(i) + 1 for i in np.flatnonzero(mask[r])]
+                    failures.append({"a": row, "k": k, "witness": witness})
     return {"lemma": lemma, "p": p, "n": n, "checked": checked, "failures": failures}
 
 

@@ -2,7 +2,8 @@
 
 Everything here favors obviousness over speed: cofactor determinants and
 inverses, per-subset summation, rank probes against explicitly built column
-sets, the swap as an explicit change of basis.  Fast library code is only
+sets, the swap as an explicit change of basis, the lemma sweep as one
+scalar loop over the product.  Fast library code is only
 trusted where it agrees with these.
 """
 
@@ -254,6 +255,54 @@ def least_mask_subset_sum(p: int, a: tuple[int, ...], target: int) -> int | None
         if s == target % p:
             return mask
     return None
+
+
+def reach_history_by_rotation(p: int, a: tuple[int, ...]) -> list[int]:
+    """hist[i] = bitmask of sums attainable by nonempty subsets of a[:i+1], one int per step."""
+    full = (1 << p) - 1
+    hist = []
+    R = 0
+    for ai in a:
+        rot = ((R << ai) | (R >> (p - ai))) & full if ai else R
+        R = R | rot | (1 << ai)
+        hist.append(R)
+        if R == full:
+            break
+    return hist
+
+
+def reconstruct_by_first_reach(
+    p: int, a: tuple[int, ...], hist: list[int], target: int
+) -> tuple[int, ...]:
+    """Walk first-reach steps backwards, searching each step's prefix of the history."""
+    out = []
+    k = target
+    limit = len(hist)
+    while True:
+        step = next(i for i in range(1, limit + 1) if hist[i - 1] >> k & 1)
+        out.append(step)
+        k = (k - a[step - 1]) % p
+        if k == 0:
+            break
+        limit = step - 1
+    return tuple(reversed(out))
+
+
+def sweep_by_product(lemma: str, p: int, n: int, low: int, targets) -> dict:
+    """The lemma sweep as one scalar loop over itertools.product, tuple by tuple."""
+    checked = 0
+    failures = []
+    for a in itertools.product(range(low, p), repeat=n):
+        hist = reach_history_by_rotation(p, a)
+        for k in targets:
+            checked += 1
+            if not hist[-1] >> k & 1:
+                failures.append({"a": list(a), "k": k})
+                continue
+            witness = reconstruct_by_first_reach(p, a, hist, k)
+            if sum(a[i - 1] for i in witness) % p != k:
+                failures.append({"a": list(a), "k": k, "witness": list(witness)})
+    return {"lemma": lemma, "p": p, "n": n, "checked": checked, "failures": failures}
 
 
 def bases_bruteforce(M: MatrixGF) -> tuple[int, ...]:

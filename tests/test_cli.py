@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikelab import CharCertificate, MatrixGF, represent
+from spikelab import CharCertificate, MatrixGF, Signature, represent
 from spikelab.cli import build_parser, main
 
 
@@ -254,6 +254,26 @@ def test_axioms_refused_past_cap_before_rank_work(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: axiom check capped at n=12\n"
+
+
+def test_signature_report_refused_past_member_cap_before_listing(capsys, monkeypatch):
+    # x = 1 taken n times over GF(3): the members are the sets of size 2 mod 3,
+    # 43691 at n = 17 and 87381 at n = 18, on either side of the 2^16 cap
+    listed = []
+
+    def no_listing(self):
+        listed.append(self.size)
+        assert self.size <= 1 << 16, "members listed past the report cap"
+        return ()
+
+    monkeypatch.setattr(Signature, "member_indices", no_listing)
+    assert main(["signature", "--diag", "p=3;x=" + ",".join(["1"] * 18)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 87381 members exceed the report cap 65536\n"
+    assert main(["signature", "--diag", "p=3;x=" + ",".join(["1"] * 17)]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["size"] == 43691
+    assert listed == [43691]
 
 
 def test_budget_exhaustion_exits_3(capsys):

@@ -1,4 +1,5 @@
-"""Property tests on random diagonals: the swap laws, orbit sizes and the characteristic decision."""
+"""Property tests: the swap laws, orbit sizes and the characteristic decision on random
+diagonals, and the zero-sum register kernel on random batches of rows."""
 
 from __future__ import annotations
 
@@ -13,9 +14,10 @@ from spikelab import (
     search_rep,
     signature,
     swap,
+    zerosum,
 )
 
-from oracles import orbit_materialized
+from oracles import least_mask_subset_sum, orbit_materialized
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -76,3 +78,30 @@ def test_certificate_admits_own_prime_and_agrees_with_search(d):
     assert cert.admits(d.p)
     for q in SMALL_PRIMES:
         assert cert.admits(q) == (search_rep(sig, q)[0] is not None), (d, q)
+
+
+def row_batches() -> st.SearchStrategy[tuple[int, list[list[int]]]]:
+    # 67 takes the registers past a machine word, onto Python ints
+    return st.sampled_from((2, 3, 5, 7, 67)).flatmap(
+        lambda p: st.integers(1, 6).flatmap(
+            lambda n: st.tuples(
+                st.just(p),
+                st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+                         min_size=1, max_size=8),
+            )
+        )
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(batch=row_batches())
+def test_register_kernel_rows_match_least_mask_oracle(batch):
+    # one call over the whole batch: each row's witness is the one it has alone
+    p, rows = batch
+    hist = zerosum._reach_history(p, rows)
+    for target in range(p):
+        reached, mask = zerosum._reconstruct(p, rows, hist, target)
+        for r, a in enumerate(rows):
+            want = least_mask_subset_sum(p, tuple(a), target)
+            got = sum(1 << i for i in range(len(a)) if mask[r, i])
+            assert (bool(reached[r]), got) == (want is not None, want or 0), (p, a, target)

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 from spikelab import (
@@ -21,7 +22,7 @@ from spikelab import (
 )
 from spikelab.cli import main
 
-from oracles import least_mask_subset_sum
+from oracles import least_mask_subset_sum, sweep_by_product
 
 
 def _mask(indices: tuple[int, ...]) -> int:
@@ -136,13 +137,75 @@ def test_verify_budget(monkeypatch, capsys):
         raise AssertionError("a refused size must not sweep")
 
     monkeypatch.setattr(zerosum, "_sweep", no_sweep)
-    for p, n in ((7, 11), (7, 12)):  # 6^12 and 6^13 checks
+    for p, n in ((7, 10), (7, 11)):  # 6^11 and 6^12 checks
         with pytest.raises(BudgetExceededError):
             verify_lemma_2_1(p, n)
     with pytest.raises(BudgetExceededError):
-        verify_lemma_2_2(7, 11)  # 7^11 tuples
-    assert main(["lemma22", "--p", "7", "--n", "11"]) == 3
-    assert capsys.readouterr().err == "error: 1977326743 tuples exceed budget 1000000000\n"
+        verify_lemma_2_2(7, 10)  # 7^10 tuples
+    assert main(["lemma22", "--p", "7", "--n", "10"]) == 3
+    assert capsys.readouterr().err == "error: 282475249 tuples exceed budget 100000000\n"
+
+
+def test_verify_budget_admits_largest_p7_sweeps(monkeypatch):
+    # 6^10 checks and 7^9 tuples fit the budget: the sweep is called, not refused
+    calls = []
+
+    def record(*args):
+        calls.append(args[:3])
+        return {}
+
+    monkeypatch.setattr(zerosum, "_sweep", record)
+    verify_lemma_2_1(7, 9)
+    verify_lemma_2_2(7, 9)
+    assert calls == [("2.1", 7, 9), ("2.2", 7, 9)]
+
+
+SWEEP_GRID = [
+    ("2.1", 2, 1), ("2.1", 2, 4), ("2.1", 3, 2), ("2.1", 3, 4), ("2.1", 5, 4), ("2.1", 5, 5),
+    ("2.2", 2, 2), ("2.2", 3, 3), ("2.2", 3, 5), ("2.2", 5, 5), ("2.2", 5, 6),
+    # below the hypothesis, where failures are real and their order shows
+    ("2.1", 5, 2), ("2.1", 5, 3), ("2.1", 7, 5), ("2.2", 5, 3), ("2.2", 7, 4),
+]
+
+
+def _sweep_args(lemma: str, p: int, n: int) -> tuple:
+    return (lemma, p, n) + ((1, range(1, p)) if lemma == "2.1" else (0, (0,)))
+
+
+def _same_json(report: dict, want: dict) -> None:
+    assert json.dumps(report) == json.dumps(want)
+
+
+@pytest.mark.parametrize("lemma, p, n", SWEEP_GRID)
+def test_sweep_matches_scalar_loop(lemma, p, n):
+    args = _sweep_args(lemma, p, n)
+    _same_json(zerosum._sweep(*args), sweep_by_product(*args))
+
+
+@pytest.mark.parametrize(
+    "lemma, p, n",
+    [("2.1", 3, 4), ("2.1", 5, 2), ("2.1", 5, 3), ("2.2", 3, 2), ("2.2", 3, 3), ("2.2", 5, 3)],
+)
+def test_sweep_blocks_keep_product_order(monkeypatch, lemma, p, n):
+    # blocks of at most 4 rows: many blocks, failures crossing block boundaries
+    monkeypatch.setattr(zerosum, "_SWEEP_CHUNK", 4)
+    args = _sweep_args(lemma, p, n)
+    _same_json(zerosum._sweep(*args), sweep_by_product(*args))
+
+
+def test_sweep_blocks_stay_within_chunk(monkeypatch):
+    rows = []
+    real = zerosum._reach_history
+
+    def counted(p, a):
+        rows.append(len(a))
+        return real(p, a)
+
+    monkeypatch.setattr(zerosum, "_reach_history", counted)
+    report = verify_lemma_2_2(5, 8)
+    assert report["checked"] == 5**8 and report["failures"] == []
+    assert sum(rows) == 5**8
+    assert max(rows) <= zerosum._SWEEP_CHUNK < 5**8
 
 
 def test_solvers_reduce_inputs_mod_p():
@@ -151,8 +214,14 @@ def test_solvers_reduce_inputs_mod_p():
     assert zero_sum_subset(f, (7, -1, 13)) == zero_sum_subset(f, (2, 4, 3)) == (1, 3)
 
 
+_real_reconstruct = zerosum._reconstruct
+
+
 def _wrong_witness(p, a, hist, target):
-    return (1,)  # sums to a[0], whatever the target
+    reached, mask = _real_reconstruct(p, a, hist, target)
+    mask[:] = False
+    mask[:, 0] = True  # every witness is step 1, which sums to a[0] whatever the target
+    return reached, mask
 
 
 def _drop_final_bits(mask):
@@ -160,7 +229,7 @@ def _drop_final_bits(mask):
 
     def dropped(p, a):
         hist = real(p, a)
-        hist[-1] &= ~mask
+        hist[-1] &= ~np.uint64(mask)
         return hist
 
     return dropped
