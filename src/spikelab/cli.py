@@ -18,7 +18,6 @@ import time
 from .errors import BudgetExceededError, SpikeLabError
 from .matrix import verify_det_identity
 from .represent import (
-    DEFAULT_NODE_BUDGET,
     characteristic_set,
     construct_char_only,
     construct_multichar,
@@ -113,7 +112,7 @@ def _unique(args: argparse.Namespace, d: None) -> tuple[dict, int]:
 
 def _transfer(args: argparse.Namespace, d: Diagonal) -> tuple[dict, int]:
     sig = signature(d)
-    witness, nodes = search_rep(sig, args.q, args.node_budget)
+    witness, nodes = search_rep(sig, args.q)
     return {
         **_about(d),
         "q": args.q,
@@ -147,7 +146,6 @@ _DIAG = _arg("--diag", required=True, metavar="p=<prime>;x=<v1>,...,<vn>")
 _P = _arg("--p", type=int, required=True)
 _N = _arg("--n", type=int, required=True)
 _PRIMES = _arg("--primes", type=_parse_primes, required=True, metavar="q1,q2,...")
-_BUDGET = _arg("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
 _VARIANT_HELP = "prop41: n=2p-2 multi-characteristic; prop43: characteristic-p-only"
 
 # name -> (help, arguments, handler), in the order the parser lists them
@@ -176,13 +174,13 @@ _COMMANDS = {
     "unique": ("signature-map injectivity audit", [_P, _N], _unique),
     "transfer": (
         "search for the same signature over another prime field",
-        [_DIAG, _arg("--q", type=int, required=True), _BUDGET],
+        [_DIAG, _arg("--q", type=int, required=True)],
         _transfer,
     ),
     "charset": (
         "representability verdicts across primes, with certificate",
-        [_DIAG, _PRIMES, _BUDGET],
-        lambda a, d: (characteristic_set(d, a.primes, a.node_budget), 0),
+        [_DIAG, _PRIMES],
+        lambda a, d: (characteristic_set(d, a.primes), 0),
     ),
     "construct": (
         "the two integer diagonal constructions",
@@ -192,8 +190,8 @@ _COMMANDS = {
     ),
     "lbound": (
         "least n with a single-characteristic spike",
-        [_P, _PRIMES, _arg("--n-max", type=int, default=5), _BUDGET],
-        lambda a, d: (estimate_L(a.p, a.primes, a.n_max, a.node_budget), 0),
+        [_P, _PRIMES, _arg("--n-max", type=int, default=5)],
+        lambda a, d: (estimate_L(a.p, a.primes, a.n_max), 0),
     ),
 }
 

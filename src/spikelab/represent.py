@@ -36,7 +36,6 @@ from .spikes import (
     signature,
 )
 
-DEFAULT_NODE_BUDGET = 10**8
 AUDIT_BUDGET = 10**9
 SEARCH_MAX_N = 12
 MAX_TEST_PRIME = 97
@@ -49,42 +48,41 @@ _AUDIT_CHUNK = 8192
 # exhaustive representability search
 
 
-def _check_node_budget(node_budget: int) -> None:
-    if node_budget < 0:
-        raise TooSmallError(f"node budget must be >= 0, got {node_budget}")
+# subset sums a lattice search may compute before it hands over to the
+# solution-space search; at about 0.3 us a sum that is about 0.3 s
+_LATTICE_CAP = 10**6
 
 
-def search_rep(
-    sig: Signature, q: int, node_budget: int = DEFAULT_NODE_BUDGET
-) -> tuple[Optional[Diagonal], int]:
+def search_rep(sig: Signature, q: int) -> tuple[Optional[Diagonal], int]:
     """Find a diagonal over GF(q) with exactly this signature, plus node count.
 
     Depth-first over inverse vectors z in (GF(q)\\{0})^n in lex order.  Once
     z_k is placed, every subset whose top index is k+1 has its sum settled,
     so membership can be enforced immediately; a complete pruned sweep is
-    still exhaustive, so a None return proves non-existence.
+    still exhaustive, so a None return proves non-existence.  Past
+    _LATTICE_CAP subset sums the lattice hands over to ``_admissible_point``,
+    which meets the same lex-least z first.  The count is then the subset
+    sums the lattice computed: above the cap, which no finished lattice
+    reaches in nodes, since each node computes at least one sum.
     """
     n = sig.n
     if n > SEARCH_MAX_N:
         raise TooLargeError(f"search capped at n={SEARCH_MAX_N}, got {n}")
-    _check_node_budget(node_budget)
     field = PrimeField(q)
     target = q - 1
     sigbits = sig.bits
+    cap = _LATTICE_CAP
     sums = [0] * (1 << n)
     z = [0] * n
     nodes = 0
+    spent = 0
 
     def dfs(k: int) -> bool:
-        nonlocal nodes
+        nonlocal nodes, spent
         base = 1 << k
         # fills one lattice level per node and exits early: not subset_sums
         for v in range(1, q):
             nodes += 1
-            if nodes > node_budget:
-                raise BudgetExceededError(
-                    f"node budget {node_budget} exhausted searching GF({q})"
-                )
             ok = True
             for lower in range(base):
                 s = sums[lower] + v
@@ -95,15 +93,23 @@ def search_rep(
                 if (s == target) != bool(sigbits >> mask & 1):
                     ok = False
                     break
+            spent += lower + 1
+            if spent > cap:
+                raise BudgetExceededError(f"lattice cap {cap} reached searching GF({q})")
             if ok:
                 z[k] = v
                 if k + 1 == n or dfs(k + 1):
                     return True
         return False
 
-    if dfs(0):
-        return Diagonal(field, tuple(field.inv(v) for v in z)), nodes
-    return None, nodes
+    try:
+        found, count = dfs(0), nodes
+    except BudgetExceededError:
+        z, _ = _admissible_point(sig, q, AUDIT_BUDGET)
+        found, count = z is not None, spent
+    if not found:
+        return None, count
+    return Diagonal(field, tuple(field.inv(v) for v in z)), count
 
 
 # ---------------------------------------------------------------------------
@@ -193,22 +199,25 @@ def _solution_space(sig: Signature, q: Optional[int] = None) -> tuple[list, list
     combination of the directions, one per free coordinate, which is 1 there
     and 0 at the other free coordinates (mod q, its entries are left
     unreduced); z0 is None when there is no solution.  pivots are the
-    elimination's, as ``rref`` met them.
+    elimination's, as ``rref`` met them.  The columns are eliminated in
+    reverse, so a pivot coordinate depends only on free coordinates of
+    smaller index: ordered by their free coordinates, the solutions are in
+    lex order.
     """
     n = sig.n
-    rows = [[mask >> i & 1 for i in range(n)] + [-1] for mask in sig.members()]
+    rows = [[mask >> i & 1 for i in range(n - 1, -1, -1)] + [-1] for mask in sig.members()]
     reduced, cols, pivots = rref(rows, q)
     if cols and cols[-1] == n:
         return None, [], pivots
-    z0 = [0] * n
-    for row, c in zip(reduced, cols):
-        z0[c] = row[n]
+    # coordinate i is column n - 1 - i of the eliminated rows
+    solved = {n - 1 - c: row for row, c in zip(reduced, cols)}
+    z0 = [solved[i][n] if i in solved else 0 for i in range(n)]
     directions = []
-    for f in (j for j in range(n) if j not in cols):
+    for f in (j for j in range(n) if j not in solved):
         v = [0] * n
         v[f] = 1
-        for row, c in zip(reduced, cols):
-            v[c] = -row[f]
+        for i, row in solved.items():
+            v[i] = -row[n - 1 - f]
         directions.append(v)
     return z0, directions, pivots
 
@@ -228,10 +237,12 @@ def _forms(sig: Signature, F: "np.ndarray", one: int) -> "np.ndarray":
 
 
 def _admissible_point(sig: Signature, q: int, budget: int) -> tuple[Optional[list[int]], int]:
-    """An inverse vector over GF(q) with exactly this signature, or None; plus form values spent.
+    """The lex-least inverse vector over GF(q) with exactly this signature, or
+    None; plus form values spent.
 
     Row-reduces the member equations mod q, then searches the solution
-    space depth-first over nonzero free coordinates in ascending order.  A
+    space depth-first over nonzero free coordinates in ascending order, so
+    by ``_solution_space``'s order it meets the lex-least point first.  A
     forbidden form is checked as soon as its last free coordinate with a
     nonzero coefficient is set, where it rules out one value, so a level
     with fewer forms to check than q - 1 values never dead-ends.  A
@@ -358,17 +369,6 @@ def build_certificate(sig: Signature) -> CharCertificate:
     return CharCertificate(n, sig.bits, m, "finite", primes=tuple(listed))
 
 
-def _witness(sig: Signature, q: int) -> Diagonal:
-    """The diagonal over GF(q) of the point ``_admissible_point`` finds."""
-    z, _ = _admissible_point(sig, q, AUDIT_BUDGET)
-    if z is None:
-        raise VerdictMismatchError(f"the certificate admits q={q} but GF({q}) has no point")
-    field = PrimeField(q)
-    diag = Diagonal(field, tuple(field.inv(v) for v in z))
-    assert signature(diag).bits == sig.bits, "witness failed signature recomputation"
-    return diag
-
-
 # ---------------------------------------------------------------------------
 # characteristic-set verdicts
 
@@ -396,44 +396,30 @@ def _check_test_primes(primes: Sequence[int]) -> None:
         PrimeField(q)
 
 
-def characteristic_set(
-    x: Diagonal,
-    primes: Sequence[int],
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> dict:
-    """Per-prime verdicts by search, plus the exact certificate.
+def characteristic_set(x: Diagonal, primes: Sequence[int]) -> dict:
+    """Per-prime verdicts by ``search_rep``, plus the exact certificate.
 
-    Where the search runs out of budget the certificate gives the verdict,
-    with the point ``_admissible_point`` finds as the witness.  Certificate
-    and search must agree on every prime the search finished; disagreement
-    means a bug and raises VerdictMismatchError.
+    A prime where the lattice search handed over to the solution-space
+    search is listed in ``budget_exhausted`` and its verdict's method is
+    "certificate".  Certificate and search must agree on every prime;
+    disagreement means a bug and raises VerdictMismatchError.
     """
     if x.n > SEARCH_MAX_N:
         raise TooLargeError(f"characteristic scan capped at n={SEARCH_MAX_N}")
     _check_test_primes(primes)
-    _check_node_budget(node_budget)
     sig = signature(x)
     cert = build_certificate(sig)
     verdicts: list[CharVerdict] = []
     nodes_total = 0
-    exhausted: list[int] = []
     for q in primes:
-        try:
-            witness, nodes = search_rep(sig, q, node_budget)
-        except BudgetExceededError:
-            nodes_total += node_budget
-            exhausted.append(q)
-            witness = _witness(sig, q) if cert.admits(q) else None
-            verdicts.append(CharVerdict(q, "yes" if witness else "no", witness, "certificate"))
-            continue
+        witness, nodes = search_rep(sig, q)
         nodes_total += nodes
         if cert.admits(q) != (witness is not None):
             raise VerdictMismatchError(
                 f"certificate and search disagree at q={q} for diagonal {x.text()}"
             )
-        verdicts.append(
-            CharVerdict(q, "yes" if witness else "no", witness, "exhaustive-search")
-        )
+        method = "certificate" if nodes > _LATTICE_CAP else "exhaustive-search"
+        verdicts.append(CharVerdict(q, "yes" if witness else "no", witness, method))
     return {
         "command": "charset",
         "p": x.p,
@@ -442,7 +428,7 @@ def characteristic_set(
         "primes": list(primes),
         "verdicts": [v.to_dict() for v in verdicts],
         "certificate": cert.to_report(),
-        "budget_exhausted": exhausted,
+        "budget_exhausted": [v.q for v in verdicts if v.method == "certificate"],
         "nodes_visited": nodes_total,
     }
 
@@ -545,12 +531,7 @@ def threshold_interval(p: int) -> tuple[int, int]:
     return lo, hi
 
 
-def estimate_L(
-    p: int,
-    primes: Sequence[int],
-    n_max: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> dict:
+def estimate_L(p: int, primes: Sequence[int], n_max: int) -> dict:
     """Least n in [3, n_max] with a spike over GF(p) in no other tested characteristic.
 
     Scans canonical class representatives in order; a class counts when its
@@ -566,7 +547,6 @@ def estimate_L(
     if n_max < 3:
         raise TooSmallError("spikes need n >= 3")
     _check_test_primes(primes)
-    _check_node_budget(node_budget)
     others = [q for q in primes if q != p]
     levels = []
     certified: list[tuple[Diagonal, CharCertificate]] = []
@@ -582,7 +562,7 @@ def estimate_L(
     nodes_total = 0
     if found is not None:
         # cross-check the winning class against plain search on every prime
-        confirm = characteristic_set(found, list(primes), node_budget)
+        confirm = characteristic_set(found, list(primes))
         nodes_total = confirm["nodes_visited"]
         for v in confirm["verdicts"]:
             if (v["representable"] == "yes") != cert.admits(v["q"]):

@@ -167,16 +167,15 @@ def test_usage_errors_exit_2(capsys, argv):
     assert "error" in captured.err.lower() or captured.err
 
 
-_NEGATIVE_BUDGET = "node budget must be >= 0, got -1"
+_THIRTEEN = "p=2;x=" + ",".join(["1"] * 13)
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["transfer", "--diag", "p=3;x=1,1,1", "--q", "3", "--node-budget", "-1"],
-         _NEGATIVE_BUDGET),
-        (["charset", "--diag", "p=3;x=1,1,1", "--primes", "3", "--node-budget", "-1"],
-         _NEGATIVE_BUDGET),
+        (["transfer", "--diag", _THIRTEEN, "--q", "3"], "search capped at n=12, got 13"),
+        (["charset", "--diag", _THIRTEEN, "--primes", "3"],
+         "characteristic scan capped at n=12"),
         (["unique", "--p", "3", "--n", "-1"], "audit needs n >= 1, got -1"),
         (["unique", "--p", "3", "--n", "0"], "audit needs n >= 1, got 0"),
         (["enumerate", "--p", "3", "--n", "-1"], "enumeration needs n >= 1, got -1"),
@@ -209,7 +208,7 @@ def test_refused_sizes_exit_2_with_message(capsys, monkeypatch, argv, message):
     ],
 )
 def test_negative_node_budget_refused_before_any_certificate(capsys, monkeypatch, argv):
-    # n_max = 3 finds no class, so no search would ever meet the budget
+    # the search has no budget option: the parser refuses the flag as a usage error
     def refused(*args):
         raise AssertionError("a refused call must not enumerate or certify")
 
@@ -218,7 +217,7 @@ def test_negative_node_budget_refused_before_any_certificate(capsys, monkeypatch
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {_NEGATIVE_BUDGET}\n"
+    assert captured.err.endswith(" error: unrecognized arguments: --node-budget -1\n")
 
 
 @pytest.mark.parametrize(
@@ -276,10 +275,32 @@ def test_signature_report_refused_past_member_cap_before_listing(capsys, monkeyp
     assert listed == [43691]
 
 
-def test_budget_exhaustion_exits_3(capsys):
-    code = main(["transfer", "--diag", "p=3;x=1,1,1,1", "--q", "11", "--node-budget", "2"])
+def test_budget_exhaustion_exits_3(capsys, monkeypatch):
+    # only a search whose lattice and solution-space routes both run out fails
+    monkeypatch.setattr(represent, "_LATTICE_CAP", 2)
+    monkeypatch.setattr(represent, "AUDIT_BUDGET", 2)
+    code = main(["transfer", "--diag", "p=13;x=1,1,1,3,8,9", "--q", "13"])
     assert code == 3
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: subset-sum budget exhausted searching GF(13)\n"
+
+
+@pytest.mark.parametrize(
+    "diag, q, witness",
+    [
+        # one point, z = -1/2, far past the lattice cap in lex order
+        ("p=3;x=1,1,1", "65521", [65519, 65519, 65519]),
+        # seven members at n = 10 leave no point over GF(19)
+        ("p=97;x=17,69,11,61,32,90,11,55,74,86", "19", None),
+    ],
+)
+def test_transfer_hands_over_past_the_lattice_cap(capsys, diag, q, witness):
+    code, doc = run_cli(capsys, "transfer", "--diag", diag, "--q", q)
+    assert code == 0
+    r = doc["result"]
+    assert r["witness"] == witness
+    assert r["nodes_visited"] > represent._LATTICE_CAP
 
 
 def test_certificate_budget_exhaustion_exits_3(capsys, monkeypatch):
@@ -292,11 +313,9 @@ def test_certificate_budget_exhaustion_exits_3(capsys, monkeypatch):
     assert captured.err.count("\n") == 1
 
 
-def test_charset_certificate_answers_where_search_runs_out(capsys):
-    code, doc = run_cli(
-        capsys,
-        "charset", "--diag", "p=3;x=1,1,1", "--primes", "7", "--node-budget", "2",
-    )
+def test_charset_certificate_answers_where_search_runs_out(capsys, monkeypatch):
+    monkeypatch.setattr(represent, "_LATTICE_CAP", 2)
+    code, doc = run_cli(capsys, "charset", "--diag", "p=3;x=1,1,1", "--primes", "7")
     assert code == 0
     r = doc["result"]
     assert r["budget_exhausted"] == [7]
@@ -334,8 +353,8 @@ def test_charset_certificate_disagreement_exits_1(capsys, monkeypatch):
 def test_lbound_confirming_run_disagreement_exits_1(capsys, monkeypatch):
     real = represent.characteristic_set
 
-    def flip_first_verdict(x, primes, node_budget):
-        report = real(x, primes, node_budget)
+    def flip_first_verdict(x, primes):
+        report = real(x, primes)
         v = report["verdicts"][0]
         v["representable"] = {"yes": "no", "no": "yes"}[v["representable"]]
         return report
@@ -381,9 +400,9 @@ _primes = st.one_of(
 def test_fuzzed_diag_and_primes_exit_with_a_code(cmd, diag, q, primes):
     argv = [cmd, "--diag", diag]
     if cmd == "transfer":
-        argv += ["--q", q, "--node-budget", "200"]
+        argv += ["--q", q]
     elif cmd == "charset":
-        argv += ["--primes", primes, "--node-budget", "200"]
+        argv += ["--primes", primes]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2, 3)
@@ -422,8 +441,6 @@ def test_unwritable_output_exits_2(tmp_path, capsys, target):
     assert not list(tmp_path.rglob("*.tmp"))
 
 
-_BUDGET = represent.DEFAULT_NODE_BUDGET
-
 # (argv, the params echo it must produce, in key order)
 SUBCOMMANDS = [
     (["axioms", "--diag", "p=3;x=1,1,1"], {"diag": "p=3;x=1,1,1"}),
@@ -440,17 +457,17 @@ SUBCOMMANDS = [
     (["unique", "--p", "3", "--n", "4"], {"p": 3, "n": 4}),
     (
         ["transfer", "--diag", "p=3;x=2,2,2,1", "--q", "5"],
-        {"diag": "p=3;x=2,2,2,1", "q": 5, "node_budget": _BUDGET},
+        {"diag": "p=3;x=2,2,2,1", "q": 5},
     ),
     (
         ["charset", "--diag", "p=3;x=2,2,1,1", "--primes", "2,5,7"],
-        {"diag": "p=3;x=2,2,1,1", "primes": [2, 5, 7], "node_budget": _BUDGET},
+        {"diag": "p=3;x=2,2,1,1", "primes": [2, 5, 7]},
     ),
     (["construct", "prop41", "--p", "3", "--q", "5"], {"variant": "prop41", "p": 3, "q": 5}),
     (["construct", "prop43", "--p", "3"], {"variant": "prop43", "p": 3}),
     (
         ["lbound", "--p", "2", "--primes", "2,3,5", "--n-max", "3"],
-        {"p": 2, "primes": [2, 3, 5], "n_max": 3, "node_budget": _BUDGET},
+        {"p": 2, "primes": [2, 3, 5], "n_max": 3},
     ),
 ]
 
@@ -477,7 +494,7 @@ def test_params_echo_skips_unset_options_and_output(tmp_path, capsys):
     path = tmp_path / "r.json"
     assert main(["--output", str(path), "charset", "--diag", "p=3;x=1,1,1", "--primes", "5"]) == 0
     doc = json.loads(path.read_text())
-    expected = {"diag": "p=3;x=1,1,1", "primes": [5], "node_budget": _BUDGET}
+    expected = {"diag": "p=3;x=1,1,1", "primes": [5]}
     assert list(doc["params"].items()) == list(expected.items())
 
 

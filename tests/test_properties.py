@@ -1,7 +1,10 @@
 """Property tests: the swap laws, orbit sizes and the characteristic decision on random
-diagonals, and the zero-sum register kernel on random batches of rows."""
+diagonals, the two routes of the per-prime search, and the zero-sum register kernel on
+random batches of rows."""
 
 from __future__ import annotations
+
+from unittest import mock
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -11,6 +14,7 @@ from spikelab import (
     PrimeField,
     build_certificate,
     orbit_size,
+    represent,
     search_rep,
     signature,
     swap,
@@ -78,6 +82,22 @@ def test_certificate_admits_own_prime_and_agrees_with_search(d):
     assert cert.admits(d.p)
     for q in SMALL_PRIMES:
         assert cert.admits(q) == (search_rep(sig, q)[0] is not None), (d, q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=diagonals(7), q=st.sampled_from((2, 3, 5, 7, 11, 13, 17, 19, 23)))
+def test_solution_space_search_meets_the_lattice_witness(d, q):
+    # the lattice and the solution-space search both meet the lex-least inverse
+    # vector first, so the handover never changes a reported witness
+    sig = signature(d)
+    field = PrimeField(q)
+    witness, nodes = search_rep(sig, q)
+    assume(nodes <= represent._LATTICE_CAP)  # answered by the lattice
+    z, _ = represent._admissible_point(sig, q, represent.AUDIT_BUDGET)
+    assert z == (None if witness is None else [field.inv(v) for v in witness.x]), (d, q)
+    with mock.patch.object(represent, "_LATTICE_CAP", 0):
+        handed, count = search_rep(sig, q)
+    assert handed == witness and count > 0, (d, q)
 
 
 def row_batches() -> st.SearchStrategy[tuple[int, list[list[int]]]]:

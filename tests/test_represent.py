@@ -25,6 +25,7 @@ from spikelab import (
     construct_multichar,
     enumerate_spikes,
     estimate_L,
+    represent,
     search_rep,
     signature,
     spikes,
@@ -86,10 +87,18 @@ def test_search_exhaustive_no():
         assert w is None
 
 
-def test_search_budget_and_cap():
-    sig = signature(Diagonal(GF3, (1, 1, 1, 1, 1)))
+def test_search_budget_and_cap(monkeypatch):
+    # past the lattice cap the solution-space search meets the same lex-least
+    # witness; the search raises only when that runs out of budget too
+    sig = signature(Diagonal.parse("p=13;x=1,1,1,3,8,9"))
+    witness, nodes = search_rep(sig, 13)
+    assert witness.x == (1, 1, 1, 3, 10, 9) and nodes <= represent._LATTICE_CAP
+    monkeypatch.setattr(represent, "_LATTICE_CAP", 3)
+    handed, count = search_rep(sig, 13)
+    assert handed == witness and count > 3
+    monkeypatch.setattr(represent, "AUDIT_BUDGET", 3)
     with pytest.raises(BudgetExceededError):
-        search_rep(sig, 13, node_budget=3)
+        search_rep(sig, 13)
     with pytest.raises(TooLargeError):
         search_rep(signature(Diagonal(PrimeField(2), (1,) * 13)), 3)
 
@@ -417,13 +426,14 @@ def test_charset_certificate_closes_the_p13_class():
     assert [v["representable"] for v in report["verdicts"]] == ["no"] * 5 + ["yes"]
 
 
-def test_charset_certificate_rescues_exhausted_budget():
+def test_charset_certificate_rescues_exhausted_budget(monkeypatch):
+    monkeypatch.setattr(represent, "_LATTICE_CAP", 2)
     d = Diagonal(GF3, (2, 2, 1, 1))
-    report = characteristic_set(d, [3, 7], node_budget=2)
+    report = characteristic_set(d, [3, 7])
     assert report["budget_exhausted"] == [3, 7]
     by_q = {v["q"]: v for v in report["verdicts"]}
     assert by_q[3]["representable"] == "yes" and by_q[3]["method"] == "certificate"
-    assert by_q[3]["witness"] is not None
+    assert signature(Diagonal(GF3, tuple(by_q[3]["witness"]))) == signature(d)
     assert by_q[7]["representable"] == "no" and by_q[7]["method"] == "certificate"
 
 

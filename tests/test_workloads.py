@@ -1,16 +1,28 @@
-"""The benchmark keeps its own copy of gate c11's argv list, and its lemma jobs must
-stay inside the sweep budget; neither may drift from the library."""
+"""The benchmark keeps its own copy of gate c11's argv list, its lemma jobs must stay
+inside the sweep budget, and its searches far inside the lattice cap; none of these may
+drift from the library."""
 
 from __future__ import annotations
 
 import runpy
 from pathlib import Path
 
-from spikelab import zerosum
+from spikelab import Diagonal, represent, signature, zerosum
 
 import test_acceptance
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+def _bench_argvs(bench: dict) -> set[tuple[str, ...]]:
+    """Every distinct command line of CLI_RUNS and the four workloads, seeds 1 and 2,
+    full and smoke."""
+    argvs = {tuple(argv) for argv in bench["CLI_RUNS"]}
+    for name in bench["WORKLOADS"]:
+        for seed in (1, 2):
+            for smoke in (False, True):
+                argvs.update(tuple(job.argv) for job in bench["build"](name, seed, smoke))
+    return argvs
 
 
 def test_bench_cli_runs_match_gate_c11():
@@ -39,3 +51,43 @@ def test_bench_lemma_jobs_fit_hypothesis_and_budget():
                     assert job.expect == 0, job.argv
                     lemma_jobs += 1
     assert lemma_jobs > 0
+
+
+def test_bench_lemma_jobs_fit_the_register_step_budget(monkeypatch):
+    calls = []
+    monkeypatch.setattr(zerosum, "_sweep", lambda *args: calls.append(args[:3]))
+    verify = {"lemma21": zerosum.verify_lemma_2_1, "lemma22": zerosum.verify_lemma_2_2}
+    for argv in _bench_argvs(runpy.run_path(str(WORKLOADS))):
+        if argv[0] in verify:
+            opts = dict(zip(argv[1::2], argv[2::2]))
+            verify[argv[0]](int(opts["--p"]), int(opts["--n"]))  # a refusal raises
+    assert calls
+
+
+def test_bench_searches_stay_within_an_eighth_of_the_lattice_cap(monkeypatch):
+    # past the cap a search hands over: same result, other cost, so no
+    # benchmark search may come near it; a handover reports more than the cap
+    bench = runpy.run_path(str(WORKLOADS))
+    monkeypatch.setattr(represent, "_LATTICE_CAP", represent._LATTICE_CAP // 8)
+    real = represent.search_rep
+    counts = []
+
+    def record(sig, q):
+        witness, count = real(sig, q)
+        counts.append(count)
+        return witness, count
+
+    monkeypatch.setattr(represent, "search_rep", record)
+    for argv in sorted(_bench_argvs(bench)):
+        opts = dict(zip(argv[1::2], argv[2::2]))
+        if argv[0] == "transfer":
+            record(signature(Diagonal.parse(opts["--diag"])), int(opts["--q"]))
+        elif argv[0] == "charset":
+            sig = signature(Diagonal.parse(opts["--diag"]))
+            for q in opts["--primes"].split(","):
+                record(sig, int(q))
+        elif argv[0] == "lbound":
+            primes = [int(q) for q in opts["--primes"].split(",")]
+            represent.estimate_L(int(opts["--p"]), primes, int(opts["--n-max"]))
+    assert len(counts) > 600
+    assert max(counts) <= represent._LATTICE_CAP

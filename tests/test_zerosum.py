@@ -137,17 +137,63 @@ def test_verify_budget(monkeypatch, capsys):
         raise AssertionError("a refused size must not sweep")
 
     monkeypatch.setattr(zerosum, "_sweep", no_sweep)
-    for p, n in ((7, 10), (7, 11)):  # 6^11 and 6^12 checks
+    for p, n in ((7, 10), (7, 11)):  # 6^10 * 10 * 7 and 6^11 * 11 * 7 register steps
         with pytest.raises(BudgetExceededError):
             verify_lemma_2_1(p, n)
     with pytest.raises(BudgetExceededError):
-        verify_lemma_2_2(7, 10)  # 7^10 tuples
+        verify_lemma_2_2(7, 10)  # 7^10 * 10 * 2 register steps
     assert main(["lemma22", "--p", "7", "--n", "10"]) == 3
-    assert capsys.readouterr().err == "error: 282475249 tuples exceed budget 100000000\n"
+    assert capsys.readouterr().err == (
+        "error: lemma 2.2 at p=7, n=10 exceeds the budget of 1000000000 register steps\n"
+    )
+
+
+# per (lemma, p < 7): the largest admitted n, and the first refused one, at 10^9
+# register steps; the admitted sizes take 3-13 s on a 2-core VM, and 92 MB at most
+BUDGET_EDGES = [
+    ("2.1", 2, 976562, 976563),  # one one-row block, counted as 512 rows
+    ("2.1", 3, 23, 24), ("2.1", 5, 11, 12),
+    ("2.2", 2, 24, 25), ("2.2", 3, 15, 16), ("2.2", 5, 10, 11),
+]
+
+
+@pytest.mark.parametrize("lemma, p, admitted, refused", BUDGET_EDGES)
+def test_verify_budget_edge_in_register_steps(monkeypatch, lemma, p, admitted, refused):
+    calls = []
+    monkeypatch.setattr(zerosum, "_sweep", lambda *args: calls.append(args[:3]))
+    verify = verify_lemma_2_1 if lemma == "2.1" else verify_lemma_2_2
+    verify(p, admitted)
+    assert calls == [(lemma, p, admitted)]
+    with pytest.raises(BudgetExceededError):
+        verify(p, refused)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lemma21", "--p", "1009", "--n", "2000"],
+        ["lemma22", "--p", "65521", "--n", "65521"],
+        ["lemma21", "--p", "2", "--n", "1000000000"],
+    ],
+)
+def test_huge_sweeps_exit_3_with_one_line(monkeypatch, capsys, argv):
+    # the refusal never writes out the sweep's cost, which can run past
+    # Python's 4300-digit limit on integer to string conversion
+    def no_sweep(*args):
+        raise AssertionError("a refused size must not sweep")
+
+    monkeypatch.setattr(zerosum, "_sweep", no_sweep)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: lemma 2.")
+    assert captured.err.endswith("exceeds the budget of 1000000000 register steps\n")
+    assert captured.err.count("\n") == 1
 
 
 def test_verify_budget_admits_largest_p7_sweeps(monkeypatch):
-    # 6^10 checks and 7^9 tuples fit the budget: the sweep is called, not refused
+    # 6^9 * 9 * 7 and 7^9 * 9 * 2 register steps fit: the sweep is called, not refused
     calls = []
 
     def record(*args):
