@@ -38,7 +38,6 @@ from .matrix import (
 )
 from .represent import (
     CharCertificate,
-    CharVerdict,
     IntegerDiagonal,
     InverseIntegerDiagonal,
     build_certificate,
@@ -81,7 +80,6 @@ __all__ = [
     "BasisFamily",
     "BudgetExceededError",
     "CharCertificate",
-    "CharVerdict",
     "CompositeModulusError",
     "DependentTransversalError",
     "Diagonal",

@@ -112,14 +112,13 @@ def _unique(args: argparse.Namespace, d: None) -> tuple[dict, int]:
 
 def _transfer(args: argparse.Namespace, d: Diagonal) -> tuple[dict, int]:
     sig = signature(d)
-    witness, nodes = search_rep(sig, args.q)
+    witness, _ = search_rep(sig, args.q)
     return {
         **_about(d),
         "q": args.q,
         "signature_hex": sig.hex(),
         "witness": list(witness.x) if witness else None,
         "witness_text": witness.text() if witness else None,
-        "nodes_visited": nodes,
     }, 0
 
 

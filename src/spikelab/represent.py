@@ -54,16 +54,15 @@ _LATTICE_CAP = 10**6
 
 
 def search_rep(sig: Signature, q: int) -> tuple[Optional[Diagonal], int]:
-    """Find a diagonal over GF(q) with exactly this signature, plus node count.
+    """Find a diagonal over GF(q) with exactly this signature, plus sums computed.
 
     Depth-first over inverse vectors z in (GF(q)\\{0})^n in lex order.  Once
     z_k is placed, every subset whose top index is k+1 has its sum settled,
     so membership can be enforced immediately; a complete pruned sweep is
     still exhaustive, so a None return proves non-existence.  Past
     _LATTICE_CAP subset sums the lattice hands over to ``_admissible_point``,
-    which meets the same lex-least z first.  The count is then the subset
-    sums the lattice computed: above the cap, which no finished lattice
-    reaches in nodes, since each node computes at least one sum.
+    which meets the same lex-least z first.  The count is the subset sums
+    the lattice computed, so it exceeds the cap exactly when it handed over.
     """
     n = sig.n
     if n > SEARCH_MAX_N:
@@ -74,15 +73,13 @@ def search_rep(sig: Signature, q: int) -> tuple[Optional[Diagonal], int]:
     cap = _LATTICE_CAP
     sums = [0] * (1 << n)
     z = [0] * n
-    nodes = 0
     spent = 0
 
     def dfs(k: int) -> bool:
-        nonlocal nodes, spent
+        nonlocal spent
         base = 1 << k
-        # fills one lattice level per node and exits early: not subset_sums
+        # fills one lattice level per value tried and exits early: not subset_sums
         for v in range(1, q):
-            nodes += 1
             ok = True
             for lower in range(base):
                 s = sums[lower] + v
@@ -103,13 +100,13 @@ def search_rep(sig: Signature, q: int) -> tuple[Optional[Diagonal], int]:
         return False
 
     try:
-        found, count = dfs(0), nodes
+        found = dfs(0)
     except BudgetExceededError:
         z, _ = _admissible_point(sig, q, AUDIT_BUDGET)
-        found, count = z is not None, spent
+        found = z is not None
     if not found:
-        return None, count
-    return Diagonal(field, tuple(field.inv(v) for v in z)), count
+        return None, spent
+    return Diagonal(field, tuple(field.inv(v) for v in z)), spent
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +160,6 @@ def uniqueness_audit(p: int, n: int) -> dict:
             diags = _decode_diagonals(p, n, ts.astype(np.int64))
             examples.append([[int(v) for v in row] for row in diags])
     return {
-        "command": "unique",
         "p": p,
         "n": n,
         "diagonals": total,
@@ -312,7 +308,6 @@ class CharCertificate:
         out = {
             "kind": self.kind,
             "singleton_integers": list(self.m) if self.m is not None else None,
-            "covers_all_characteristics": True,
         }
         if self.kind == "finite":
             out["admissible_primes"] = list(self.primes)
@@ -373,22 +368,6 @@ def build_certificate(sig: Signature) -> CharCertificate:
 # characteristic-set verdicts
 
 
-@dataclass(frozen=True)
-class CharVerdict:
-    q: int
-    representable: str  # "yes" | "no"
-    witness: Optional[Diagonal]
-    method: str  # "exhaustive-search" | "certificate"
-
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "representable": self.representable,
-            "witness": list(self.witness.x) if self.witness else None,
-            "method": self.method,
-        }
-
-
 def _check_test_primes(primes: Sequence[int]) -> None:
     for q in primes:
         if q > MAX_TEST_PRIME:
@@ -399,37 +378,30 @@ def _check_test_primes(primes: Sequence[int]) -> None:
 def characteristic_set(x: Diagonal, primes: Sequence[int]) -> dict:
     """Per-prime verdicts by ``search_rep``, plus the exact certificate.
 
-    A prime where the lattice search handed over to the solution-space
-    search is listed in ``budget_exhausted`` and its verdict's method is
-    "certificate".  Certificate and search must agree on every prime;
-    disagreement means a bug and raises VerdictMismatchError.
+    Certificate and search must agree on every prime; disagreement means a
+    bug and raises VerdictMismatchError.
     """
     if x.n > SEARCH_MAX_N:
         raise TooLargeError(f"characteristic scan capped at n={SEARCH_MAX_N}")
     _check_test_primes(primes)
     sig = signature(x)
     cert = build_certificate(sig)
-    verdicts: list[CharVerdict] = []
-    nodes_total = 0
+    verdicts = []
     for q in primes:
-        witness, nodes = search_rep(sig, q)
-        nodes_total += nodes
+        witness, _ = search_rep(sig, q)
         if cert.admits(q) != (witness is not None):
             raise VerdictMismatchError(
                 f"certificate and search disagree at q={q} for diagonal {x.text()}"
             )
-        method = "certificate" if nodes > _LATTICE_CAP else "exhaustive-search"
-        verdicts.append(CharVerdict(q, "yes" if witness else "no", witness, method))
+        w = list(witness.x) if witness else None
+        verdicts.append({"q": q, "representable": "yes" if witness else "no", "witness": w})
     return {
-        "command": "charset",
         "p": x.p,
         "n": x.n,
         "diagonal": list(x.x),
         "primes": list(primes),
-        "verdicts": [v.to_dict() for v in verdicts],
+        "verdicts": verdicts,
         "certificate": cert.to_report(),
-        "budget_exhausted": [v.q for v in verdicts if v.method == "certificate"],
-        "nodes_visited": nodes_total,
     }
 
 
@@ -536,8 +508,8 @@ def estimate_L(p: int, primes: Sequence[int], n_max: int) -> dict:
 
     Scans canonical class representatives in order; a class counts when its
     certificate admits none of the other tested primes.  The winning class
-    is searched again over every prime; a verdict that its certificate
-    contradicts raises VerdictMismatchError.
+    is confirmed by ``characteristic_set`` over every tested prime, which
+    raises VerdictMismatchError where search and certificate disagree.
     """
     PrimeField(p)
     if p > LBOUND_MAX_P:
@@ -559,20 +531,10 @@ def estimate_L(p: int, primes: Sequence[int], n_max: int) -> dict:
             break
     found, cert = certified[0] if certified else (None, None)
     lo, hi = threshold_interval(p)
-    nodes_total = 0
     if found is not None:
-        # cross-check the winning class against plain search on every prime
-        confirm = characteristic_set(found, list(primes))
-        nodes_total = confirm["nodes_visited"]
-        for v in confirm["verdicts"]:
-            if (v["representable"] == "yes") != cert.admits(v["q"]):
-                raise VerdictMismatchError(
-                    f"confirming run disagrees with the certificate at q={v['q']} "
-                    f"for diagonal {found.text()}"
-                )
+        characteristic_set(found, primes)
     found_n = found.n if found else None
     return {
-        "command": "lbound",
         "p": p,
         "n_max": n_max,
         "primes": list(primes),
@@ -583,5 +545,4 @@ def estimate_L(p: int, primes: Sequence[int], n_max: int) -> dict:
         "interval": [lo, hi],
         "in_interval": found_n is not None and lo <= found_n <= hi,
         "levels": levels,
-        "nodes_visited": nodes_total,
     }

@@ -322,8 +322,12 @@ def swap_closure(x: Diagonal) -> list[Diagonal]:
 
     Swaps compose by symmetric difference of their sets (T is a valid swap
     of swap(x, S) iff S xor T is one of x), so one application per valid S
-    already gives the closure.
+    already gives the closure.  It refuses n > CANONICAL_MAX_N, and so does
+    every orbit computation built on it: the closure costs 2^n swaps, and
+    ``orbit`` n! permutations of each member.
     """
+    if x.n > CANONICAL_MAX_N:
+        raise TooLargeError(f"swap closure capped at n={CANONICAL_MAX_N}, got {x.n}")
     sig = signature(x)
     members = {x.x: x}
     for smask in range(1, 1 << x.n):
@@ -348,8 +352,6 @@ def _permutation_count(multisets: list[tuple[int, ...]]) -> int:
 
 def canonical_form(x: Diagonal) -> Diagonal:
     """Lexicographically least diagonal over the swap-and-permutation orbit."""
-    if x.n > CANONICAL_MAX_N:
-        raise TooLargeError(f"canonical form capped at n={CANONICAL_MAX_N}")
     return Diagonal(x.field, _closure_multisets(x)[0])
 
 

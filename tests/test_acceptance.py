@@ -37,6 +37,7 @@ from spikelab import (
     verify_lemma_2_2,
 )
 from spikelab.cli import main as cli_main
+from spikelab.represent import _LATTICE_CAP
 
 from oracles import is_circuit, signature_by_rank, transversal_matrix
 
@@ -198,9 +199,10 @@ def test_c09_characteristic_only_construction():
             assert cert is not None
             assert cert["kind"] == "finite"
             assert cert["admissible_primes"] == [p]
-            assert report["budget_exhausted"] == []
+            sig = signature(d)
             for v in report["verdicts"]:
-                assert v["method"] == "exhaustive-search"
+                # every prime is decided by the lattice, with no handover
+                assert search_rep(sig, v["q"])[1] <= _LATTICE_CAP
                 assert v["representable"] == ("yes" if v["q"] == p else "no")
 
 

@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikelab import CharCertificate, MatrixGF, Signature, represent
+from spikelab import (
+    CharCertificate,
+    Diagonal,
+    MatrixGF,
+    PrimeField,
+    Signature,
+    represent,
+    signature,
+    spikes,
+)
 from spikelab.cli import build_parser, main
 
 
@@ -37,6 +46,28 @@ def test_envelope_shape(capsys):
     assert doc["params"] == {"diag": "p=3;x=2,2,1,1"}
     assert "elapsed_ms" in doc["timing"]
     assert "elapsed_ms" not in doc["result"] and "ms" not in doc["result"]
+
+
+def test_results_carry_answers_only(capsys):
+    # no search counts, no route labels, no echo of the envelope's command
+    _, doc = run_cli(capsys, "transfer", "--diag", "p=3;x=2,2,2,1", "--q", "5")
+    assert set(doc["result"]) == {
+        "p", "n", "diagonal", "q", "signature_hex", "witness", "witness_text"
+    }
+    _, doc = run_cli(capsys, "charset", "--diag", "p=3;x=1,1,1", "--primes", "2,3")
+    r = doc["result"]
+    assert set(r) == {"p", "n", "diagonal", "primes", "verdicts", "certificate"}
+    assert [set(v) for v in r["verdicts"]] == [{"q", "representable", "witness"}] * 2
+    assert set(r["certificate"]) == {"kind", "singleton_integers", "excluded_primes"}
+    _, doc = run_cli(capsys, "lbound", "--p", "3", "--primes", "2,3,5,7", "--n-max", "4")
+    assert set(doc["result"]) == {
+        "p", "n_max", "primes", "found_n", "witness", "witness_text", "certificate",
+        "interval", "in_interval", "levels",
+    }
+    _, doc = run_cli(capsys, "unique", "--p", "3", "--n", "4")
+    assert set(doc["result"]) == {
+        "p", "n", "diagonals", "distinct_signatures", "collisions", "collision_examples"
+    }
 
 
 def test_signature_payload(capsys):
@@ -186,13 +217,16 @@ _THIRTEEN = "p=2;x=" + ",".join(["1"] * 13)
          "determinant check capped at n_max=12, got 1000"),
         (["detcheck", "--p", "5", "--samples", "10001"],
          "determinant check capped at 10000 samples, got 10001"),
+        (["canonical", "--diag", "p=3;x=" + ",".join(["1"] * 8)],
+         "swap closure capped at n=7, got 8"),
     ],
 )
 def test_refused_sizes_exit_2_with_message(capsys, monkeypatch, argv, message):
-    def no_elimination(self):
-        raise AssertionError("a refused call must not eliminate")
+    def refused(*args):
+        raise AssertionError("a refused call must not eliminate or swap")
 
-    monkeypatch.setattr(MatrixGF, "det", no_elimination)
+    monkeypatch.setattr(MatrixGF, "det", refused)
+    monkeypatch.setattr(spikes, "swap", refused)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -298,9 +332,9 @@ def test_budget_exhaustion_exits_3(capsys, monkeypatch):
 def test_transfer_hands_over_past_the_lattice_cap(capsys, diag, q, witness):
     code, doc = run_cli(capsys, "transfer", "--diag", diag, "--q", q)
     assert code == 0
-    r = doc["result"]
-    assert r["witness"] == witness
-    assert r["nodes_visited"] > represent._LATTICE_CAP
+    assert doc["result"]["witness"] == witness
+    sums = represent.search_rep(signature(Diagonal.parse(diag)), int(q))[1]
+    assert sums > represent._LATTICE_CAP
 
 
 def test_certificate_budget_exhaustion_exits_3(capsys, monkeypatch):
@@ -317,10 +351,10 @@ def test_charset_certificate_answers_where_search_runs_out(capsys, monkeypatch):
     monkeypatch.setattr(represent, "_LATTICE_CAP", 2)
     code, doc = run_cli(capsys, "charset", "--diag", "p=3;x=1,1,1", "--primes", "7")
     assert code == 0
-    r = doc["result"]
-    assert r["budget_exhausted"] == [7]
-    v = r["verdicts"][0]
-    assert v["representable"] == "yes" and v["method"] == "certificate"
+    sig = signature(Diagonal.parse("p=3;x=1,1,1"))
+    assert represent.search_rep(sig, 7)[1] > represent._LATTICE_CAP
+    v = doc["result"]["verdicts"][0]
+    assert v["representable"] == "yes"
     _, sig7 = run_cli(capsys, "signature", "--diag", "p=7;x=" + ",".join(map(str, v["witness"])))
     _, sig3 = run_cli(capsys, "signature", "--diag", "p=3;x=1,1,1")
     assert sig7["result"]["members"] == sig3["result"]["members"]
@@ -351,19 +385,20 @@ def test_charset_certificate_disagreement_exits_1(capsys, monkeypatch):
 
 
 def test_lbound_confirming_run_disagreement_exits_1(capsys, monkeypatch):
-    real = represent.characteristic_set
+    # the winning class's confirming run searches every tested prime again
+    real = represent.search_rep
 
-    def flip_first_verdict(x, primes):
-        report = real(x, primes)
-        v = report["verdicts"][0]
-        v["representable"] = {"yes": "no", "no": "yes"}[v["representable"]]
-        return report
+    def flip_gf3(sig, q):
+        witness, sums = real(sig, q)
+        if q == 3:
+            witness = None if witness else Diagonal(PrimeField(q), (1,) * sig.n)
+        return witness, sums
 
-    monkeypatch.setattr(represent, "characteristic_set", flip_first_verdict)
+    monkeypatch.setattr(represent, "search_rep", flip_gf3)
     assert main(["lbound", "--p", "2", "--primes", "2,3,5", "--n-max", "4"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: confirming run disagrees with the certificate")
+    assert captured.err.startswith("error: certificate and search disagree at q=3")
     assert captured.err.count("\n") == 1
 
 

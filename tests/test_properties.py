@@ -91,8 +91,8 @@ def test_solution_space_search_meets_the_lattice_witness(d, q):
     # vector first, so the handover never changes a reported witness
     sig = signature(d)
     field = PrimeField(q)
-    witness, nodes = search_rep(sig, q)
-    assume(nodes <= represent._LATTICE_CAP)  # answered by the lattice
+    witness, sums = search_rep(sig, q)
+    assume(sums <= represent._LATTICE_CAP)  # answered by the lattice
     z, _ = represent._admissible_point(sig, q, represent.AUDIT_BUDGET)
     assert z == (None if witness is None else [field.inv(v) for v in witness.x]), (d, q)
     with mock.patch.object(represent, "_LATTICE_CAP", 0):

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from spikelab import matrix
+from spikelab import matrix, spikes
 from spikelab import (
     DependentTransversalError,
     Diagonal,
@@ -461,6 +461,23 @@ def test_canonical_form_is_orbit_invariant():
 def test_canonical_cap():
     with pytest.raises(TooLargeError):
         canonical_form(Diagonal(PrimeField(2), (1,) * 8))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [swap_closure, orbit, orbit_size, canonical_form, lambda d: weakly_equivalent(d, d)],
+    ids=["swap_closure", "orbit", "orbit_size", "canonical_form", "weakly_equivalent"],
+)
+def test_orbit_functions_refused_past_cap_before_any_swap(monkeypatch, call):
+    # the closure holds the cap, so every orbit computation refuses before its first swap
+    def swap_reached(*args):
+        raise AssertionError("swap reached")
+
+    monkeypatch.setattr(spikes, "swap", swap_reached)
+    with pytest.raises(TooLargeError, match="swap closure capped at n=7, got 8"):
+        call(Diagonal(GF3, (1,) * (spikes.CANONICAL_MAX_N + 1)))
+    with pytest.raises(AssertionError, match="swap reached"):
+        call(Diagonal(GF3, (1,) * spikes.CANONICAL_MAX_N))
 
 
 def test_weak_equivalence_examples():

@@ -1,13 +1,15 @@
 """The benchmark keeps its own copy of gate c11's argv list, its lemma jobs must stay
-inside the sweep budget, and its searches far inside the lattice cap; none of these may
-drift from the library."""
+inside the sweep budget, its searches far inside the lattice cap, and its result checks
+must accept the library's payloads; none of these may drift from the library."""
 
 from __future__ import annotations
 
+import json
 import runpy
 from pathlib import Path
 
 from spikelab import Diagonal, represent, signature, zerosum
+from spikelab.cli import main
 
 import test_acceptance
 
@@ -29,6 +31,18 @@ def test_bench_cli_runs_match_gate_c11():
     # run_path compiles the source in memory: nothing is written under bench/
     bench = runpy.run_path(str(WORKLOADS))
     assert bench["CLI_RUNS"] == test_acceptance.CLI_RUNS
+
+
+def test_bench_checks_accept_every_cli_run(tmp_path):
+    # a payload change that drops a key a check reads fails here, not as the
+    # benchmark's failure fraction
+    bench = runpy.run_path(str(WORKLOADS))
+    for i, argv in enumerate(bench["CLI_RUNS"]):
+        job = bench["job"](argv)
+        path = tmp_path / f"run{i}.json"
+        assert main([*argv, "--output", str(path)]) == job.expect, argv
+        result = json.loads(path.read_text())["result"]
+        assert bench["CHECKS"][argv[0]](job, result, None) is None, argv
 
 
 def test_bench_lemma_jobs_fit_hypothesis_and_budget():
@@ -66,7 +80,7 @@ def test_bench_lemma_jobs_fit_the_register_step_budget(monkeypatch):
 
 def test_bench_searches_stay_within_an_eighth_of_the_lattice_cap(monkeypatch):
     # past the cap a search hands over: same result, other cost, so no
-    # benchmark search may come near it; a handover reports more than the cap
+    # benchmark search may come near it; a handover reports more sums than the cap
     bench = runpy.run_path(str(WORKLOADS))
     monkeypatch.setattr(represent, "_LATTICE_CAP", represent._LATTICE_CAP // 8)
     real = represent.search_rep
