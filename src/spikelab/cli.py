@@ -4,11 +4,17 @@ Reports are deterministic: timing lives in a separate `timing` field so the
 `result` payload is byte-identical across repeated runs with the same
 arguments.  Exit codes: 0 success, 1 verified-property failure, 2 usage
 error, 3 budget exhausted.
+
+There is one argparse parser per process.  It is built on the first `main`
+call, not at import, and every later call reuses it; `build_parser()`
+returns that shared parser.  Each call still parses into a fresh namespace,
+so no argument carries over from one call to the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -196,6 +202,14 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call and shared after it."""
+    # a plain function over the cached _shared_parser, so tools that wrap
+    # module functions (the benchmark's tracer among them) still see it
+    return _shared_parser()
+
+
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spike-lab",
         description="Exact spike-matroid computations over prime fields.",

@@ -386,6 +386,18 @@ def characteristic_set(x: Diagonal, primes: Sequence[int]) -> dict:
     _check_test_primes(primes)
     sig = signature(x)
     cert = build_certificate(sig)
+    return {
+        "p": x.p,
+        "n": x.n,
+        "diagonal": list(x.x),
+        "primes": list(primes),
+        "verdicts": _verdicts(x, sig, cert, primes),
+        "certificate": cert.to_report(),
+    }
+
+
+def _verdicts(x: Diagonal, sig: Signature, cert: CharCertificate, primes: Sequence[int]) -> list:
+    """Search every prime and check each verdict against the certificate."""
     verdicts = []
     for q in primes:
         witness, _ = search_rep(sig, q)
@@ -395,14 +407,7 @@ def characteristic_set(x: Diagonal, primes: Sequence[int]) -> dict:
             )
         w = list(witness.x) if witness else None
         verdicts.append({"q": q, "representable": "yes" if witness else "no", "witness": w})
-    return {
-        "p": x.p,
-        "n": x.n,
-        "diagonal": list(x.x),
-        "primes": list(primes),
-        "verdicts": verdicts,
-        "certificate": cert.to_report(),
-    }
+    return verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +513,8 @@ def estimate_L(p: int, primes: Sequence[int], n_max: int) -> dict:
 
     Scans canonical class representatives in order; a class counts when its
     certificate admits none of the other tested primes.  The winning class
-    is confirmed by ``characteristic_set`` over every tested prime, which
-    raises VerdictMismatchError where search and certificate disagree.
+    is confirmed by a search over every tested prime against the certificate
+    the scan built, which raises VerdictMismatchError where they disagree.
     """
     PrimeField(p)
     if p > LBOUND_MAX_P:
@@ -532,7 +537,7 @@ def estimate_L(p: int, primes: Sequence[int], n_max: int) -> dict:
     found, cert = certified[0] if certified else (None, None)
     lo, hi = threshold_interval(p)
     if found is not None:
-        characteristic_set(found, primes)
+        _verdicts(found, signature(found), cert, primes)
     found_n = found.n if found else None
     return {
         "p": p,

@@ -1,13 +1,22 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
+import inspect
 import io
 import json
+import os
+import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spikelab
 from spikelab import (
     CharCertificate,
     Diagonal,
@@ -19,6 +28,8 @@ from spikelab import (
     spikes,
 )
 from spikelab.cli import build_parser, main
+
+from test_acceptance import CLI_RUNS
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, dict]:
@@ -541,3 +552,87 @@ def test_parser_lists_all_subcommands():
         "lemma22", "detcheck", "unique", "transfer", "charset", "construct", "lbound",
     ):
         assert name in text
+
+
+# one parser per process ------------------------------------------------------------
+
+
+def _echo(tmp_path, argv, output_first=False) -> tuple[bytes, bytes]:
+    """The params and result of one successful call, as JSON bytes."""
+    path = tmp_path / "echo.json"
+    out = ["--output", str(path)]
+    assert main([*out, *argv] if output_first else [*argv, *out]) == 0, argv
+    doc = json.loads(path.read_text())
+    return json.dumps(doc["params"]).encode(), json.dumps(doc["result"]).encode()
+
+
+def test_parser_reuse_leaks_no_state(tmp_path, capsys):
+    with_q = ["construct", "prop41", "--p", "5", "--q", "7"]
+    without_q = ["construct", "prop41", "--p", "5"]
+    fresh = {}
+    for argv in [*CLI_RUNS, without_q]:
+        spikelab.cli._shared_parser.cache_clear()
+        fresh[tuple(argv)] = _echo(tmp_path, argv)
+    assert b'"q"' not in fresh[tuple(without_q)][0]
+
+    rng = random.Random(12)
+    for _ in range(2):
+        order = list(CLI_RUNS)
+        rng.shuffle(order)
+        for i, argv in enumerate(order):
+            assert _echo(tmp_path, argv, output_first=i % 2 == 1) == fresh[tuple(argv)], argv
+            if i % 4 == 0:
+                assert main(["lemma21", "--p", "5", "--n", "4", "--bogus"]) == 2
+                assert main(["enumerate", "--n", "4"]) == 2
+            if i % 4 == 2:
+                assert _echo(tmp_path, with_q) == fresh[tuple(with_q)]
+                assert _echo(tmp_path, without_q) == fresh[tuple(without_q)]
+    capsys.readouterr()
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    assert main(["normalize", "--diag", "p=3;x=1,1,1"]) == 0
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cheap = [argv for argv in CLI_RUNS if argv[0] not in ("detcheck", "lbound")]
+    for argv in (cheap * 2)[:20]:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert len({argv[0] for argv in cheap}) >= 10
+    assert built == []
+    assert build_parser() is build_parser()
+    # a plain function, so wrappers of module functions (bench/tracer.py) still see it
+    assert inspect.isfunction(build_parser)
+
+
+def test_importing_the_package_builds_no_parser():
+    script = textwrap.dedent("""
+        import argparse
+
+        built = []
+        real = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            real(self, *args, **kwargs)
+
+        argparse.ArgumentParser.__init__ = counting
+        import spikelab, spikelab.cli
+        at_import = len(built)
+        spikelab.cli.build_parser()
+        print(at_import, len(built))
+    """)
+    src = str(Path(spikelab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    at_import, after_build = map(int, run.stdout.split())
+    assert at_import == 0
+    assert after_build > 0

@@ -482,6 +482,21 @@ def test_estimate_frozen_gf5_gf7(p, n_max, found_n, witness):
     assert report["in_interval"] is True
 
 
+def test_estimate_builds_each_certificate_once(monkeypatch):
+    # the winning class is confirmed against the certificate its scan built
+    built = []
+    real = represent.build_certificate
+
+    def counting(sig):
+        built.append(sig.bits)
+        return real(sig)
+
+    monkeypatch.setattr(represent, "build_certificate", counting)
+    report = estimate_L(3, [2, 3, 5, 7], 4)
+    assert report["found_n"] == 4
+    assert len(built) == sum(level["classes"] for level in report["levels"])
+
+
 def test_estimate_caps():
     with pytest.raises(OutOfRangeError):
         estimate_L(11, [2, 3], 5)
