@@ -33,11 +33,10 @@ from .represent import (
 )
 from .spikes import (
     Diagonal,
+    _canonical_and_orbit_size,
     build_rep,
-    canonical_form,
     check_axioms,
     normalize,
-    orbit_size,
     signature,
     spike_census,
 )
@@ -100,12 +99,12 @@ def _normalize(args: argparse.Namespace, d: Diagonal) -> tuple[dict, int]:
 
 
 def _canonical(args: argparse.Namespace, d: Diagonal) -> tuple[dict, int]:
-    c = canonical_form(d)
+    c, size = _canonical_and_orbit_size(d)
     return {
         **_about(d, "input"),
         "canonical": list(c.x),
         "text": c.text(),
-        "orbit_size": orbit_size(d),
+        "orbit_size": size,
     }, 0
 
 

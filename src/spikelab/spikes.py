@@ -27,6 +27,7 @@ from .errors import (
     OutOfRangeError,
     TooLargeError,
     TooSmallError,
+    VerdictMismatchError,
     ZeroEntryError,
 )
 from .field import PrimeField
@@ -313,8 +314,25 @@ def normalize(x: Diagonal) -> Diagonal:
         x = Diagonal(x.field, tuple(perm))
         I = (I & ~(1 << (m - 1))) | 1
     y = swap(x, I & ~1)
-    assert y.x[0] == x.p - 1
+    if y.x[0] != x.p - 1:
+        raise VerdictMismatchError(f"normalize gave first entry {y.x[0]}, not {x.p - 1}")
     return y
+
+
+def _closure_rows(x: Diagonal) -> "np.ndarray":
+    """swap(x, S) for every valid swap set S, one row each by ascending mask (x at mask 0).
+
+    S is valid iff fac = 1 + (sum over S of x_i^-1) is nonzero mod p; its row
+    is x * fac with the sign flipped on S.
+    """
+    n, p = x.n, x.p
+    if n > CANONICAL_MAX_N:
+        raise TooLargeError(f"swap closure capped at n={CANONICAL_MAX_N}, got {n}")
+    # int64 is exact: at p <= 65521 and n <= 7 the sums stay below 2^19, x * fac below 2^32
+    fac = (1 + subset_sums(np.array(x.inverses(), dtype=np.int64))) % p
+    masks = np.flatnonzero(fac)
+    signs = 1 - 2 * (masks[:, None] >> np.arange(n) & 1)
+    return np.array(x.x, dtype=np.int64) * signs * fac[masks, None] % p
 
 
 def swap_closure(x: Diagonal) -> list[Diagonal]:
@@ -322,24 +340,20 @@ def swap_closure(x: Diagonal) -> list[Diagonal]:
 
     Swaps compose by symmetric difference of their sets (T is a valid swap
     of swap(x, S) iff S xor T is one of x), so one application per valid S
-    already gives the closure.  It refuses n > CANONICAL_MAX_N, and so does
-    every orbit computation built on it: the closure costs 2^n swaps, and
+    already gives the closure: x, then swap(x, S) for each valid S in
+    ascending mask order, all from one int64 kernel over the subset sums of
+    x's inverses (exact while p <= 65521 and n <= 7).  It refuses
+    n > CANONICAL_MAX_N before any kernel work, and so does every orbit
+    computation built on it: the closure costs 2^n subset sums, and
     ``orbit`` n! permutations of each member.
     """
-    if x.n > CANONICAL_MAX_N:
-        raise TooLargeError(f"swap closure capped at n={CANONICAL_MAX_N}, got {x.n}")
-    sig = signature(x)
-    members = {x.x: x}
-    for smask in range(1, 1 << x.n):
-        if not sig.bits >> smask & 1:
-            w = swap(x, smask)
-            members.setdefault(w.x, w)
-    return list(members.values())
+    rows = dict.fromkeys(map(tuple, _closure_rows(x).tolist()))
+    return [Diagonal(x.field, y) for y in rows]
 
 
 def _closure_multisets(x: Diagonal) -> list[tuple[int, ...]]:
     """Distinct sorted swap-closure members, ascending: the orbit's multisets."""
-    return sorted({tuple(sorted(z.x)) for z in swap_closure(x)})
+    return sorted(set(map(tuple, np.sort(_closure_rows(x), axis=1).tolist())))
 
 
 def _permutation_count(multisets: list[tuple[int, ...]]) -> int:
@@ -353,6 +367,12 @@ def _permutation_count(multisets: list[tuple[int, ...]]) -> int:
 def canonical_form(x: Diagonal) -> Diagonal:
     """Lexicographically least diagonal over the swap-and-permutation orbit."""
     return Diagonal(x.field, _closure_multisets(x)[0])
+
+
+def _canonical_and_orbit_size(x: Diagonal) -> tuple[Diagonal, int]:
+    """canonical_form(x) and orbit_size(x) read off one closure."""
+    multisets = _closure_multisets(x)
+    return Diagonal(x.field, multisets[0]), _permutation_count(multisets)
 
 
 def weakly_equivalent(x: Diagonal, y: Diagonal) -> bool:
@@ -387,7 +407,8 @@ def spike_census(p: int, n: int) -> dict:
     """Class census with orbit sizes; orbit sizes must add up to (p-1)^n."""
     classes = _enumerate_orbits(p, n)
     total = sum(size for _, size in classes)
-    assert total == (p - 1) ** n, "orbits failed to partition the diagonals"
+    if total != (p - 1) ** n:
+        raise VerdictMismatchError(f"orbit sizes add up to {total}, not {(p - 1) ** n}")
     return {
         "p": p,
         "n": n,
@@ -414,7 +435,8 @@ def _enumerate_orbits(p: int, n: int) -> list[tuple[Diagonal, int]]:
             continue
         d = Diagonal(field, vec)
         multisets = _closure_multisets(d)
-        assert vec == multisets[0], "lex scan should meet each orbit at its minimum"
+        if vec != multisets[0]:
+            raise VerdictMismatchError(f"lex scan met the orbit of {multisets[0]} at {vec}")
         seen.update(multisets)
         classes.append((d, _permutation_count(multisets)))
     return classes

@@ -340,6 +340,18 @@ def swap_closure_bfs(x: Diagonal) -> list[Diagonal]:
     return out
 
 
+def swap_closure_by_swaps(x: Diagonal) -> list[Diagonal]:
+    """x, then swap(x, S) for each nonempty S outside the signature, ascending
+    by mask: one scalar swap call per valid set, deduplicated first-seen."""
+    sig = signature(x)
+    members = {x.x: x}
+    for smask in range(1, 1 << x.n):
+        if not sig.bits >> smask & 1:
+            w = swap(x, smask)
+            members.setdefault(w.x, w)
+    return list(members.values())
+
+
 def orbit_materialized(x: Diagonal) -> set[tuple[int, ...]]:
     """Weak-equivalence orbit as a set: every permutation of every BFS member."""
     return {

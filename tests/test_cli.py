@@ -12,6 +12,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +30,7 @@ from spikelab import (
 )
 from spikelab.cli import build_parser, main
 
+from oracles import random_diagonal, swap_closure_by_swaps
 from test_acceptance import CLI_RUNS
 
 
@@ -411,6 +413,91 @@ def test_lbound_confirming_run_disagreement_exits_1(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("error: certificate and search disagree at q=3")
     assert captured.err.count("\n") == 1
+
+
+def _drop_last_row(monkeypatch):
+    kernel = spikes._closure_rows
+    monkeypatch.setattr(spikes, "_closure_rows", lambda x: kernel(x)[:-1])
+
+
+def _overcount(monkeypatch):
+    count = spikes._permutation_count
+    monkeypatch.setattr(spikes, "_permutation_count", lambda multisets: count(multisets) + 1)
+
+
+def _swap_to_ones(monkeypatch):
+    monkeypatch.setattr(spikes, "swap", lambda x, S: Diagonal(x.field, (1,) * x.n))
+
+
+@pytest.mark.parametrize(
+    "fault, argv, message",
+    [
+        (_drop_last_row, ["enumerate", "--p", "3", "--n", "3"], "lex scan met the orbit"),
+        (_overcount, ["enumerate", "--p", "3", "--n", "3"], "orbit sizes add up to 10"),
+        (_swap_to_ones, ["normalize", "--diag", "p=3;x=1,1,1"], "normalize gave first entry 1"),
+    ],
+    ids=["lex-minimum", "partition", "normalize"],
+)
+def test_orbit_self_checks_exit_1_with_one_error_line(capsys, monkeypatch, fault, argv, message):
+    fault(monkeypatch)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+
+
+def test_census_self_check_survives_optimized_python():
+    # the checks are raises, not asserts, so python -O keeps them
+    script = textwrap.dedent("""
+        import sys
+        from spikelab import cli, spikes
+
+        kernel = spikes._closure_rows
+        spikes._closure_rows = lambda x: kernel(x)[:-1]
+        sys.exit(cli.main(["enumerate", "--p", "3", "--n", "3"]))
+    """)
+    src = str(Path(spikelab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert run.stderr.startswith("error: lex scan met the orbit")
+    assert run.stderr.count("\n") == 1
+
+
+def test_canonical_builds_one_closure(monkeypatch, capsys):
+    built = []
+    kernel = spikes._closure_rows
+
+    def counting(x):
+        built.append(x)
+        return kernel(x)
+
+    monkeypatch.setattr(spikes, "_closure_rows", counting)
+    code, doc = run_cli(capsys, "canonical", "--diag", "p=7;x=1,2,3,4,5")
+    assert code == 0 and doc["result"]["orbit_size"] > 0
+    assert len(built) == 1
+
+
+def test_closure_users_match_the_per_swap_route(tmp_path, monkeypatch):
+    # every CLI_RUNS payload and 50 random canonical queries, through the kernel
+    # and through one scalar swap per valid set, must be the same bytes
+    rng = random.Random(13)
+    canonical = [
+        ["canonical", "--diag", random_diagonal(rng, rng.choice((2, 3, 5, 7, 11, 13)),
+                                                rng.randint(3, 7)).text()]
+        for _ in range(50)
+    ]
+    argvs = [*CLI_RUNS, *canonical]
+    by_kernel = [_echo(tmp_path, argv)[1] for argv in argvs]
+    monkeypatch.setattr(
+        spikes, "_closure_rows", lambda x: np.array([z.x for z in swap_closure_by_swaps(x)])
+    )
+    for argv, payload in zip(argvs, by_kernel):
+        assert _echo(tmp_path, argv)[1] == payload, argv
 
 
 # fuzzed --diag and --primes never escape as a traceback

@@ -1,6 +1,6 @@
-"""Property tests: the swap laws, orbit sizes and the characteristic decision on random
-diagonals, the two routes of the per-prime search, and the zero-sum register kernel on
-random batches of rows."""
+"""Property tests: the swap laws, the closure kernel, orbit sizes and the characteristic
+decision on random diagonals, the two routes of the per-prime search, and the zero-sum
+register kernel on random batches of rows."""
 
 from __future__ import annotations
 
@@ -17,17 +17,19 @@ from spikelab import (
     represent,
     search_rep,
     signature,
+    spikes,
     swap,
+    swap_closure,
     zerosum,
 )
 
-from oracles import least_mask_subset_sum, orbit_materialized
+from oracles import least_mask_subset_sum, orbit_materialized, swap_closure_by_swaps
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
-def diagonals(n_max: int) -> st.SearchStrategy[Diagonal]:
-    return st.sampled_from(SMALL_PRIMES).flatmap(
+def diagonals(n_max: int, primes: tuple[int, ...] = SMALL_PRIMES) -> st.SearchStrategy:
+    return st.sampled_from(primes).flatmap(
         lambda p: st.lists(st.integers(1, p - 1), min_size=1, max_size=n_max).map(
             lambda xs: Diagonal(PrimeField(p), tuple(xs))
         )
@@ -66,6 +68,15 @@ def test_swap_and_signature_commute_with_relabeling(d, data):
     pmask = sum(1 << (perm[i] - 1) for i in range(d.n) if smask >> i & 1)
     assert signature(relabel(d, perm)) == signature(d).permute(tuple(perm))
     assert swap(relabel(d, perm), pmask) == relabel(swap(d, smask), perm)
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=diagonals(7, (*SMALL_PRIMES, 65521)))
+def test_swap_closure_kernel_matches_the_per_swap_loop(d):
+    # 65521 takes the kernel's int64 products to their largest
+    by_swaps = swap_closure_by_swaps(d)
+    assert swap_closure(d) == by_swaps
+    assert spikes._closure_multisets(d) == sorted({tuple(sorted(z.x)) for z in by_swaps})
 
 
 @settings(max_examples=60, deadline=None)

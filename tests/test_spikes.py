@@ -469,14 +469,15 @@ def test_canonical_cap():
     ids=["swap_closure", "orbit", "orbit_size", "canonical_form", "weakly_equivalent"],
 )
 def test_orbit_functions_refused_past_cap_before_any_swap(monkeypatch, call):
-    # the closure holds the cap, so every orbit computation refuses before its first swap
-    def swap_reached(*args):
-        raise AssertionError("swap reached")
+    # the closure holds the cap, so every orbit computation refuses before the
+    # closure kernel takes its first subset sum
+    def kernel_reached(*args):
+        raise AssertionError("closure kernel reached")
 
-    monkeypatch.setattr(spikes, "swap", swap_reached)
+    monkeypatch.setattr(spikes, "subset_sums", kernel_reached)
     with pytest.raises(TooLargeError, match="swap closure capped at n=7, got 8"):
         call(Diagonal(GF3, (1,) * (spikes.CANONICAL_MAX_N + 1)))
-    with pytest.raises(AssertionError, match="swap reached"):
+    with pytest.raises(AssertionError, match="closure kernel reached"):
         call(Diagonal(GF3, (1,) * spikes.CANONICAL_MAX_N))
 
 
