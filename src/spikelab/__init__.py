@@ -19,7 +19,6 @@ from .errors import (
     NotInSignatureError,
     NoWitnessError,
     OutOfRangeError,
-    RankDeficientError,
     SpikeLabError,
     TooLargeError,
     TooSmallError,
@@ -29,9 +28,7 @@ from .errors import (
 )
 from .field import MAX_MODULUS, PrimeField, is_prime
 from .matrix import (
-    BasisFamily,
     MatrixGF,
-    basis_family,
     ones_plus_diag,
     spike_det,
     verify_det_identity,
@@ -77,7 +74,6 @@ from .zerosum import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "BasisFamily",
     "BudgetExceededError",
     "CharCertificate",
     "CompositeModulusError",
@@ -94,7 +90,6 @@ __all__ = [
     "NotInSignatureError",
     "OutOfRangeError",
     "PrimeField",
-    "RankDeficientError",
     "Signature",
     "SpikeLabError",
     "TooLargeError",
@@ -102,7 +97,6 @@ __all__ = [
     "VerdictMismatchError",
     "ZeroEntryError",
     "ZeroInverseError",
-    "basis_family",
     "build_certificate",
     "build_rep",
     "canonical_form",

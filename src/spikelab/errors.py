@@ -21,10 +21,6 @@ class NonSquareError(SpikeLabError, ValueError):
     """Determinant of a non-square matrix requested."""
 
 
-class RankDeficientError(SpikeLabError, ValueError):
-    """A full-row-rank matrix was required."""
-
-
 class TooLargeError(SpikeLabError, ValueError):
     """Instance exceeds the supported desk-scale cap."""
 

@@ -2,29 +2,25 @@
 
 Entries are raw ints in [0, p); the modulus rides along as a PrimeField.
 Rank, determinant and ``rref`` share one fraction-free forward elimination,
-``_echelon``, which runs on integers over Z or on residues mod q; only
-``rref``'s final rows over Q are ``Fraction``s.
+``_echelon``, which runs on integers over Z or on residues mod q.  Every
+value it yields is an integer: over Q, ``rref`` returns d times the reduced
+form, with d its last pivot, so each entry is a minor of the input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from random import Random
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
     MismatchedShapeError,
     NonSquareError,
-    RankDeficientError,
     TooLargeError,
     TooSmallError,
     ZeroEntryError,
 )
 from .field import PrimeField
 
-BASIS_FAMILY_MAX_COLS = 21
-BASIS_FAMILY_MAX_ROWS = 10
 DETCHECK_MAX_N = 12  # (12, 10^4) takes about 1.2 s on a 2-core VM
 DETCHECK_MAX_SAMPLES = 10_000
 
@@ -86,7 +82,7 @@ class MatrixGF:
 def _echelon(
     rows: Sequence[Sequence[int]], q: Optional[int] = None
 ) -> tuple[list[list[int]], list[int], list[int], int]:
-    """Fraction-free forward elimination over Z (q None) or GF(q) (Bareiss).
+    """One fraction-free (Bareiss) forward elimination, over Z (q None) or GF(q).
 
     Returns the nonzero echelon rows, their pivot columns, each pivot as it
     was met, and the sign of the row swaps.  Each step replaces every row
@@ -139,16 +135,18 @@ def _echelon(
 
 def rref(
     rows: Sequence[Sequence[int]], q: Optional[int] = None
-) -> tuple[list[list], list[int], list[int]]:
+) -> tuple[list[list[int]], list[int], list[int]]:
     """Reduced row echelon form of an integer matrix over Q (q None) or over GF(q).
 
-    Returns the nonzero reduced rows (Fraction entries over Q), their pivot
-    columns, and each pivot as ``_echelon`` met it.  Back-substitution
-    keeps the rows integral: from the last pivot row up, row k becomes
-    (d*row_k - sum of row_k[c_j] * row_j over the later pivot rows) / pv_k,
-    with d the last pivot and the later rows already in this form, so every
-    pivot entry becomes d and every other pivot column entry 0; dividing by
-    d then gives the reduced form.
+    Returns the nonzero reduced rows, their pivot columns, and each pivot as
+    ``_echelon`` met it.  Back-substitution keeps the rows integral: from
+    the last pivot row up, row k becomes (d*row_k - sum of row_k[c_j] *
+    row_j over the later pivot rows) / pv_k, with d the last pivot and the
+    later rows already in this form, so every pivot entry becomes d and
+    every other pivot column entry 0.  Over Q the rows are returned as they
+    are, d times the reduced form: by Cramer's rule each entry is, up to
+    sign, a minor of the input.  Over GF(q) they are divided by d, so each
+    pivot entry is 1.
     """
     mat, cols, pivots, _ = _echelon(rows, q)
     if not cols:
@@ -167,7 +165,7 @@ def rref(
             inv = pow(pivots[k], -1, q)
             mat[k] = [a * inv % q for a in acc]
     if q is None:
-        return [[Fraction(v, d) for v in row] for row in mat], cols, pivots
+        return mat, cols, pivots
     inv = pow(d, -1, q)
     return [[v * inv % q for v in row] for row in mat], cols, pivots
 
@@ -192,71 +190,6 @@ def ones_plus_diag(field: PrimeField, x: Sequence[int]) -> MatrixGF:
         field,
         [[(1 + x[i]) % field.p if i == j else 1 for j in range(n)] for i in range(n)],
     )
-
-
-@dataclass(frozen=True)
-class BasisFamily:
-    """All full-rank column selections of a matrix, as bitmasks over columns 1..groundSize."""
-
-    n: int
-    ground_size: int
-    members: tuple[int, ...]  # sorted ascending bitmasks, column j at bit j-1
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, mask: int) -> bool:
-        return mask in self.members
-
-
-def basis_family(M: MatrixGF) -> BasisFamily:
-    """Enumerate all rows-sized independent column subsets.
-
-    Lexicographic DFS over column indices with an incremental echelon basis:
-    a dependent prefix kills the whole subtree since subsets of independent
-    sets stay independent.
-    """
-    if M.cols > BASIS_FAMILY_MAX_COLS or M.rows > BASIS_FAMILY_MAX_ROWS:
-        raise TooLargeError(
-            f"{M.rows}x{M.cols} exceeds basis enumeration cap "
-            f"{BASIS_FAMILY_MAX_ROWS}x{BASIS_FAMILY_MAX_COLS}"
-        )
-    if M.rank() != M.rows:
-        raise RankDeficientError("matrix does not have full row rank")
-    n = M.rows
-    p = M.field.p
-    inv = M.field.inv
-    colvecs = [list(M.column(j)) for j in range(M.cols)]
-    members: list[int] = []
-    echelon: list[tuple[int, list[int]]] = []  # (pivot index, normalized vector)
-    chosen: list[int] = []
-
-    def dfs(start: int) -> None:
-        if len(chosen) == n:
-            members.append(sum(1 << j for j in chosen))
-            return
-        last = M.cols - (n - len(chosen))
-        for j in range(start, last + 1):
-            v = colvecs[j][:]
-            for piv, row in echelon:
-                c = v[piv]
-                if c:
-                    for k in range(piv, n):
-                        v[k] = (v[k] - c * row[k]) % p
-            piv = next((k for k in range(n) if v[k]), -1)
-            if piv == -1:
-                continue
-            scale = inv(v[piv])
-            v = [(scale * t) % p for t in v]
-            echelon.append((piv, v))
-            chosen.append(j)
-            dfs(j + 1)
-            echelon.pop()
-            chosen.pop()
-
-    dfs(0)
-    members.sort()
-    return BasisFamily(n=n, ground_size=M.cols, members=tuple(members))
 
 
 def verify_det_identity(p: int, n_max: int = 7, samples: int = 500, seed: int = 0) -> dict:

@@ -10,7 +10,6 @@ pruned search over GF(q) for the finitely many primes it leaves open.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import Optional, Sequence
 
 import numpy as np
@@ -188,13 +187,19 @@ def _prime_factors(v: int) -> list[int]:
     return out
 
 
-def _solution_space(sig: Signature, q: Optional[int] = None) -> tuple[list, list[list], list]:
+def _solution_space(
+    sig: Signature, q: Optional[int] = None
+) -> tuple[Optional["np.ndarray"], int, list[int]]:
     """The z with sum(z_i, i in I) = -1 for every member I, over Q (q None) or GF(q).
 
-    Returns (z0, directions, pivots): the solutions are z0 plus any
-    combination of the directions, one per free coordinate, which is 1 there
-    and 0 at the other free coordinates (mod q, its entries are left
-    unreduced); z0 is None when there is no solution.  pivots are the
+    Returns (F, one, pivots).  F is an int64 matrix scaled so that 1 reads
+    ``one``: row 0 is a particular solution, and each later row a direction,
+    one per free coordinate, which holds ``one`` there and 0 at the other
+    free coordinates; the solutions are row 0 plus any combination of the
+    directions, all over ``one``.  Over Q, ``one`` is the elimination's last
+    pivot d and F's entries are those of ``rref``'s rows, so minors of
+    [A | -1]; mod q (and with no pivots) it is 1 and the entries are left
+    unreduced.  F is None when there is no solution.  pivots are the
     elimination's, as ``rref`` met them.  The columns are eliminated in
     reverse, so a pivot coordinate depends only on free coordinates of
     smaller index: ordered by their free coordinates, the solutions are in
@@ -203,28 +208,29 @@ def _solution_space(sig: Signature, q: Optional[int] = None) -> tuple[list, list
     n = sig.n
     rows = [[mask >> i & 1 for i in range(n - 1, -1, -1)] + [-1] for mask in sig.members()]
     reduced, cols, pivots = rref(rows, q)
+    one = pivots[-1] if pivots and q is None else 1
     if cols and cols[-1] == n:
-        return None, [], pivots
+        return None, one, pivots
     # coordinate i is column n - 1 - i of the eliminated rows
     solved = {n - 1 - c: row for row, c in zip(reduced, cols)}
-    z0 = [solved[i][n] if i in solved else 0 for i in range(n)]
-    directions = []
+    F = [[solved[i][n] if i in solved else 0 for i in range(n)]]
     for f in (j for j in range(n) if j not in solved):
         v = [0] * n
-        v[f] = 1
+        v[f] = one
         for i, row in solved.items():
             v[i] = -row[n - 1 - f]
-        directions.append(v)
-    return z0, directions, pivots
+        F.append(v)
+    return np.array(F, dtype=np.int64), one, pivots
 
 
 def _forms(sig: Signature, F: "np.ndarray", one: int) -> "np.ndarray":
     """Coefficients of the forbidden affine forms on the solution space.
 
-    F stacks z0 and the directions as integers, scaled so that 1 reads
-    ``one``.  The columns are sum(z_i, i in J) + 1 for each nonempty
-    non-member J, then z_i for each i: row 0 the constant, row j the
-    coefficient on direction j.  A point is admissible iff no form vanishes.
+    F and ``one`` are ``_solution_space``'s: the particular solution and
+    the directions as integers, scaled so that 1 reads ``one``.  The
+    columns are sum(z_i, i in J) + 1 for each nonempty non-member J, then
+    z_i for each i: row 0 the constant, row j the coefficient on direction
+    j.  A point is admissible iff no form vanishes.
     """
     sums = subset_sums(F)
     sums[0] += one
@@ -245,15 +251,14 @@ def _admissible_point(sig: Signature, q: int, budget: int) -> tuple[Optional[lis
     complete pruned search is exhaustive, so None proves there is no point.
     Each form value counts as one subset sum against the budget.
     """
-    z0, directions, _ = _solution_space(sig, q)
-    if z0 is None:
-        return None, 0
     # q < 2^29 (a special prime divides a form coefficient or a pivot), so
     # sums of a dozen products of residues fit in int64
-    F = np.array([z0] + directions, dtype=np.int64)
+    F, _, _ = _solution_space(sig, q)
+    if F is None:
+        return None, 0
     forms = _forms(sig, F, 1) % q
     spent = forms.size
-    k = len(directions)
+    k = len(F) - 1
     # the level of each form's last nonzero direction, 0 for a constant form
     nonzero = np.vstack([forms[:0:-1] != 0, np.ones(forms.shape[1], dtype=bool)])
     settled_at = k - np.argmax(nonzero, axis=0)
@@ -333,24 +338,24 @@ def build_certificate(sig: Signature) -> CharCertificate:
     n = sig.n
     if n > SEARCH_MAX_N:
         raise TooLargeError(f"characteristic decision capped at n={SEARCH_MAX_N}")
-    z0, directions, pivots = _solution_space(sig)
+    F, one, pivots = _solution_space(sig)
     special = {f for pv in pivots for f in _prime_factors(pv)}
     generic = False
     m = None
-    if z0 is not None:
-        scale = lcm(*(v.denominator for v in z0 + [c for d in directions for c in d]))
-        # scaled entries are minors of [A | -1], at most 13^6.5 < 2^25 (Hadamard)
-        # for n <= 12, so every form coefficient stays below 2^29
-        F = np.array([[int(v * scale) for v in row] for row in [z0] + directions], dtype=np.int64)
-        content = np.gcd.reduce(np.abs(_forms(sig, F, scale)), axis=0)
+    if F is not None:
+        # F's entries and one are k x k minors of the 0/+-1 matrix [A | -1],
+        # k <= n + 1, so at most k^(k/2) (Hadamard): below 13^6.5 < 2^25 at
+        # n <= 12 and 14^7 < 2^27 at n = 13.  A form coefficient sums at most
+        # n + 1 of them, so it stays below 2^29 (2^31 at n = 13) in int64
+        content = np.gcd.reduce(np.abs(_forms(sig, F, one)), axis=0)
         generic = bool(content.all())
         if generic:
             special.update(f for v in np.unique(content).tolist() for f in _prime_factors(v))
-            if directions:
+            if len(F) > 1:
                 h = (1 << n) - 1 - sig.size + n
                 special.update(v for v in range(2, h + 1) if is_prime(v))
-        if not directions and scale == 1:
-            m = tuple(int(v) for v in z0)
+        if len(F) == 1 and not (F[0] % one).any():
+            m = tuple((F[0] // one).tolist())
     # a cofinite set lists the special primes that fail, a finite one those that pass
     listed = []
     spent = 0

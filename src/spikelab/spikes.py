@@ -141,11 +141,10 @@ def check_axioms(M: MatrixGF) -> bool:
     for cols in line:
         if any(all(v == 0 for v in M.column(j)) for j in cols):
             return False
-        if M.select_columns(cols).rank() != 2:
-            return False
         for j, k in itertools.combinations(cols, 2):
             if _parallel(M, j, k):
                 return False
+    # k = 1 is condition (i)'s rank-2 check, one rank per line
     for k in range(1, n):
         for lines in itertools.combinations(range(n), k):
             cols = sorted({c for i in lines for c in line[i]})
@@ -344,8 +343,8 @@ def swap_closure(x: Diagonal) -> list[Diagonal]:
     ascending mask order, all from one int64 kernel over the subset sums of
     x's inverses (exact while p <= 65521 and n <= 7).  It refuses
     n > CANONICAL_MAX_N before any kernel work, and so does every orbit
-    computation built on it: the closure costs 2^n subset sums, and
-    ``orbit`` n! permutations of each member.
+    computation built on that kernel: the closure costs 2^n subset sums, and
+    ``orbit`` n! permutations of each distinct multiset.
     """
     rows = dict.fromkeys(map(tuple, _closure_rows(x).tolist()))
     return [Diagonal(x.field, y) for y in rows]
@@ -384,12 +383,12 @@ def weakly_equivalent(x: Diagonal, y: Diagonal) -> bool:
 
 
 def orbit(x: Diagonal) -> set[tuple[int, ...]]:
-    """Full weak-equivalence orbit: permutations of every swap-closure member."""
-    return {
-        tuple(perm)
-        for z in swap_closure(x)
-        for perm in itertools.permutations(z.x)
-    }
+    """Full weak-equivalence orbit: permutations of every swap-closure member.
+
+    A member and its sorted multiset have the same permutations, so the
+    distinct closure multisets suffice.
+    """
+    return {perm for m in _closure_multisets(x) for perm in itertools.permutations(m)}
 
 
 def orbit_size(x: Diagonal) -> int:

@@ -20,6 +20,7 @@ from .errors import (
     NoWitnessError,
     OutOfRangeError,
     TooSmallError,
+    VerdictMismatchError,
     ZeroEntryError,
 )
 from .field import PrimeField
@@ -88,7 +89,8 @@ def _solve(p: int, a: tuple[int, ...], target: int) -> tuple[int, ...]:
     if not reached[0]:
         raise NoWitnessError(f"no nonempty subset of {a} sums to {target} mod {p}")
     witness = tuple(int(i) + 1 for i in np.flatnonzero(mask[0]))
-    assert sum(a[i - 1] for i in witness) % p == target, "witness failed re-summation"
+    if sum(a[i - 1] for i in witness) % p != target:
+        raise VerdictMismatchError(f"witness {witness} of {a} does not re-sum to {target} mod {p}")
     return witness
 
 

@@ -19,7 +19,6 @@ from spikelab import (
     Diagonal,
     MatrixGF,
     PrimeField,
-    basis_family,
     build_rep,
     characteristic_set,
     check_axioms,
@@ -39,7 +38,7 @@ from spikelab import (
 from spikelab.cli import main as cli_main
 from spikelab.represent import _LATTICE_CAP
 
-from oracles import is_circuit, signature_by_rank, transversal_matrix
+from oracles import bases_bruteforce, is_circuit, signature_by_rank, transversal_matrix
 
 
 @contextlib.contextmanager
@@ -186,7 +185,7 @@ def test_c08_integer_matrix_sharpness():
             for q in qs:
                 M = MatrixGF(PrimeField(q), c.rep_rows())
                 assert check_axioms(build_rep(c.over(q)))
-                families.append(basis_family(M))
+                families.append(bases_bruteforce(M))
             assert families[0] == families[1] == families[2]
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import spikelab
 
 
@@ -14,3 +17,16 @@ def test_all_is_sorted_and_unique():
 def test_every_exported_name_resolves():
     missing = [name for name in spikelab.__all__ if not hasattr(spikelab, name)]
     assert missing == []
+
+
+def test_no_assert_in_the_library():
+    # python -O strips assert statements; every self-check must be a raise
+    package = Path(spikelab.__file__).resolve().parent
+    modules = sorted(package.rglob("*.py"))
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert len(modules) >= 8 and found == []

@@ -7,25 +7,20 @@ from fractions import Fraction
 import pytest
 
 from spikelab import (
-    BasisFamily,
-    Diagonal,
     MatrixGF,
     MismatchedShapeError,
     NonSquareError,
     PrimeField,
-    RankDeficientError,
     TooLargeError,
     TooSmallError,
     ZeroEntryError,
-    basis_family,
-    build_rep,
     ones_plus_diag,
     spike_det,
     verify_det_identity,
 )
 from spikelab.matrix import DETCHECK_MAX_N, DETCHECK_MAX_SAMPLES, rref
 
-from oracles import bases_bruteforce, det_cofactor, matmul, random_matrix, rank_by_minors
+from oracles import det_cofactor, random_matrix, rank_by_minors
 
 
 # construction ---------------------------------------------------------------
@@ -136,20 +131,57 @@ def test_rref_over_q_reduces_to_rref_mod_q():
         m, n = rng.randrange(1, 6), rng.randrange(1, 6)
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
         reduced, cols, pivots = rref(rows)
-        assert all(isinstance(v, Fraction) for row in reduced for v in row)
+        assert all(type(v) is int for row in reduced for v in row)
+        d = pivots[-1] if pivots else 1
+        assert all(row[c] == d for row, c in zip(reduced, cols))
+        fractions = [[Fraction(v, d) for v in row] for row in reduced]
         for q in (2, 3, 5, 7, 11, 13):
             if any(pv % q == 0 for pv in pivots):
                 continue
-            want = [[v.numerator * pow(v.denominator, -1, q) % q for v in row] for row in reduced]
+            want = [[v.numerator * pow(v.denominator, -1, q) % q for v in row] for row in fractions]
             assert rref(rows, q) == (want, cols, [pv % q for pv in pivots])
             checked += 1
+    assert checked > 500
+
+
+def test_rref_over_q_entries_are_minors():
+    # d times the reduced form, d the last pivot: by Cramer's rule each entry
+    # is +-det of the pivot columns with column k swapped for column j, over
+    # any rows whose pivot-column minor is +-d.  build_certificate's int64
+    # bound rests on this.  M exceeds every minor here, so equality mod M is
+    # equality.
+    M = (1 << 61) - 1
+    rng = random.Random(79)
+    checked = 0
+    for _ in range(80):
+        m, n = rng.randrange(1, 6), rng.randrange(1, 7)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        reduced, cols, pivots = rref(rows)
+        if not cols:
+            continue
+
+        def minor(R, C):
+            return det_cofactor(M, [[rows[i][j] for j in C] for i in R])
+
+        d = pivots[-1]
+        R = next(
+            R for R in itertools.combinations(range(m), len(cols))
+            if minor(R, cols) in (d % M, -d % M)
+        )
+        sign = 1 if minor(R, cols) == d % M else -1
+        for k, row in enumerate(reduced):
+            for j, v in enumerate(row):
+                swapped = cols[:k] + [j] + cols[k + 1 :]
+                assert v % M == sign * minor(R, swapped) % M, (rows, k, j)
+                checked += 1
     assert checked > 500
 
 
 def test_rref_known_values():
     reduced, cols, pivots = rref([[2, 4, 2], [1, 3, 4], [3, 7, 6]])
     assert cols == [0, 1] and pivots == [2, 2]
-    assert reduced == [[1, 0, -5], [0, 1, 3]]
+    assert reduced == [[2, 0, -10], [0, 2, 6]]
+    assert [[Fraction(v, pivots[-1]) for v in row] for row in reduced] == [[1, 0, -5], [0, 1, 3]]
     assert rref([[2, 4, 2], [1, 3, 4], [3, 7, 6]], 2) == ([[1, 1, 0]], [0], [1])
     assert rref([[0, 0], [0, 0]]) == ([], [], [])
 
@@ -207,62 +239,3 @@ def test_verify_det_identity_refuses_past_its_caps(monkeypatch, n_max, samples):
     monkeypatch.setattr(MatrixGF, "det", no_elimination)
     with pytest.raises(TooLargeError):
         verify_det_identity(5, n_max=n_max, samples=samples)
-
-
-# basis families ---------------------------------------------------------------
-
-
-def test_basis_family_against_bruteforce_random():
-    rng = random.Random(61)
-    for p in (2, 3, 5):
-        f = PrimeField(p)
-        done = 0
-        while done < 12:
-            m, n = rng.randrange(1, 4), rng.randrange(1, 7)
-            M = MatrixGF(f, random_matrix(rng, p, m, n))
-            if M.rank() < M.rows:
-                continue  # full row rank required by contract
-            fam = basis_family(M)
-            assert fam.members == bases_bruteforce(M)
-            assert fam.n == M.rows and fam.ground_size == M.cols
-            done += 1
-
-
-def test_basis_family_of_a_spike():
-    d = Diagonal(PrimeField(3), (1, 1, 1))
-    M = build_rep(d)
-    fam = basis_family(M)
-    assert fam.members == bases_bruteforce(M)
-    # the distinguished transversal (the identity columns) is a basis
-    assert sum(1 << j for j in range(3)) in fam
-
-
-def test_basis_family_row_operation_invariance():
-    # left-multiplying by an invertible matrix changes coordinates, not bases
-    rng = random.Random(67)
-    f = PrimeField(5)
-    M = MatrixGF(f, random_matrix(rng, 5, 3, 7))
-    while M.rank() < 3:
-        M = MatrixGF(f, random_matrix(rng, 5, 3, 7))
-    T = MatrixGF(f, random_matrix(rng, 5, 3, 3))
-    while T.det() == 0:
-        T = MatrixGF(f, random_matrix(rng, 5, 3, 3))
-    assert basis_family(M) == basis_family(MatrixGF(f, matmul(5, T.entries, M.entries)))
-
-
-def test_basis_family_caps_and_rank_requirement():
-    f = PrimeField(2)
-    wide = MatrixGF(f, [[1] * 22])
-    with pytest.raises(TooLargeError):
-        basis_family(wide)
-    tall = MatrixGF(f, [[1] for _ in range(11)])
-    with pytest.raises(TooLargeError):
-        basis_family(tall)
-    with pytest.raises(RankDeficientError):
-        basis_family(MatrixGF(f, [[1, 1], [1, 1]]))
-
-
-def test_basis_family_container_semantics():
-    fam = BasisFamily(n=1, ground_size=2, members=(1, 2))
-    assert len(fam) == 2
-    assert 1 in fam and 2 in fam and 3 not in fam

@@ -162,6 +162,35 @@ def test_check_axioms_detects_breakage():
     assert not check_axioms(MatrixGF(GF3, rows))
 
 
+def test_check_axioms_detects_a_line_of_rank_3():
+    # f_i plus e_r (r != i) leaves span(e_i, t): line i has rank 3, while its
+    # points stay nonzero and pairwise non-parallel
+    for n in range(3, 7):
+        d = Diagonal(GF5, tuple(1 + i % 4 for i in range(n)))
+        for i in range(n):
+            rows = [row[:] for row in build_rep(d).entries]
+            rows[(i + 1) % n][n + 1 + i] = 2  # was 1
+            assert not check_axioms(MatrixGF(GF5, rows)), (n, i)
+
+
+def test_check_axioms_ranks_each_line_once(monkeypatch):
+    calls = 0
+    rank = MatrixGF.rank
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return rank(self)
+
+    monkeypatch.setattr(MatrixGF, "rank", counted)
+    for n in range(3, 7):
+        calls = 0
+        assert check_axioms(build_rep(Diagonal(GF5, (1,) * n)))
+        # 3n parallel probes, one per nonempty proper set of lines, one for
+        # all n; ranking each line again on its own would add n more
+        assert calls == 3 * n + (1 << n) - 1, n
+
+
 def test_check_axioms_rejects_wrong_shape():
     narrower = build_rep(d3(1, 1, 1)).select_columns(range(6))
     with pytest.raises(MismatchedShapeError):

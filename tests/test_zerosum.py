@@ -2,7 +2,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +18,7 @@ from spikelab import (
     OutOfRangeError,
     PrimeField,
     TooSmallError,
+    VerdictMismatchError,
     ZeroEntryError,
     subset_with_sum,
     verify_lemma_2_1,
@@ -295,6 +301,35 @@ def test_sweep_reports_witness_that_fails_to_resum(monkeypatch):
     assert report["checked"] == 27
     assert len(report["failures"]) == 18  # every tuple with a[0] != 0
     assert report["failures"][0] == {"a": [1, 0, 0], "k": 0, "witness": [1]}
+
+
+def test_solver_witness_that_fails_to_resum_raises(monkeypatch):
+    monkeypatch.setattr(zerosum, "_reconstruct", _wrong_witness)
+    with pytest.raises(VerdictMismatchError, match=r"witness \(1,\) of \(1, 2, 3\) does not re-sum"):
+        subset_with_sum(PrimeField(5), (1, 2, 3), 4)
+    with pytest.raises(VerdictMismatchError):
+        zero_sum_subset(PrimeField(5), (1, 2, 3))
+
+
+def test_solver_resum_check_survives_optimized_python():
+    # a raise, not an assert, so python -O keeps it
+    script = textwrap.dedent("""
+        from spikelab import PrimeField, VerdictMismatchError, subset_with_sum, zerosum
+        from test_zerosum import _wrong_witness
+
+        zerosum._reconstruct = _wrong_witness
+        try:
+            subset_with_sum(PrimeField(5), (1, 2, 3), 4)
+        except VerdictMismatchError as exc:
+            print(exc)
+    """)
+    tests = Path(__file__).resolve().parent
+    src = str(Path(zerosum.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, str(tests)])}
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout == "witness (1,) of (1, 2, 3) does not re-sum to 4 mod 5\n"
 
 
 def test_sweep_reports_unreached_target(monkeypatch):
