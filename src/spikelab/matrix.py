@@ -3,8 +3,10 @@
 Entries are raw ints in [0, p); the modulus rides along as a PrimeField.
 Rank, determinant and ``rref`` share one fraction-free forward elimination,
 ``_echelon``, which runs on integers over Z or on residues mod q.  Every
-value it yields is an integer: over Q, ``rref`` returns d times the reduced
-form, with d its last pivot, so each entry is a minor of the input.
+value it yields is an integer, and ``rref`` has one scale in both fields:
+it returns d times the reduced form, with d its last pivot, so over Q each
+entry is a minor of the input, and mod q the same rows reduced mod q
+whenever q divides no pivot.
 """
 
 from __future__ import annotations
@@ -136,22 +138,20 @@ def _echelon(
 def rref(
     rows: Sequence[Sequence[int]], q: Optional[int] = None
 ) -> tuple[list[list[int]], list[int], list[int]]:
-    """Reduced row echelon form of an integer matrix over Q (q None) or over GF(q).
+    """d times the reduced row echelon form of an integer matrix, over Q (q None)
+    or over GF(q), with d the last pivot.
 
     Returns the nonzero reduced rows, their pivot columns, and each pivot as
     ``_echelon`` met it.  Back-substitution keeps the rows integral: from
     the last pivot row up, row k becomes (d*row_k - sum of row_k[c_j] *
     row_j over the later pivot rows) / pv_k, with d the last pivot and the
     later rows already in this form, so every pivot entry becomes d and
-    every other pivot column entry 0.  Over Q the rows are returned as they
-    are, d times the reduced form: by Cramer's rule each entry is, up to
-    sign, a minor of the input.  Over GF(q) they are divided by d, so each
-    pivot entry is 1.
+    every other pivot column entry 0.  Over Q, by Cramer's rule, each entry
+    is, up to sign, a minor of the input; over GF(q) the division is by the
+    inverse, so the rows are those over Q reduced mod q if q divides no pivot.
     """
     mat, cols, pivots, _ = _echelon(rows, q)
-    if not cols:
-        return [], cols, pivots
-    d = pivots[-1]
+    d = pivots[-1] if pivots else 1
     for k in range(len(cols) - 2, -1, -1):
         row = mat[k]
         acc = [d * a for a in row]
@@ -164,10 +164,7 @@ def rref(
         else:
             inv = pow(pivots[k], -1, q)
             mat[k] = [a * inv % q for a in acc]
-    if q is None:
-        return mat, cols, pivots
-    inv = pow(d, -1, q)
-    return [[v * inv % q for v in row] for row in mat], cols, pivots
+    return mat, cols, pivots
 
 
 def spike_det(field: PrimeField, x: Sequence[int]) -> int:

@@ -31,6 +31,7 @@ from .spikes import (
     Diagonal,
     Signature,
     _signature_rows,
+    _standard_rows,
     enumerate_spikes,
     signature,
 )
@@ -196,19 +197,19 @@ def _solution_space(
     ``one``: row 0 is a particular solution, and each later row a direction,
     one per free coordinate, which holds ``one`` there and 0 at the other
     free coordinates; the solutions are row 0 plus any combination of the
-    directions, all over ``one``.  Over Q, ``one`` is the elimination's last
-    pivot d and F's entries are those of ``rref``'s rows, so minors of
-    [A | -1]; mod q (and with no pivots) it is 1 and the entries are left
-    unreduced.  F is None when there is no solution.  pivots are the
-    elimination's, as ``rref`` met them.  The columns are eliminated in
-    reverse, so a pivot coordinate depends only on free coordinates of
-    smaller index: ordered by their free coordinates, the solutions are in
-    lex order.
+    directions, all over ``one``.  In both fields ``one`` is the
+    elimination's last pivot d (1 with no pivots) and F's entries are those
+    of ``rref``'s rows, d times the reduced form: over Q minors of [A | -1],
+    mod q residues or their negatives, left unreduced.  F is None when
+    there is no solution.  pivots are the elimination's, as ``rref`` met
+    them.  The columns are eliminated in reverse, so a pivot coordinate
+    depends only on free coordinates of smaller index: ordered by their
+    free coordinates, the solutions are in lex order.
     """
     n = sig.n
     rows = [[mask >> i & 1 for i in range(n - 1, -1, -1)] + [-1] for mask in sig.members()]
     reduced, cols, pivots = rref(rows, q)
-    one = pivots[-1] if pivots and q is None else 1
+    one = pivots[-1] if pivots else 1
     if cols and cols[-1] == n:
         return None, one, pivots
     # coordinate i is column n - 1 - i of the eliminated rows
@@ -242,9 +243,12 @@ def _admissible_point(sig: Signature, q: int, budget: int) -> tuple[Optional[lis
     """The lex-least inverse vector over GF(q) with exactly this signature, or
     None; plus form values spent.
 
-    Row-reduces the member equations mod q, then searches the solution
-    space depth-first over nonzero free coordinates in ascending order, so
-    by ``_solution_space``'s order it meets the lex-least point first.  A
+    Row-reduces the member equations mod q and takes the forms on the
+    solution space at ``_solution_space``'s scale ``one``, as the
+    certificate does over Q; a nonzero scale leaves each form's zeros in
+    place.  It then searches depth-first over nonzero free coordinates in
+    ascending order, so by ``_solution_space``'s order it meets the
+    lex-least point first, and divides that point by ``one``.  A
     forbidden form is checked as soon as its last free coordinate with a
     nonzero coefficient is set, where it rules out one value, so a level
     with fewer forms to check than q - 1 values never dead-ends.  A
@@ -253,10 +257,10 @@ def _admissible_point(sig: Signature, q: int, budget: int) -> tuple[Optional[lis
     """
     # q < 2^29 (a special prime divides a form coefficient or a pivot), so
     # sums of a dozen products of residues fit in int64
-    F, _, _ = _solution_space(sig, q)
+    F, one, _ = _solution_space(sig, q)
     if F is None:
         return None, 0
-    forms = _forms(sig, F, 1) % q
+    forms = _forms(sig, F, one) % q
     spent = forms.size
     k = len(F) - 1
     # the level of each form's last nonzero direction, 0 for a constant form
@@ -284,7 +288,8 @@ def _admissible_point(sig: Signature, q: int, budget: int) -> tuple[Optional[lis
 
     if k and not extend(0):
         return None, spent
-    return ((F[0] + t @ F[1:]) % q).tolist(), spent
+    # reduce before scaling: the unreduced sum times a residue could pass int64
+    return ((F[0] + t @ F[1:]) % q * pow(one, -1, q) % q).tolist(), spent
 
 
 @dataclass(frozen=True)
@@ -438,13 +443,7 @@ class IntegerDiagonal:
 
     def rep_rows(self) -> list[list[int]]:
         """Integer special standard matrix rows (reduce mod q to represent)."""
-        n = self.n
-        return [
-            [1 if j == i else 0 for j in range(n)]
-            + [1]
-            + [1 + self.values[i] if j == i else 1 for j in range(n)]
-            for i in range(n)
-        ]
+        return _standard_rows(self.values)
 
 
 @dataclass(frozen=True)
@@ -499,27 +498,20 @@ def construct_char_only(p: int) -> InverseIntegerDiagonal:
 # least-n experiment for single-characteristic spikes
 
 
-def _floor_log2_frac(num: int, den: int) -> int:
-    """floor(log2(num/den)) for num/den >= 1, in exact integer arithmetic."""
-    t = 0
-    while den << (t + 1) <= num:
-        t += 1
-    return t
-
-
 def threshold_interval(p: int) -> tuple[int, int]:
-    lo = (p + 2).bit_length() - 1 + 1
-    hi = (p + 2).bit_length() - 1 + _floor_log2_frac(4 * (p + 2), 3)
+    lo = (p + 2).bit_length()
+    hi = lo + (4 * (p + 2) // 3).bit_length() - 2
     return lo, hi
 
 
 def estimate_L(p: int, primes: Sequence[int], n_max: int) -> dict:
-    """Least n in [3, n_max] with a spike over GF(p) in no other tested characteristic.
+    """Least n in [3, n_max] with a spike over GF(p) in no other characteristic.
 
     Scans canonical class representatives in order; a class counts when its
-    certificate admits none of the other tested primes.  The winning class
-    is confirmed by a search over every tested prime against the certificate
-    the scan built, which raises VerdictMismatchError where they disagree.
+    certificate's exact characteristic set is {p}, whatever primes were
+    given.  The winning class is confirmed by a search over every given
+    prime against the certificate the scan built, which raises
+    VerdictMismatchError where they disagree.
     """
     PrimeField(p)
     if p > LBOUND_MAX_P:
@@ -529,13 +521,12 @@ def estimate_L(p: int, primes: Sequence[int], n_max: int) -> dict:
     if n_max < 3:
         raise TooSmallError("spikes need n >= 3")
     _check_test_primes(primes)
-    others = [q for q in primes if q != p]
     levels = []
     certified: list[tuple[Diagonal, CharCertificate]] = []
     for n in range(3, n_max + 1):
         reps = enumerate_spikes(p, n)
         certs = [(d, build_certificate(signature(d))) for d in reps]
-        certified = [(d, c) for d, c in certs if not any(c.admits(q) for q in others)]
+        certified = [(d, c) for d, c in certs if c.kind == "finite" and c.primes == (p,)]
         levels.append({"n": n, "classes": len(reps), "certified": len(certified)})
         if certified:
             break

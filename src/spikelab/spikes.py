@@ -105,22 +105,22 @@ class Diagonal:
         return f"Diagonal({self.text()!r})"
 
 
+def _standard_rows(values: tuple[int, ...]) -> list[list[int]]:
+    """The integer rows of [I | 1 | 1 + x_i e_i] for the entries x_i in values."""
+    n = len(values)
+    return [
+        [1 if j == i else 0 for j in range(n)]
+        + [1]
+        + [1 + values[i] if j == i else 1 for j in range(n)]
+        for i in range(n)
+    ]
+
+
 def build_rep(x: Diagonal) -> MatrixGF:
     """The special standard matrix [I | 1 | t + x_i e_i], columns e_1..e_n, t, f_1..f_n."""
-    n = x.n
-    if n < 3:
-        raise TooSmallError(f"spike matroids need n >= 3, got n={n}")
-    p = x.p
-    rows = []
-    for i in range(n):
-        e_block = [1 if j == i else 0 for j in range(n)]
-        f_block = [(1 + x.x[j]) % p if j == i else 1 for j in range(n)]
-        rows.append(e_block + [1] + f_block)
-    return MatrixGF(x.field, rows)
-
-
-def _parallel(M: MatrixGF, j: int, k: int) -> bool:
-    return M.select_columns([j, k]).rank() <= 1
+    if x.n < 3:
+        raise TooSmallError(f"spike matroids need n >= 3, got n={x.n}")
+    return MatrixGF(x.field, _standard_rows(x.x))
 
 
 def check_axioms(M: MatrixGF) -> bool:
@@ -138,11 +138,10 @@ def check_axioms(M: MatrixGF) -> bool:
     if M.cols != 2 * n + 1:
         raise MismatchedShapeError(f"expected {2 * n + 1} columns, got {M.cols}")
     line = [[i, n, n + 1 + i] for i in range(n)]
+    # a pair has rank 2 iff its points are nonzero and not parallel
     for cols in line:
-        if any(all(v == 0 for v in M.column(j)) for j in cols):
-            return False
-        for j, k in itertools.combinations(cols, 2):
-            if _parallel(M, j, k):
+        for pair in itertools.combinations(cols, 2):
+            if M.select_columns(pair).rank() != 2:
                 return False
     # k = 1 is condition (i)'s rank-2 check, one rank per line
     for k in range(1, n):
@@ -205,25 +204,17 @@ class Signature:
     def xor_transform(self, S: IndexSetLike) -> "Signature":
         """The swap law: members map to their symmetric difference with S."""
         smask = as_mask(S, self.n)
-        bits = 0
-        for m in self.members():
-            t = m ^ smask
-            if t == 0:
-                raise DependentTransversalError("transform would produce the empty set")
-            bits |= 1 << t
-        return Signature(self.n, bits)
+        if self.bits >> smask & 1:
+            raise DependentTransversalError("transform would produce the empty set")
+        return Signature.from_members(self.n, (m ^ smask for m in self.members()))
 
     def permute(self, perm: tuple[int, ...]) -> "Signature":
         """perm maps old index i to perm[i-1]; members map pointwise."""
         if sorted(perm) != list(range(1, self.n + 1)):
             raise OutOfRangeError(f"not a permutation of [1,{self.n}]: {perm!r}")
-        bits = 0
-        for m in self.members():
-            t = 0
-            for i in indices_from_mask(m):
-                t |= 1 << (perm[i - 1] - 1)
-            bits |= 1 << t
-        return Signature(self.n, bits)
+        return Signature.from_members(
+            self.n, ([perm[i - 1] for i in indices_from_mask(m)] for m in self.members())
+        )
 
 
 def _signature_rows(p: int, z: "np.ndarray") -> "np.ndarray":

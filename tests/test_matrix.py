@@ -95,12 +95,12 @@ def test_rank_known_cases():
 # reduced row echelon form ------------------------------------------------------
 
 
-def _is_reduced(reduced, cols, q):
-    """Each row leads with 1 at its pivot column, and pivot columns are unit vectors."""
+def _is_reduced(reduced, cols, q, d):
+    """Each row leads with d at its pivot column, and pivot columns are d times unit vectors."""
     if cols != sorted(set(cols)):
         return False
     for i, (row, c) in enumerate(zip(reduced, cols)):
-        if any(row[:c]) or row[c] != 1:
+        if any(row[:c]) or row[c] != d:
             return False
         if any(other[c] for k, other in enumerate(reduced) if k != i):
             return False
@@ -117,14 +117,16 @@ def test_rref_over_gf_q_against_minor_oracle():
             rank = rank_by_minors(q, rows)
             assert len(cols) == len(pivots) == len(reduced) == rank
             assert all(0 < pv < q for pv in pivots)
-            assert _is_reduced(reduced, cols, q)
+            # one scale in both fields: every pivot entry is the last pivot
+            assert _is_reduced(reduced, cols, q, pivots[-1] % q if pivots else 1)
             # the reduced rows lie in the input's row space
             assert rank_by_minors(q, [[v % q for v in r] for r in rows] + reduced) == rank
 
 
 def test_rref_over_q_reduces_to_rref_mod_q():
     # outside the primes dividing a pivot, elimination commutes with reduction
-    # mod q: build_certificate's special set B rests on this
+    # mod q, entry by entry at the one scale: build_certificate's special set
+    # B rests on this
     rng = random.Random(73)
     checked = 0
     for _ in range(150):
@@ -134,11 +136,10 @@ def test_rref_over_q_reduces_to_rref_mod_q():
         assert all(type(v) is int for row in reduced for v in row)
         d = pivots[-1] if pivots else 1
         assert all(row[c] == d for row, c in zip(reduced, cols))
-        fractions = [[Fraction(v, d) for v in row] for row in reduced]
         for q in (2, 3, 5, 7, 11, 13):
             if any(pv % q == 0 for pv in pivots):
                 continue
-            want = [[v.numerator * pow(v.denominator, -1, q) % q for v in row] for row in fractions]
+            want = [[v % q for v in row] for row in reduced]
             assert rref(rows, q) == (want, cols, [pv % q for pv in pivots])
             checked += 1
     assert checked > 500

@@ -1,9 +1,11 @@
 """Property tests: the swap laws, the closure kernel, orbit sizes and the characteristic
-decision on random diagonals, the two routes of the per-prime search, and the zero-sum
-register kernel on random batches of rows."""
+decision on random diagonals, the two routes of the per-prime search, the threshold
+experiment's independence of its test primes, and the zero-sum register kernel on
+random batches of rows."""
 
 from __future__ import annotations
 
+from functools import cache
 from unittest import mock
 
 from hypothesis import assume, given, settings
@@ -13,6 +15,7 @@ from spikelab import (
     Diagonal,
     PrimeField,
     build_certificate,
+    estimate_L,
     orbit_size,
     represent,
     search_rep,
@@ -122,6 +125,26 @@ def row_batches() -> st.SearchStrategy[tuple[int, list[list[int]]]]:
             )
         )
     )
+
+
+@cache
+def _estimate_with_every_prime(p: int, n_max: int) -> dict:
+    return estimate_L(p, list(SMALL_PRIMES), n_max)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.sampled_from((2, 3, 5)),
+    n_max=st.integers(3, 5),
+    primes=st.lists(st.sampled_from(SMALL_PRIMES), min_size=1, max_size=6, unique=True),
+)
+def test_threshold_experiment_does_not_depend_on_its_test_primes(p, n_max, primes):
+    # a class counts iff its exact characteristic set is {p}; the test primes
+    # only choose which per-prime searches cross-check the winner
+    report = estimate_L(p, sorted(primes), n_max)
+    want = _estimate_with_every_prime(p, n_max)
+    for key in ("found_n", "witness", "certificate", "levels"):
+        assert report[key] == want[key], key
 
 
 @settings(max_examples=80, deadline=None)

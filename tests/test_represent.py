@@ -451,6 +451,27 @@ def test_threshold_interval_values():
     assert threshold_interval(7) == (4, 6)
 
 
+def test_threshold_interval_matches_a_loop_reference():
+    def floor_log2(num: int, den: int) -> int:
+        t = 0
+        while den << (t + 1) <= num:
+            t += 1
+        return t
+
+    limit = 65521
+    composite = bytearray(limit + 1)
+    checked = 0
+    for p in range(2, limit + 1):
+        if composite[p]:
+            continue
+        composite[p * p :: p] = b"\x01" * len(range(p * p, limit + 1, p))
+        lo = floor_log2(p + 2, 1) + 1
+        hi = floor_log2(p + 2, 1) + floor_log2(4 * (p + 2), 3)
+        assert threshold_interval(p) == (lo, hi), p
+        checked += 1
+    assert checked == 6542
+
+
 def test_estimate_frozen_gf2():
     report = estimate_L(2, [2, 3, 5], 4)
     assert report["found_n"] == 3
@@ -480,6 +501,23 @@ def test_estimate_frozen_gf5_gf7(p, n_max, found_n, witness):
     assert report["witness"] == witness
     assert report["certificate"]["admissible_primes"] == [p]
     assert report["in_interval"] is True
+
+
+@pytest.mark.parametrize(
+    "p, primes, n_max, found_n, witness",
+    [(3, [2, 3], 4, 4, [1, 1, 1, 2]), (5, [2, 3], 6, 5, [1, 1, 2, 3, 3])],
+)
+def test_estimate_counts_a_class_only_for_the_exact_set(p, primes, n_max, found_n, witness):
+    # the all-ones class at n = 3 is cofinite (it excludes only 2, or 2 and 3),
+    # so it does not count even though no given prime other than p admits it
+    report = estimate_L(p, primes, n_max)
+    assert report["found_n"] == found_n
+    assert report["witness"] == witness
+    assert report["certificate"] == {
+        "kind": "finite",
+        "singleton_integers": None,
+        "admissible_primes": [p],
+    }
 
 
 def test_estimate_builds_each_certificate_once(monkeypatch):

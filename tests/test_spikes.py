@@ -173,6 +173,19 @@ def test_check_axioms_detects_a_line_of_rank_3():
             assert not check_axioms(MatrixGF(GF5, rows)), (n, i)
 
 
+def test_check_axioms_detects_two_parallel_points_on_a_line():
+    # zeroing the off-diagonal entries of f_i leaves (1 + x_i) e_i: nonzero,
+    # but parallel to e_i
+    for n in range(3, 7):
+        d = Diagonal(GF5, tuple(1 + i % 3 for i in range(n)))
+        for i in range(n):
+            rows = [row[:] for row in build_rep(d).entries]
+            for r in range(n):
+                if r != i:
+                    rows[r][n + 1 + i] = 0
+            assert not check_axioms(MatrixGF(GF5, rows)), (n, i)
+
+
 def test_check_axioms_ranks_each_line_once(monkeypatch):
     calls = 0
     rank = MatrixGF.rank
@@ -373,6 +386,16 @@ def test_swap_involution_and_transform_law():
         assert swap(y, smask) == d
         assert signature(y) == sig.xor_transform(smask)
         done += 1
+
+
+def test_signature_transforms_refuse_bad_input():
+    sig = signature(d3(2, 2, 1, 1))
+    assert 0b0001 in sig and 0b1100 in sig
+    for member in (0b0001, (3, 4)):
+        with pytest.raises(DependentTransversalError):
+            sig.xor_transform(member)
+    with pytest.raises(OutOfRangeError):
+        sig.permute((1, 2, 2, 4))
 
 
 def test_swap_composition_is_symmetric_difference():
