@@ -10,7 +10,7 @@ pruned search over GF(q) for the finitely many primes it leaves open.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .spikes import (
 AUDIT_BUDGET = 10**9
 SEARCH_MAX_N = 12
 MAX_TEST_PRIME = 97
-LBOUND_MAX_P = 7
+LBOUND_MAX_P = 17
 
 _AUDIT_CHUNK = 8192
 
@@ -326,19 +326,19 @@ class CharCertificate:
         return out
 
 
-def build_certificate(sig: Signature) -> CharCertificate:
-    """Decide every characteristic at once from one elimination over Q.
+def _rational_part(sig: Signature) -> tuple[bool, list[int], Optional[tuple[int, ...]]]:
+    """The certificate's elimination over Q: (generic, special primes, m).
 
     Let V be the rational solutions of the member equations, k its
     dimension, and h the number of forbidden hyperplanes (one per nonempty
     non-member, one per coordinate).  Outside the primes B that divide a
     pivot of the elimination, reduction mod q commutes with it, so V mod q
-    is the solution space over GF(q).  There a prime q gets the
-    generic answer: no if V is empty or a forbidden hyperplane contains V,
-    yes otherwise, unless q divides every coefficient of some forbidden
-    form on V, or k >= 1 and q <= h (h hyperplanes cover at most
-    h q^(k-1) < q^k points only when q > h).  Those primes, and B, are
-    decided one by one by ``_admissible_point``.
+    is the solution space over GF(q).  There a prime q gets the generic
+    answer: no if V is empty or a forbidden hyperplane contains V, yes
+    otherwise, unless q divides every coefficient of some forbidden form
+    on V, or k >= 1 and q <= h (h hyperplanes cover at most h q^(k-1) < q^k
+    points only when q > h).  Those primes and B are the special primes,
+    ascending; generic says whether the others get a yes.
     """
     n = sig.n
     if n > SEARCH_MAX_N:
@@ -361,17 +361,34 @@ def build_certificate(sig: Signature) -> CharCertificate:
                 special.update(v for v in range(2, h + 1) if is_prime(v))
         if len(F) == 1 and not (F[0] % one).any():
             m = tuple((F[0] // one).tolist())
-    # a cofinite set lists the special primes that fail, a finite one those that pass
-    listed = []
+    return generic, sorted(special), m
+
+
+def _decisions(sig: Signature, primes: Sequence[int]) -> Iterator[tuple[int, bool]]:
+    """Yield (q, representable over GF(q)) for each prime in the given order.
+
+    One ``_admissible_point`` search each, lazily, so a caller that stops
+    consuming stops the searches; the primes share one AUDIT_BUDGET.
+    """
     spent = 0
-    for q in sorted(special):
+    for q in primes:
         point, cost = _admissible_point(sig, q, AUDIT_BUDGET - spent)
         spent += cost
-        if (point is None) == generic:
-            listed.append(q)
+        yield q, point is not None
+
+
+def build_certificate(sig: Signature) -> CharCertificate:
+    """Decide every characteristic at once from one elimination over Q.
+
+    ``_rational_part`` gives the generic answer and the special primes it
+    leaves open; each of those is then decided by ``_admissible_point``.
+    """
+    generic, special, m = _rational_part(sig)
+    # a cofinite set lists the special primes that fail, a finite one those that pass
+    listed = tuple(q for q, ok in _decisions(sig, special) if ok != generic)
     if generic:
-        return CharCertificate(n, sig.bits, m, "cofinite", excluded=tuple(listed))
-    return CharCertificate(n, sig.bits, m, "finite", primes=tuple(listed))
+        return CharCertificate(sig.n, sig.bits, m, "cofinite", excluded=listed)
+    return CharCertificate(sig.n, sig.bits, m, "finite", primes=listed)
 
 
 # ---------------------------------------------------------------------------
@@ -504,14 +521,30 @@ def threshold_interval(p: int) -> tuple[int, int]:
     return lo, hi
 
 
+def _only_in_characteristic(sig: Signature, p: int) -> Optional[CharCertificate]:
+    """``build_certificate(sig)`` if its exact set is {p}, else None.
+
+    A cofinite class, or a finite one whose special primes leave out p, is
+    rejected after the elimination over Q.  Otherwise p is decided first
+    and then the other special primes, up to the first answer that rules
+    out {p}; a class that passes has had every special prime decided.
+    """
+    generic, special, m = _rational_part(sig)
+    if generic or p not in special:
+        return None
+    order = [p] + [q for q in special if q != p]
+    if all(ok == (q == p) for q, ok in _decisions(sig, order)):
+        return CharCertificate(sig.n, sig.bits, m, "finite", primes=(p,))
+    return None
+
+
 def estimate_L(p: int, primes: Sequence[int], n_max: int) -> dict:
     """Least n in [3, n_max] with a spike over GF(p) in no other characteristic.
 
     Scans canonical class representatives in order; a class counts when its
-    certificate's exact characteristic set is {p}, whatever primes were
-    given.  The winning class is confirmed by a search over every given
-    prime against the certificate the scan built, which raises
-    VerdictMismatchError where they disagree.
+    exact characteristic set is {p}, whatever primes were given.  The
+    winning class is confirmed by a search over every given prime against
+    its certificate, which raises VerdictMismatchError where they disagree.
     """
     PrimeField(p)
     if p > LBOUND_MAX_P:
@@ -525,8 +558,8 @@ def estimate_L(p: int, primes: Sequence[int], n_max: int) -> dict:
     certified: list[tuple[Diagonal, CharCertificate]] = []
     for n in range(3, n_max + 1):
         reps = enumerate_spikes(p, n)
-        certs = [(d, build_certificate(signature(d))) for d in reps]
-        certified = [(d, c) for d, c in certs if c.kind == "finite" and c.primes == (p,)]
+        certs = [(d, _only_in_characteristic(signature(d), p)) for d in reps]
+        certified = [(d, c) for d, c in certs if c is not None]
         levels.append({"n": n, "classes": len(reps), "certified": len(certified)})
         if certified:
             break

@@ -36,7 +36,7 @@ from .matrix import MatrixGF
 SIGNATURE_MAX_N = 24
 AXIOMS_MAX_N = 12  # 2^n - 2 rank checks: the cost doubles with each n
 CANONICAL_MAX_N = 7
-ENUMERATE_MAX_P = 13
+ENUMERATE_MAX_P = 17
 
 IndexSetLike = Union[int, Iterable[int]]
 
@@ -395,7 +395,7 @@ def enumerate_spikes(p: int, n: int) -> list[Diagonal]:
 
 def spike_census(p: int, n: int) -> dict:
     """Class census with orbit sizes; orbit sizes must add up to (p-1)^n."""
-    classes = _enumerate_orbits(p, n)
+    classes = [(d, _permutation_count(ms)) for d, ms in _enumerate_orbits(p, n)]
     total = sum(size for _, size in classes)
     if total != (p - 1) ** n:
         raise VerdictMismatchError(f"orbit sizes add up to {total}, not {(p - 1) ** n}")
@@ -410,7 +410,8 @@ def spike_census(p: int, n: int) -> dict:
     }
 
 
-def _enumerate_orbits(p: int, n: int) -> list[tuple[Diagonal, int]]:
+def _enumerate_orbits(p: int, n: int) -> list[tuple[Diagonal, list[tuple[int, ...]]]]:
+    """Each class's lex-least member with its distinct closure multisets, lex order."""
     field = PrimeField(p)
     if n < 1:
         raise TooSmallError(f"enumeration needs n >= 1, got {n}")
@@ -419,7 +420,7 @@ def _enumerate_orbits(p: int, n: int) -> list[tuple[Diagonal, int]]:
     if p > ENUMERATE_MAX_P:
         raise TooLargeError(f"enumeration capped at p={ENUMERATE_MAX_P}")
     seen: set[tuple[int, ...]] = set()
-    classes: list[tuple[Diagonal, int]] = []
+    classes: list[tuple[Diagonal, list[tuple[int, ...]]]] = []
     for vec in itertools.combinations_with_replacement(range(1, p), n):
         if vec in seen:
             continue
@@ -428,5 +429,5 @@ def _enumerate_orbits(p: int, n: int) -> list[tuple[Diagonal, int]]:
         if vec != multisets[0]:
             raise VerdictMismatchError(f"lex scan met the orbit of {multisets[0]} at {vec}")
         seen.update(multisets)
-        classes.append((d, _permutation_count(multisets)))
+        classes.append((d, multisets))
     return classes

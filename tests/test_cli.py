@@ -267,6 +267,18 @@ def test_negative_node_budget_refused_before_any_certificate(capsys, monkeypatch
     assert captured.err.endswith(" error: unrecognized arguments: --node-budget -1\n")
 
 
+def test_lbound_past_prime_cap_refused_before_any_work(capsys, monkeypatch):
+    def refused(*args):
+        raise AssertionError("a refused call must not enumerate or eliminate")
+
+    monkeypatch.setattr(represent, "enumerate_spikes", refused)
+    monkeypatch.setattr(represent, "_rational_part", refused)
+    assert main(["lbound", "--p", "19", "--primes", "2,3", "--n-max", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: experiment capped at p=17\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -520,24 +520,74 @@ def test_estimate_counts_a_class_only_for_the_exact_set(p, primes, n_max, found_
     }
 
 
-def test_estimate_builds_each_certificate_once(monkeypatch):
-    # the winning class is confirmed against the certificate its scan built
-    built = []
-    real = represent.build_certificate
+@pytest.mark.parametrize(
+    "p, found_n, witness, interval, classes, certified",
+    [
+        (11, 7, [1, 1, 1, 2, 3, 4, 7], [4, 7], [42, 84, 152, 252, 396], [0, 0, 0, 0, 37]),
+        (13, 7, [1, 1, 1, 3, 4, 9, 11], [4, 7], [66, 148, 294, 542, 924], [0, 0, 0, 0, 29]),
+        (17, 7, [1, 1, 3, 8, 12, 13, 13], [5, 8], [135, 373, 891, 1933, 3861], [0, 0, 0, 0, 4]),
+    ],
+)
+def test_estimate_frozen_gf11_gf13_gf17(p, found_n, witness, interval, classes, certified):
+    report = estimate_L(p, [2, 3, 5, 7, 11, 13], 7)
+    assert report["found_n"] == found_n
+    assert report["witness"] == witness
+    assert report["certificate"]["admissible_primes"] == [p]
+    assert report["interval"] == interval
+    assert report["in_interval"] is True
+    assert [level["classes"] for level in report["levels"]] == classes
+    assert [level["certified"] for level in report["levels"]] == certified
 
-    def counting(sig):
-        built.append(sig.bits)
-        return real(sig)
 
-    monkeypatch.setattr(represent, "build_certificate", counting)
-    report = estimate_L(3, [2, 3, 5, 7], 4)
-    assert report["found_n"] == 4
-    assert len(built) == sum(level["classes"] for level in report["levels"])
+@pytest.mark.parametrize("admit_all", [False, True], ids=["searched", "admit-all"])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_estimate_class_decision_matches_the_full_certificate(monkeypatch, p, admit_all):
+    # the short-circuit counts a class iff its full certificate is finite
+    # with exactly {p}, and then returns that very certificate.  Every finite
+    # class at these sizes has the set {p}, so a forged search that admits
+    # every prime also checks that the other special primes are decided
+    if admit_all:
+        monkeypatch.setattr(represent, "_admissible_point", lambda sig, q, budget: ([1], 1))
+    for n in range(3, 7):
+        for d in enumerate_spikes(p, n):
+            sig = signature(d)
+            cert = build_certificate(sig)
+            want = cert if cert.kind == "finite" and cert.primes == (p,) else None
+            assert represent._only_in_characteristic(sig, p) == want, d
+
+
+def test_estimate_eliminates_once_per_class_and_skips_cofinite_searches(monkeypatch):
+    rational = represent._rational_part
+    searched = represent._admissible_point
+    eliminated, cofinite, decided = [], set(), []
+
+    def eliminate(sig):
+        eliminated.append(sig.bits)
+        generic, special, m = rational(sig)
+        if generic:
+            cofinite.add(sig.bits)
+        return generic, special, m
+
+    def search(sig, q, budget):
+        decided.append(sig.bits)
+        return searched(sig, q, budget)
+
+    def unused(sig):
+        raise AssertionError("the scan confirms the winner against its own certificate")
+
+    monkeypatch.setattr(represent, "_rational_part", eliminate)
+    monkeypatch.setattr(represent, "_admissible_point", search)
+    monkeypatch.setattr(represent, "build_certificate", unused)
+    report = estimate_L(5, [2, 3, 5, 7], 5)
+    assert report["found_n"] == 5
+    assert len(eliminated) == sum(level["classes"] for level in report["levels"])
+    assert cofinite and decided
+    assert cofinite.isdisjoint(decided)
 
 
 def test_estimate_caps():
     with pytest.raises(OutOfRangeError):
-        estimate_L(11, [2, 3], 5)
+        estimate_L(19, [2, 3], 7)
     with pytest.raises(TooLargeError):
         estimate_L(3, [2, 5], 9)
     with pytest.raises(TooSmallError):

@@ -580,4 +580,6 @@ def test_census_caps():
     with pytest.raises(TooLargeError):
         spike_census(3, 8)
     with pytest.raises(TooLargeError):
-        spike_census(17, 3)
+        spike_census(19, 3)
+    with pytest.raises(TooLargeError):
+        enumerate_spikes(19, 3)
