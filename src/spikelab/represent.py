@@ -41,7 +41,8 @@ SEARCH_MAX_N = 12
 MAX_TEST_PRIME = 97
 LBOUND_MAX_P = 17
 
-_AUDIT_CHUNK = 8192
+# diagonals summed at once by an audit at n <= 3
+_LOW_CHUNK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +70,7 @@ def search_rep(sig: Signature, q: int) -> tuple[Optional[Diagonal], int]:
         raise TooLargeError(f"search capped at n={SEARCH_MAX_N}, got {n}")
     field = PrimeField(q)
     target = q - 1
-    sigbits = sig.bits
+    member = sig.flags().tolist()
     cap = _LATTICE_CAP
     sums = [0] * (1 << n)
     z = [0] * n
@@ -87,7 +88,7 @@ def search_rep(sig: Signature, q: int) -> tuple[Optional[Diagonal], int]:
                     s -= q
                 mask = lower | base
                 sums[mask] = s
-                if (s == target) != bool(sigbits >> mask & 1):
+                if (s == target) != member[mask]:
                     ok = False
                     break
             spent += lower + 1
@@ -119,52 +120,91 @@ def _decode_diagonals(p: int, n: int, ts: "np.ndarray") -> "np.ndarray":
     return (ts[:, None] // radix[None, :]) % (p - 1) + 1
 
 
-def _packed_sig_rows(field: PrimeField, diags: "np.ndarray") -> "np.ndarray":
-    """Signature bit rows (little-endian packed bytes) for a block of diagonals."""
-    return _signature_rows(field.p, np.array(field.inverse_table())[diags])
+def _audit_rows(p: int, n: int) -> "np.ndarray":
+    """Every diagonal's signature row (little-endian packed bytes), in decode order.
+
+    Diagonal t = l + L*h splits into its first k = min(n, 3) coordinates,
+    the low block l (L = (p-1)^k of them), and the other n - k, the high
+    block h.  Mask mL | mH << 3 is a member iff low-sum(mL) = -1 -
+    high-sum(mH), so the members of one low block at one residue fill
+    exactly one byte, table[l, r], and byte mH of row (l, h) is
+    table[l, need[h, mH]] with need = (-1 - high sums) mod p.  At p >= 3
+    neither table nor need outgrows the rows.  With n <= 3 there is no high
+    block and only residue -1 is read: those rows are summed chunk by chunk.
+    """
+    inv = np.array(PrimeField(p).inverse_table(), dtype=np.int32)
+    k = min(n, 3)
+    L = (p - 1) ** k
+    if n == k:
+        rows = np.empty((L, 1), dtype=np.uint8)
+        for start in range(0, L, _LOW_CHUNK):
+            ls = np.arange(start, min(start + _LOW_CHUNK, L))
+            rows[start : start + len(ls)] = _signature_rows(p, inv[_decode_diagonals(p, n, ls)])
+        return rows
+    # residues are below 2^16 and n <= 24, so every sum fits int32
+    low = subset_sums(inv[_decode_diagonals(p, k, np.arange(L))]) % p
+    table = np.zeros((L, p), dtype=np.uint8)
+    for mL in range(1 << k):
+        table[np.arange(L), low[:, mL]] |= 1 << mL
+    H = (p - 1) ** (n - k)
+    need = subset_sums(inv[_decode_diagonals(p, n - k, np.arange(H))])
+    np.subtract(-1, need, out=need)
+    np.remainder(need, p, out=need)
+    rows = np.empty((H, L, need.shape[1]), dtype=np.uint8)
+    for h in range(H):
+        rows[h] = table[:, need[h]]
+    return rows.reshape(H * L, -1)
+
+
+def _sorted_groups(rows: "np.ndarray") -> tuple["np.ndarray", "np.ndarray"]:
+    """A stable sort of the rows in bytewise order, and where each distinct row starts.
+
+    Returns (order, starts): order[i] is the row at sorted position i, and
+    starts the sorted positions of the first copy of each distinct row.
+    The rows are overwritten: they are read in place as big-endian unsigned
+    words, one per row up to 8 bytes, so word order is bytewise order.
+    """
+    word = min(rows.shape[1], 8)
+    keys = rows.view(f">u{word}")
+    if not keys.dtype.isnative:
+        keys = keys.byteswap(inplace=True).view(keys.dtype.newbyteorder())
+    # the last key is the primary one, and the sort is stable
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    new = np.ones(len(order), dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    return order, np.flatnonzero(new)
 
 
 def uniqueness_audit(p: int, n: int) -> dict:
     """Compute every diagonal's signature over GF(p) and count collisions."""
-    field = PrimeField(p)
+    PrimeField(p)
     if n < 1:
         raise TooSmallError(f"audit needs n >= 1, got {n}")
     if n > SIGNATURE_MAX_N:
         raise TooLargeError(f"audit capped at n={SIGNATURE_MAX_N}")
     total = (p - 1) ** n
-    cost = total * (1 << n)
+    # each diagonal holds a 2^n-bit row and an int64 sort index
+    cost = total * ((1 << n) + 64)
     if cost > AUDIT_BUDGET:
-        raise BudgetExceededError(f"{cost} subset sums exceed budget {AUDIT_BUDGET}")
-    width = ((1 << n) + 7) // 8
-    rows = np.empty((total, width), dtype=np.uint8)
-    # no chunk's sum table outgrows signature's at its cap
-    chunk = min(_AUDIT_CHUNK, (1 << SIGNATURE_MAX_N) >> n)
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        ts = np.arange(start, stop, dtype=np.int64)
-        rows[start:stop] = _packed_sig_rows(field, _decode_diagonals(p, n, ts))
-    # rows as opaque byte strings: the same bytewise order as
-    # np.unique(axis=0), without its structured dtype of one field per byte
-    _, inverse, counts = np.unique(
-        rows.view(np.dtype((np.void, width))).ravel(),
-        return_inverse=True,
-        return_counts=True,
-    )
-    distinct = len(counts)
-    collisions = total - distinct
+        raise BudgetExceededError(
+            f"{cost} bits of signature rows and sort indices exceed budget {AUDIT_BUDGET}"
+        )
+    order, starts = _sorted_groups(_audit_rows(p, n))
+    counts = np.diff(starts, append=total)
+    distinct = len(starts)
     examples = []
-    if collisions:
-        dup_groups = np.flatnonzero(counts > 1)[:5]
-        for g in dup_groups:
-            ts = np.flatnonzero(inverse == g)[:4]
-            diags = _decode_diagonals(p, n, ts.astype(np.int64))
-            examples.append([[int(v) for v in row] for row in diags])
+    for g in np.flatnonzero(counts > 1)[:5]:
+        # stable: a group's diagonals in ascending order
+        ts = order[starts[g] : starts[g] + min(counts[g], 4)]
+        diags = _decode_diagonals(p, n, ts)
+        examples.append([[int(v) for v in row] for row in diags])
     return {
         "p": p,
         "n": n,
         "diagonals": total,
         "distinct_signatures": distinct,
-        "collisions": collisions,
+        "collisions": total - distinct,
         "collision_examples": examples,
     }
 
@@ -235,7 +275,8 @@ def _forms(sig: Signature, F: "np.ndarray", one: int) -> "np.ndarray":
     """
     sums = subset_sums(F)
     sums[0] += one
-    nonmember = [mask for mask in range(1, 1 << sig.n) if not sig.bits >> mask & 1]
+    # mask 0, the empty set, is never a member and never a form
+    nonmember = np.flatnonzero(sig.flags() == 0)[1:]
     return np.concatenate([sums[:, nonmember], F], axis=1)
 
 

@@ -169,15 +169,19 @@ class Signature:
     def size(self) -> int:
         return self.bits.bit_count()
 
-    def members(self) -> tuple[int, ...]:
-        """Member subsets as masks, ascending, unpacked from the pattern's bytes.
+    def flags(self) -> "np.ndarray":
+        """Membership of every mask, 0 or 1, as a uint8 array indexed by mask.
 
-        One pass, linear in 2^n; peeling off low bits would rewrite the
-        2^n-bit int once per member.
+        One pass over the pattern's bytes, linear in 2^n; testing bits one at
+        a time would shift the 2^n-bit int once per test.
         """
         raw = self.bits.to_bytes(((1 << self.n) + 7) // 8, "little")
-        flags = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-        return tuple(np.flatnonzero(flags).tolist())
+        flat = np.frombuffer(raw, dtype=np.uint8)
+        return np.unpackbits(flat, count=1 << self.n, bitorder="little")
+
+    def members(self) -> tuple[int, ...]:
+        """Member subsets as masks, ascending."""
+        return tuple(np.flatnonzero(self.flags()).tolist())
 
     def member_indices(self) -> tuple[tuple[int, ...], ...]:
         return tuple(indices_from_mask(m) for m in self.members())

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
+import numpy as np
+
 from spikelab import (
     CharCertificate,
     DependentTransversalError,
@@ -29,6 +31,7 @@ from spikelab import (
     signature,
     swap,
 )
+from spikelab.spikes import _signature_rows
 
 
 def det_cofactor(p: int, rows: list[list[int]]) -> int:
@@ -114,6 +117,20 @@ def signature_by_sums(x: Diagonal) -> int:
         if s == p - 1:
             bits |= 1 << mask
     return bits
+
+
+def audit_rows_per_diagonal(p: int, n: int) -> np.ndarray:
+    """Every diagonal's packed signature row, one ``_signature_rows`` call each.
+
+    Diagonals come in the audit's order, coordinate 1 fastest; each row is
+    summed on its own, with no split into blocks.
+    """
+    inv = PrimeField(p).inverse_table()
+    rows = [
+        _signature_rows(p, np.array([inv[v] for v in reversed(t)]))
+        for t in itertools.product(range(1, p), repeat=n)
+    ]
+    return np.array(rows, dtype=np.uint8)
 
 
 def members_by_peeling(bits: int) -> tuple[int, ...]:

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
+import numpy as np
 import pytest
 
 from spikelab import (
@@ -35,6 +37,7 @@ from spikelab.bitsets import subset_sums
 
 from oracles import (
     LinearFact,
+    audit_rows_per_diagonal,
     bases_bruteforce,
     certificate_admits_by_sums,
     certificate_by_facts,
@@ -75,7 +78,7 @@ def test_search_frozen_transfer_example():
     d = Diagonal(GF3, (2, 2, 2, 1))
     w, sums = search_rep(signature(d), 5)
     assert w is not None and w.x == (4, 4, 4, 1)
-    assert sums > 0
+    assert sums == 24
     again, sums2 = search_rep(signature(d), 5)
     assert again.x == w.x and sums2 == sums
 
@@ -296,6 +299,21 @@ def test_audit_collision_examples_are_real():
         assert got == _audit_examples_oracle(p, n), (p, n)
 
 
+@pytest.mark.parametrize("width", [1, 2, 4, 8, 16, 32])
+def test_audit_groups_follow_bytewise_order(width):
+    # collisions past 8 bytes a row need audits too large to run here, so the
+    # word order is checked on drawn rows against a stable sort by bytes
+    rng = np.random.default_rng(width)
+    rows = rng.integers(0, 3, size=(400, width), dtype=np.uint8)
+    rows[::5] = rows[3]
+    rows[1::9, : width // 2] = rows[2, : width // 2]
+    expect = sorted(range(len(rows)), key=lambda i: rows[i].tobytes())
+    keys = [rows[i].tobytes() for i in expect]
+    order, starts = represent._sorted_groups(rows.copy())
+    assert order.tolist() == expect
+    assert starts.tolist() == [i for i in range(len(keys)) if i == 0 or keys[i] != keys[i - 1]]
+
+
 def test_audit_injective_at_guarantee_threshold():
     report = uniqueness_audit(3, 5)  # n = 2p-1
     assert report["collisions"] == 0
@@ -307,26 +325,79 @@ def test_audit_refuses_past_signature_cap_before_summing(monkeypatch):
         raise AssertionError("the audit summed past its cap")
 
     monkeypatch.setattr(spikes, "subset_sums", no_sums)
+    monkeypatch.setattr(represent, "subset_sums", no_sums)
     with pytest.raises(TooLargeError):
-        uniqueness_audit(2, 25)  # 2^25 subset sums: within budget, past the cap
+        uniqueness_audit(2, 25)  # 2^25 row bits: within budget, past the cap
 
 
-def test_audit_chunks_stay_within_the_signature_table(monkeypatch):
-    rows = []
+@pytest.mark.parametrize("p,n", [
+    (p, n) for p in (2, 3, 5, 7, 13) for n in range(1, 21)
+    if n <= 4 or (p - 1) ** n << n <= 1 << 19
+])
+def test_audit_rows_match_per_diagonal_rows(p, n):
+    # n = 3 has no high block and n = 4 the first; the bytes must not move
+    got = represent._audit_rows(p, n)
+    assert got.dtype == np.uint8
+    assert got.tobytes() == audit_rows_per_diagonal(p, n).tobytes()
+
+
+@pytest.mark.parametrize("p,n", [(3, 13), (7, 7), (1009, 2)])
+def test_audit_sums_stay_within_the_rows(monkeypatch, p, n):
+    tables = []
 
     def recording(values):
-        rows.append(values.shape[0])
-        return subset_sums(values)
+        sums = subset_sums(values)
+        tables.append(sums)
+        return sums
 
+    monkeypatch.setattr(represent, "subset_sums", recording)
     monkeypatch.setattr(spikes, "subset_sums", recording)
-    report = uniqueness_audit(3, 13)  # 2^13 diagonals of 2^13 sums each
-    assert report["collisions"] == 0
-    assert max(rows) << 13 <= 1 << 24 and sum(rows) == 1 << 13
+    report = uniqueness_audit(p, n)
+    rows = report["diagonals"] * (((1 << n) + 7) // 8)
+    assert all(sums.nbytes <= rows for sums in tables)
+    if n <= 3:
+        # chunks of whole rows, never all diagonals at once
+        assert len(tables) > 1 and sum(len(sums) for sums in tables) == report["diagonals"]
+    else:
+        # the low sums give the (p-1)^3 x p byte table, the high sums become need
+        low, high = tables
+        assert low.shape == ((p - 1) ** 3, 8) and low.shape[0] * p <= rows
+        assert high.shape == ((p - 1) ** (n - 3), 1 << (n - 3))
+
+
+def test_audit_of_every_nonzero_residue_is_fast():
+    # n = 1 has no high block, so no (p-1) x p table: two signatures, x = -1 or not
+    start = time.perf_counter()
+    report = uniqueness_audit(65521, 1)
+    elapsed = time.perf_counter() - start
+    assert report["distinct_signatures"] == 2 and report["collisions"] == 65518
+    assert report["collision_examples"] == [[[1], [2], [3], [4]]]
+    assert elapsed < 1.0, f"audit took {elapsed:.2f}s against a 1s budget"
 
 
 def test_audit_budget():
     with pytest.raises(BudgetExceededError):
         uniqueness_audit(7, 12)
+
+
+class _Admitted(Exception):
+    pass
+
+
+def test_audit_budget_counts_rows_and_sort_indices(monkeypatch):
+    # the edge is tested by refusal: an admitted audit stops before summing
+    def admitted(p, n):
+        raise _Admitted
+
+    monkeypatch.setattr(represent, "_audit_rows", admitted)
+    # (p-1)^n diagonals, each a 2^n-bit row and a 64-bit sort index
+    for p, n in [(241, 3), (3833, 2), (59, 4), (23, 5), (13, 6), (7, 8), (5, 9), (3, 14)]:
+        assert (p - 1) ** n * ((1 << n) + 64) <= represent.AUDIT_BUDGET
+        with pytest.raises(_Admitted):
+            uniqueness_audit(p, n)
+    for p, n in [(251, 3), (499, 3), (3847, 2), (15809, 2), (61, 4), (89, 4), (29, 5), (31, 5)]:
+        with pytest.raises(BudgetExceededError, match="bits of signature rows and sort indices"):
+            uniqueness_audit(p, n)
 
 
 # integer constructions ---------------------------------------------------------------

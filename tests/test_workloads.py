@@ -1,12 +1,15 @@
 """The benchmark keeps its own copy of gate c11's argv list, its lemma jobs must stay
-inside the sweep budget, its searches far inside the lattice cap, and its result checks
-must accept the library's payloads; none of these may drift from the library."""
+inside the sweep budget and its audits inside the audit budget, its searches far inside
+the lattice cap, and its result checks must accept the library's payloads; none of these
+may drift from the library."""
 
 from __future__ import annotations
 
 import json
 import runpy
 from pathlib import Path
+
+import pytest
 
 from spikelab import Diagonal, represent, signature, zerosum
 from spikelab.cli import main
@@ -65,6 +68,27 @@ def test_bench_lemma_jobs_fit_hypothesis_and_budget():
                     assert job.expect == 0, job.argv
                     lemma_jobs += 1
     assert lemma_jobs > 0
+
+
+class _Admitted(Exception):
+    pass
+
+
+def test_bench_audit_jobs_fit_the_budget(monkeypatch):
+    # a budget change must never turn a benchmark audit into a refusal (exit 3);
+    # an admitted audit stops here before summing
+    def admitted(p, n):
+        raise _Admitted
+
+    monkeypatch.setattr(represent, "_audit_rows", admitted)
+    audits = 0
+    for argv in _bench_argvs(runpy.run_path(str(WORKLOADS))):
+        if argv[0] == "unique":
+            opts = dict(zip(argv[1::2], argv[2::2]))
+            with pytest.raises(_Admitted):
+                represent.uniqueness_audit(int(opts["--p"]), int(opts["--n"]))
+            audits += 1
+    assert audits > 10
 
 
 def test_bench_lemma_jobs_fit_the_register_step_budget(monkeypatch):
