@@ -185,7 +185,7 @@ def ones_plus_diag(field: PrimeField, x: Sequence[int]) -> MatrixGF:
     n = len(x)
     return MatrixGF(
         field,
-        [[(1 + x[i]) % field.p if i == j else 1 for j in range(n)] for i in range(n)],
+        [[1 + x[i] if i == j else 1 for j in range(n)] for i in range(n)],
     )
 
 

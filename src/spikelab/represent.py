@@ -27,6 +27,7 @@ from .field import PrimeField, is_prime
 from .matrix import rref
 from .spikes import (
     CANONICAL_MAX_N,
+    ENUMERATE_MAX_P,
     SIGNATURE_MAX_N,
     Diagonal,
     Signature,
@@ -39,7 +40,6 @@ from .spikes import (
 AUDIT_BUDGET = 10**9
 SEARCH_MAX_N = 12
 MAX_TEST_PRIME = 97
-LBOUND_MAX_P = 17
 
 # diagonals summed at once by an audit at n <= 3
 _LOW_CHUNK = 1 << 14
@@ -396,7 +396,7 @@ def _rational_part(sig: Signature) -> tuple[bool, list[int], Optional[tuple[int,
         content = np.gcd.reduce(np.abs(_forms(sig, F, one)), axis=0)
         generic = bool(content.all())
         if generic:
-            special.update(f for v in np.unique(content).tolist() for f in _prime_factors(v))
+            special.update(f for v in set(content.tolist()) for f in _prime_factors(v))
             if len(F) > 1:
                 h = (1 << n) - 1 - sig.size + n
                 special.update(v for v in range(2, h + 1) if is_prime(v))
@@ -447,10 +447,9 @@ def characteristic_set(x: Diagonal, primes: Sequence[int]) -> dict:
     """Per-prime verdicts by ``search_rep``, plus the exact certificate.
 
     Certificate and search must agree on every prime; disagreement means a
-    bug and raises VerdictMismatchError.
+    bug and raises VerdictMismatchError.  The certificate refuses n >
+    SEARCH_MAX_N before its elimination, so no search starts either.
     """
-    if x.n > SEARCH_MAX_N:
-        raise TooLargeError(f"characteristic scan capped at n={SEARCH_MAX_N}")
     _check_test_primes(primes)
     sig = signature(x)
     cert = build_certificate(sig)
@@ -493,11 +492,7 @@ class IntegerDiagonal:
         return len(self.values)
 
     def over(self, q: int) -> Diagonal:
-        field = PrimeField(q)
-        residues = tuple(v % q for v in self.values)
-        if any(r == 0 for r in residues):
-            raise ZeroEntryError(f"entry divisible by {q}")
-        return Diagonal(field, residues)
+        return Diagonal(PrimeField(q), self.values)
 
     def rep_rows(self) -> list[list[int]]:
         """Integer special standard matrix rows (reduce mod q to represent)."""
@@ -588,8 +583,8 @@ def estimate_L(p: int, primes: Sequence[int], n_max: int) -> dict:
     its certificate, which raises VerdictMismatchError where they disagree.
     """
     PrimeField(p)
-    if p > LBOUND_MAX_P:
-        raise OutOfRangeError(f"experiment capped at p={LBOUND_MAX_P}")
+    if p > ENUMERATE_MAX_P:
+        raise OutOfRangeError(f"experiment capped at p={ENUMERATE_MAX_P}")
     if n_max > CANONICAL_MAX_N:
         raise TooLargeError(f"experiment capped at n_max={CANONICAL_MAX_N}")
     if n_max < 3:

@@ -243,16 +243,14 @@ def signature(x: Diagonal) -> Signature:
     return Signature(n=n, bits=int.from_bytes(row.tobytes(), "little"))
 
 
+def _transversal_factor(x: Diagonal, mask: int) -> int:
+    """(1 + sum over the mask of x_i^-1) mod p: zero iff that transversal is dependent."""
+    return (1 + sum(x.field.inv(x.x[i - 1]) for i in indices_from_mask(mask))) % x.p
+
+
 def is_dependent_transversal(x: Diagonal, K: IndexSetLike) -> bool:
     """Prop-2.3 fast path: the transversal taking f_i at K is dependent iff sum = -1."""
-    mask = as_mask(K, x.n)
-    if mask == 0:
-        return False
-    invs = x.inverses()
-    acc = 0
-    for i in indices_from_mask(mask):
-        acc += invs[i - 1]
-    return acc % x.p == x.p - 1
+    return _transversal_factor(x, as_mask(K, x.n)) == 0
 
 
 def circuit_hyperplane(x: Diagonal, I: IndexSetLike) -> tuple[str, ...]:
@@ -273,14 +271,9 @@ def swap(x: Diagonal, S: IndexSetLike) -> Diagonal:
     1 + s != 0, and the re-standardized diagonal is x_i (1+s) off S and
     -x_i (1+s) on S (the tests check it against a change of basis on the matrix).
     """
-    n = x.n
+    n, p = x.n, x.p
     smask = as_mask(S, n)
-    if smask == 0:
-        return x
-    p = x.p
-    invs = x.inverses()
-    s = sum(invs[i] for i in range(n) if smask >> i & 1) % p
-    fac = (1 + s) % p
+    fac = _transversal_factor(x, smask)
     if fac == 0:
         raise DependentTransversalError(
             f"swap set {indices_from_mask(smask)} is in the signature"
@@ -313,6 +306,12 @@ def normalize(x: Diagonal) -> Diagonal:
     return y
 
 
+def _refuse_past_closure_cap(n: int) -> None:
+    """The one check of CANONICAL_MAX_N for every orbit computation, on n alone."""
+    if n > CANONICAL_MAX_N:
+        raise TooLargeError(f"swap closure capped at n={CANONICAL_MAX_N}, got {n}")
+
+
 def _closure_rows(x: Diagonal) -> "np.ndarray":
     """swap(x, S) for every valid swap set S, one row each by ascending mask (x at mask 0).
 
@@ -320,8 +319,7 @@ def _closure_rows(x: Diagonal) -> "np.ndarray":
     is x * fac with the sign flipped on S.
     """
     n, p = x.n, x.p
-    if n > CANONICAL_MAX_N:
-        raise TooLargeError(f"swap closure capped at n={CANONICAL_MAX_N}, got {n}")
+    _refuse_past_closure_cap(n)
     # int64 is exact: at p <= 65521 and n <= 7 the sums stay below 2^19, x * fac below 2^32
     fac = (1 + subset_sums(np.array(x.inverses(), dtype=np.int64))) % p
     masks = np.flatnonzero(fac)
@@ -419,8 +417,8 @@ def _enumerate_orbits(p: int, n: int) -> list[tuple[Diagonal, list[tuple[int, ..
     field = PrimeField(p)
     if n < 1:
         raise TooSmallError(f"enumeration needs n >= 1, got {n}")
-    if n > CANONICAL_MAX_N:
-        raise TooLargeError(f"enumeration capped at n={CANONICAL_MAX_N}")
+    # refused on n itself: the scan's first tuple and diagonal have n entries
+    _refuse_past_closure_cap(n)
     if p > ENUMERATE_MAX_P:
         raise TooLargeError(f"enumeration capped at p={ENUMERATE_MAX_P}")
     seen: set[tuple[int, ...]] = set()

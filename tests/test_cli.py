@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -219,7 +220,7 @@ _THIRTEEN = "p=2;x=" + ",".join(["1"] * 13)
     [
         (["transfer", "--diag", _THIRTEEN, "--q", "3"], "search capped at n=12, got 13"),
         (["charset", "--diag", _THIRTEEN, "--primes", "3"],
-         "characteristic scan capped at n=12"),
+         "characteristic decision capped at n=12"),
         (["unique", "--p", "3", "--n", "-1"], "audit needs n >= 1, got -1"),
         (["unique", "--p", "3", "--n", "0"], "audit needs n >= 1, got 0"),
         (["enumerate", "--p", "3", "--n", "-1"], "enumeration needs n >= 1, got -1"),
@@ -232,6 +233,7 @@ _THIRTEEN = "p=2;x=" + ",".join(["1"] * 13)
          "determinant check capped at 10000 samples, got 10001"),
         (["canonical", "--diag", "p=3;x=" + ",".join(["1"] * 8)],
          "swap closure capped at n=7, got 8"),
+        (["enumerate", "--p", "3", "--n", "8"], "swap closure capped at n=7, got 8"),
     ],
 )
 def test_refused_sizes_exit_2_with_message(capsys, monkeypatch, argv, message):
@@ -239,6 +241,7 @@ def test_refused_sizes_exit_2_with_message(capsys, monkeypatch, argv, message):
         raise AssertionError("a refused call must not eliminate or swap")
 
     monkeypatch.setattr(MatrixGF, "det", refused)
+    monkeypatch.setattr(represent, "rref", refused)
     monkeypatch.setattr(spikes, "swap", refused)
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -478,6 +481,37 @@ def test_census_self_check_survives_optimized_python():
     assert run.stdout == ""
     assert run.stderr.startswith("error: lex scan met the orbit")
     assert run.stderr.count("\n") == 1
+
+
+def test_gate_commands_leave_numpy_ma_unimported(tmp_path):
+    # numpy.ma costs about 15 ms to import; no command of the gates needs it
+    argvs = [*CLI_RUNS, ["charset", "--diag", "p=5;x=1,2,3,4", "--primes", "2,5,7"]]
+    script = textwrap.dedent("""
+        import json, sys
+        from spikelab.cli import main
+
+        for argv in json.loads(sys.argv[1]):
+            assert main([*argv, "--output", sys.argv[2]]) == 0, argv
+        print("numpy.ma" in sys.modules)
+    """)
+    src = str(Path(spikelab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs), str(tmp_path / "out.json")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert run.stdout == "False\n"
+
+
+def test_readme_commands_run(tmp_path):
+    # every spike-lab line of README's sh block, as a user would type it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv[1:] for argv in lines if argv[:1] == ["spike-lab"]]
+    assert len(commands) == 14
+    for argv in commands:
+        assert main([*argv, "--output", str(tmp_path / "out.json")]) == 0, argv
 
 
 def test_canonical_builds_one_closure(monkeypatch, capsys):

@@ -295,10 +295,22 @@ def test_signature_rejects_overwide_bits():
 
 
 def test_is_dependent_transversal_agrees_with_signature():
-    d = d3(2, 2, 1, 1)
-    sig = signature(d)
-    for mask in range(1, 1 << 4):
-        assert is_dependent_transversal(d, mask) == (mask in sig)
+    # both scalar readers of the transversal rule, against the signature kernel:
+    # swap refuses exactly the dependent transversals
+    for p in (2, 3, 5, 7):
+        field = PrimeField(p)
+        for n in range(1, 5):
+            for x in itertools.product(range(1, p), repeat=n):
+                d = Diagonal(field, x)
+                sig = signature(d)
+                for mask in range(1 << n):
+                    dependent = mask in sig
+                    assert is_dependent_transversal(d, mask) == dependent, (d, mask)
+                    if dependent:
+                        with pytest.raises(DependentTransversalError):
+                            swap(d, mask)
+                    else:
+                        swap(d, mask)
 
 
 def test_circuit_hyperplane_labels_and_geometry():
@@ -517,8 +529,24 @@ def test_canonical_cap():
 
 @pytest.mark.parametrize(
     "call",
-    [swap_closure, orbit, orbit_size, canonical_form, lambda d: weakly_equivalent(d, d)],
-    ids=["swap_closure", "orbit", "orbit_size", "canonical_form", "weakly_equivalent"],
+    [
+        swap_closure,
+        orbit,
+        orbit_size,
+        canonical_form,
+        lambda d: weakly_equivalent(d, d),
+        lambda d: enumerate_spikes(d.p, d.n),
+        lambda d: spike_census(d.p, d.n),
+    ],
+    ids=[
+        "swap_closure",
+        "orbit",
+        "orbit_size",
+        "canonical_form",
+        "weakly_equivalent",
+        "enumerate_spikes",
+        "spike_census",
+    ],
 )
 def test_orbit_functions_refused_past_cap_before_any_swap(monkeypatch, call):
     # the closure holds the cap, so every orbit computation refuses before the
@@ -531,6 +559,17 @@ def test_orbit_functions_refused_past_cap_before_any_swap(monkeypatch, call):
         call(Diagonal(GF3, (1,) * (spikes.CANONICAL_MAX_N + 1)))
     with pytest.raises(AssertionError, match="closure kernel reached"):
         call(Diagonal(GF3, (1,) * spikes.CANONICAL_MAX_N))
+
+
+def test_enumeration_refuses_past_cap_before_its_first_tuple(monkeypatch):
+    # the scan's first tuple has n entries, so the cap is checked on n itself
+    def scan_started(*args):
+        raise AssertionError("enumeration scan started")
+
+    monkeypatch.setattr(spikes.itertools, "combinations_with_replacement", scan_started)
+    for call in (enumerate_spikes, spike_census):
+        with pytest.raises(TooLargeError, match=f"swap closure capped at n=7, got {10**12}$"):
+            call(3, 10**12)
 
 
 def test_weak_equivalence_examples():
