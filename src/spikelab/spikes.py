@@ -307,7 +307,7 @@ def normalize(x: Diagonal) -> Diagonal:
 
 
 def _refuse_past_closure_cap(n: int) -> None:
-    """The one check of CANONICAL_MAX_N for every orbit computation, on n alone."""
+    """Every orbit computation refuses n > CANONICAL_MAX_N here, on n alone."""
     if n > CANONICAL_MAX_N:
         raise TooLargeError(f"swap closure capped at n={CANONICAL_MAX_N}, got {n}")
 
