@@ -10,6 +10,7 @@ pruned search over GF(q) for the finitely many primes it leaves open.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -156,24 +157,62 @@ def _audit_rows(p: int, n: int) -> "np.ndarray":
     return rows.reshape(H * L, -1)
 
 
-def _sorted_groups(rows: "np.ndarray") -> tuple["np.ndarray", "np.ndarray"]:
-    """A stable sort of the rows in bytewise order, and where each distinct row starts.
+# odd multiplier of the row-key mix: the fraction bits of the golden ratio
+_MIX = np.uint64(0x9E3779B97F4A7C15)
 
-    Returns (order, starts): order[i] is the row at sorted position i, and
-    starts the sorted positions of the first copy of each distinct row.
-    The rows are overwritten: they are read in place as big-endian unsigned
-    words, one per row up to 8 bytes, so word order is bytewise order.
+
+def _mix_words(words: "np.ndarray") -> "np.ndarray":
+    """One 64-bit key per row of several words; equal rows get equal keys."""
+    key = np.zeros(len(words), dtype=np.uint64)
+    for column in words.T:
+        key ^= column
+        key *= _MIX
+        key ^= key >> np.uint64(29)
+    return key
+
+
+def _row_groups(rows: "np.ndarray") -> tuple[int, Iterator["np.ndarray"]]:
+    """The number of distinct rows, and the groups of rows that have copies.
+
+    Each row gets one integer key: the row itself when it fits one word,
+    else a mix of its words.  Only the keys are sorted.  A row whose key
+    no other row has is distinct; the rows that share a key are sorted
+    bytewise, which compares them exactly and splits any run of distinct
+    rows.  Groups come in bytewise order of their row, each as its row
+    indices ascending.  The rows are overwritten: they are read in place as
+    big-endian unsigned words, one per row up to 8 bytes, so word order is
+    bytewise order.
     """
-    word = min(rows.shape[1], 8)
-    keys = rows.view(f">u{word}")
-    if not keys.dtype.isnative:
-        keys = keys.byteswap(inplace=True).view(keys.dtype.newbyteorder())
-    # the last key is the primary one, and the sort is stable
-    order = np.lexsort(keys.T[::-1])
-    ranked = keys[order]
-    new = np.ones(len(order), dtype=bool)
+    words = rows.view(f">u{min(rows.shape[1], 8)}")
+    if not words.dtype.isnative:
+        words = words.byteswap(inplace=True).view(words.dtype.newbyteorder())
+    exact = words.shape[1] == 1
+    key = words[:, 0] if exact else _mix_words(words)
+    # numpy's radix sort beats its quicksort on bytes, and only there
+    ranked = np.sort(key, kind="stable" if key.itemsize == 1 else None)
+    # one entry per copy of a key past its first
+    repeats = ranked[1:][ranked[1:] == ranked[:-1]]
+    del ranked
+    if exact:
+        # key order is bytewise order, and a key is its row
+        new = np.ones(len(repeats), dtype=bool)
+        np.not_equal(repeats[1:], repeats[:-1], out=new[1:])
+        return len(key) - len(repeats), (np.flatnonzero(key == k) for k in repeats[new])
+    if not len(repeats):
+        return len(key), iter(())
+    at = np.searchsorted(repeats, key)
+    np.minimum(at, len(repeats) - 1, out=at)
+    shared = np.flatnonzero(repeats[at] == key)
+    del at, key
+    # stable, so each group keeps its indices ascending
+    shared = shared[np.lexsort(words[shared].T[::-1])]
+    ranked = words[shared]
+    new = np.ones(len(shared), dtype=bool)
     np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
-    return order, np.flatnonzero(new)
+    starts = np.flatnonzero(new).tolist()
+    bounds = zip(starts, starts[1:] + [len(shared)])
+    groups = (shared[a:b] for a, b in bounds if b - a > 1)
+    return len(words) - len(shared) + len(starts), groups
 
 
 def uniqueness_audit(p: int, n: int) -> dict:
@@ -184,20 +223,17 @@ def uniqueness_audit(p: int, n: int) -> dict:
     if n > SIGNATURE_MAX_N:
         raise TooLargeError(f"audit capped at n={SIGNATURE_MAX_N}")
     total = (p - 1) ** n
-    # each diagonal holds a 2^n-bit row and an int64 sort index
+    # each diagonal is counted its 2^n-bit row and a 64-bit key; past n = 6 the
+    # keys' sorted copy is a second word, at most half a row
     cost = total * ((1 << n) + 64)
     if cost > AUDIT_BUDGET:
         raise BudgetExceededError(
             f"{cost} bits of signature rows and sort indices exceed budget {AUDIT_BUDGET}"
         )
-    order, starts = _sorted_groups(_audit_rows(p, n))
-    counts = np.diff(starts, append=total)
-    distinct = len(starts)
+    distinct, groups = _row_groups(_audit_rows(p, n))
     examples = []
-    for g in np.flatnonzero(counts > 1)[:5]:
-        # stable: a group's diagonals in ascending order
-        ts = order[starts[g] : starts[g] + min(counts[g], 4)]
-        diags = _decode_diagonals(p, n, ts)
+    for ts in islice(groups, 5):
+        diags = _decode_diagonals(p, n, ts[:4])
         examples.append([[int(v) for v in row] for row in diags])
     return {
         "p": p,

@@ -1,12 +1,15 @@
 """Property tests: the swap laws, the closure kernel, orbit sizes and the characteristic
 decision on random diagonals, the two routes of the per-prime search, the threshold
 experiment's independence of its test primes, and the zero-sum register kernel on
-random batches of rows."""
+random product blocks of rows."""
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import product
 from unittest import mock
+
+import numpy as np
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -114,17 +117,15 @@ def test_solution_space_search_meets_the_lattice_witness(d, q):
     assert handed == witness and count > 0, (d, q)
 
 
-def row_batches() -> st.SearchStrategy[tuple[int, list[list[int]]]]:
+@st.composite
+def product_blocks(draw) -> tuple[int, list[int], int, int]:
+    """A sweep block: a head, then t trailing coordinates over [low, p), at most 16 rows."""
     # 67 takes the registers past a machine word, onto Python ints
-    return st.sampled_from((2, 3, 5, 7, 67)).flatmap(
-        lambda p: st.integers(1, 6).flatmap(
-            lambda n: st.tuples(
-                st.just(p),
-                st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
-                         min_size=1, max_size=8),
-            )
-        )
-    )
+    p = draw(st.sampled_from((2, 3, 5, 7, 67)))
+    low = draw(st.integers(0, p - 1))
+    t = draw(st.integers(0, 3).filter(lambda t: (p - low) ** t <= 16))
+    head = draw(st.lists(st.integers(0, p - 1), min_size=0 if t else 1, max_size=6 - t))
+    return p, head, low, t
 
 
 @cache
@@ -148,14 +149,15 @@ def test_threshold_experiment_does_not_depend_on_its_test_primes(p, n_max, prime
 
 
 @settings(max_examples=80, deadline=None)
-@given(batch=row_batches())
-def test_register_kernel_rows_match_least_mask_oracle(batch):
-    # one call over the whole batch: each row's witness is the one it has alone
-    p, rows = batch
-    hist = zerosum._reach_history(p, rows)
+@given(block=product_blocks())
+def test_register_kernel_rows_match_least_mask_oracle(block):
+    # one call over the whole block: each row's witness is the one it has alone
+    p, head, low, t = block
+    rows = [tuple(head) + tail for tail in product(range(low, p), repeat=t)]
+    first, final = zerosum._reach_history(p, head, low, t)
     for target in range(p):
-        reached, mask = zerosum._reconstruct(p, rows, hist, target)
+        reached, mask = zerosum._reconstruct(p, np.array(rows).T, first, final, target)
         for r, a in enumerate(rows):
-            want = least_mask_subset_sum(p, tuple(a), target)
-            got = sum(1 << i for i in range(len(a)) if mask[r, i])
+            want = least_mask_subset_sum(p, a, target)
+            got = sum(1 << i for i in range(len(a)) if mask[i, r])
             assert (bool(reached[r]), got) == (want is not None, want or 0), (p, a, target)

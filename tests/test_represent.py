@@ -302,16 +302,49 @@ def test_audit_collision_examples_are_real():
 @pytest.mark.parametrize("width", [1, 2, 4, 8, 16, 32])
 def test_audit_groups_follow_bytewise_order(width):
     # collisions past 8 bytes a row need audits too large to run here, so the
-    # word order is checked on drawn rows against a stable sort by bytes
+    # groups are checked on drawn rows against a stable sort by bytes
     rng = np.random.default_rng(width)
     rows = rng.integers(0, 3, size=(400, width), dtype=np.uint8)
     rows[::5] = rows[3]
     rows[1::9, : width // 2] = rows[2, : width // 2]
     expect = sorted(range(len(rows)), key=lambda i: rows[i].tobytes())
-    keys = [rows[i].tobytes() for i in expect]
-    order, starts = represent._sorted_groups(rows.copy())
-    assert order.tolist() == expect
-    assert starts.tolist() == [i for i in range(len(keys)) if i == 0 or keys[i] != keys[i - 1]]
+    groups = [list(g) for _, g in itertools.groupby(expect, key=lambda i: rows[i].tobytes())]
+    distinct, got = represent._row_groups(rows.copy())
+    assert distinct == len(groups)
+    assert [g.tolist() for g in got] == [g for g in groups if len(g) > 1]
+
+
+def _audit_by_bytes(p: int, n: int) -> dict:
+    """uniqueness_audit's report from its rows grouped by their bytes in a dict."""
+    groups: dict[bytes, list[int]] = {}
+    for t, row in enumerate(represent._audit_rows(p, n)):
+        groups.setdefault(row.tobytes(), []).append(t)
+    dups = [groups[key] for key in sorted(groups) if len(groups[key]) > 1]
+    total = (p - 1) ** n
+    return {
+        "p": p,
+        "n": n,
+        "diagonals": total,
+        "distinct_signatures": len(groups),
+        "collisions": total - len(groups),
+        "collision_examples": [
+            [[t // (p - 1) ** i % (p - 1) + 1 for i in range(n)] for t in group[:4]]
+            for group in dups[:5]
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "mix",
+    [lambda words: np.zeros(len(words), dtype=np.uint64), lambda words: words[:, 0].copy()],
+    ids=["constant", "first-word"],
+)
+@pytest.mark.parametrize("p,n", [(3, 7), (5, 5), (7, 4), (5, 8)])
+def test_audit_survives_a_degenerate_key_mix(monkeypatch, mix, p, n):
+    # distinct rows that share a key must be told apart by their bytes; at
+    # n <= 6 a row is its own key and the mix is never read
+    monkeypatch.setattr(represent, "_mix_words", mix)
+    assert uniqueness_audit(p, n) == _audit_by_bytes(p, n)
 
 
 def test_audit_injective_at_guarantee_threshold():

@@ -155,7 +155,7 @@ def test_verify_budget(monkeypatch, capsys):
 
 
 # per (lemma, p < 7): the largest admitted n, and the first refused one, at 10^9
-# register steps; the admitted sizes take 3-13 s on a 2-core VM, and 92 MB at most
+# register steps; the admitted sizes take 0.1-2.5 s on a 2-core VM, and 61 MB at most
 BUDGET_EDGES = [
     ("2.1", 2, 976562, 976563),  # one one-row block, counted as 512 rows
     ("2.1", 3, 23, 24), ("2.1", 5, 11, 12),
@@ -249,15 +249,41 @@ def test_sweep_blocks_stay_within_chunk(monkeypatch):
     rows = []
     real = zerosum._reach_history
 
-    def counted(p, a):
-        rows.append(len(a))
-        return real(p, a)
+    def counted(p, head, low, t):
+        rows.append((p - low) ** t)
+        return real(p, head, low, t)
 
     monkeypatch.setattr(zerosum, "_reach_history", counted)
     report = verify_lemma_2_2(5, 8)
     assert report["checked"] == 5**8 and report["failures"] == []
     assert sum(rows) == 5**8
     assert max(rows) <= zerosum._SWEEP_CHUNK < 5**8
+
+
+def test_least_bitmask_witness_past_a_machine_word():
+    # GF(65521): the head register is one 65521-bit Python int
+    rng = random.Random(65521)
+    f = PrimeField(65521)
+    for _ in range(20):
+        a = tuple(rng.randrange(1, 65521) for _ in range(rng.randrange(1, 11)))
+        sums = [sum(a[i] for i in range(len(a)) if mask >> i & 1) % 65521
+                for mask in range(1, 1 << len(a))]
+        for k in rng.sample(sums, min(3, len(sums))) + [rng.randrange(1, 65521)]:
+            want = least_mask_subset_sum(65521, a, k)
+            if want is None:
+                with pytest.raises(NoWitnessError):
+                    subset_with_sum(f, a, k)
+            else:
+                assert _mask(subset_with_sum(f, a, k)) == want, (a, k)
+
+
+def test_one_row_sweep_runs_on_its_head(capsys):
+    # p = 2 has one nonzero residue, so the sweep is one row, all head
+    assert main(["lemma21", "--p", "2", "--n", "300"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["checked"] == 1 and result["failures"] == []
+    # 299 is first reached at step 299, past what a byte holds
+    assert subset_with_sum(PrimeField(1009), (1,) * 300, 299) == tuple(range(1, 300))
 
 
 def test_solvers_reduce_inputs_mod_p():
@@ -269,20 +295,19 @@ def test_solvers_reduce_inputs_mod_p():
 _real_reconstruct = zerosum._reconstruct
 
 
-def _wrong_witness(p, a, hist, target):
-    reached, mask = _real_reconstruct(p, a, hist, target)
+def _wrong_witness(*args):
+    reached, mask = _real_reconstruct(*args)
     mask[:] = False
-    mask[:, 0] = True  # every witness is step 1, which sums to a[0] whatever the target
+    mask[0] = True  # every witness is step 1, which sums to a[0] whatever the target
     return reached, mask
 
 
 def _drop_final_bits(mask):
     real = zerosum._reach_history
 
-    def dropped(p, a):
-        hist = real(p, a)
-        hist[-1] &= ~np.uint64(mask)
-        return hist
+    def dropped(*args):
+        first, final = real(*args)
+        return first, final & ~np.uint64(mask)
 
     return dropped
 
