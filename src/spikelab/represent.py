@@ -228,7 +228,7 @@ def uniqueness_audit(p: int, n: int) -> dict:
     cost = total * ((1 << n) + 64)
     if cost > AUDIT_BUDGET:
         raise BudgetExceededError(
-            f"{cost} bits of signature rows and sort indices exceed budget {AUDIT_BUDGET}"
+            f"{cost} bits of signature rows and row keys exceed budget {AUDIT_BUDGET}"
         )
     distinct, groups = _row_groups(_audit_rows(p, n))
     examples = []

@@ -11,8 +11,6 @@ transversals (circuit-hyperplanes).
 from __future__ import annotations
 
 import itertools
-import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -348,12 +346,13 @@ def _closure_multisets(x: Diagonal) -> list[tuple[int, ...]]:
     return sorted(set(map(tuple, np.sort(_closure_rows(x), axis=1).tolist())))
 
 
-def _permutation_count(multisets: list[tuple[int, ...]]) -> int:
-    """Arrangements of all the multisets: the sum of n!/prod(multiplicity!)."""
-    return sum(
-        math.factorial(len(m)) // math.prod(map(math.factorial, Counter(m).values()))
-        for m in multisets
-    )
+def _arrangements(m: tuple[int, ...]) -> int:
+    """Distinct arrangements of a sorted tuple, n!/prod(multiplicity!), from run lengths."""
+    count = run = 1
+    for i in range(1, len(m)):
+        run = run + 1 if m[i] == m[i - 1] else 1
+        count = count * (i + 1) // run
+    return count
 
 
 def canonical_form(x: Diagonal) -> Diagonal:
@@ -364,7 +363,7 @@ def canonical_form(x: Diagonal) -> Diagonal:
 def _canonical_and_orbit_size(x: Diagonal) -> tuple[Diagonal, int]:
     """canonical_form(x) and orbit_size(x) read off one closure."""
     multisets = _closure_multisets(x)
-    return Diagonal(x.field, multisets[0]), _permutation_count(multisets)
+    return Diagonal(x.field, multisets[0]), sum(map(_arrangements, multisets))
 
 
 def weakly_equivalent(x: Diagonal, y: Diagonal) -> bool:
@@ -387,7 +386,7 @@ def orbit(x: Diagonal) -> set[tuple[int, ...]]:
 def orbit_size(x: Diagonal) -> int:
     """len(orbit(x)) without building it: the orbit is the disjoint union of
     the permutations of each distinct closure multiset."""
-    return _permutation_count(_closure_multisets(x))
+    return sum(map(_arrangements, _closure_multisets(x)))
 
 
 def enumerate_spikes(p: int, n: int) -> list[Diagonal]:
@@ -397,7 +396,7 @@ def enumerate_spikes(p: int, n: int) -> list[Diagonal]:
 
 def spike_census(p: int, n: int) -> dict:
     """Class census with orbit sizes; orbit sizes must add up to (p-1)^n."""
-    classes = [(d, _permutation_count(ms)) for d, ms in _enumerate_orbits(p, n)]
+    classes = [(d, sum(map(_arrangements, ms))) for d, ms in _enumerate_orbits(p, n)]
     total = sum(size for _, size in classes)
     if total != (p - 1) ** n:
         raise VerdictMismatchError(f"orbit sizes add up to {total}, not {(p - 1) ** n}")

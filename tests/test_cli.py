@@ -436,8 +436,8 @@ def _drop_last_row(monkeypatch):
 
 
 def _overcount(monkeypatch):
-    count = spikes._permutation_count
-    monkeypatch.setattr(spikes, "_permutation_count", lambda multisets: count(multisets) + 1)
+    count = spikes._arrangements
+    monkeypatch.setattr(spikes, "_arrangements", lambda multiset: count(multiset) + 1)
 
 
 def _swap_to_ones(monkeypatch):
@@ -448,7 +448,7 @@ def _swap_to_ones(monkeypatch):
     "fault, argv, message",
     [
         (_drop_last_row, ["enumerate", "--p", "3", "--n", "3"], "lex scan met the orbit"),
-        (_overcount, ["enumerate", "--p", "3", "--n", "3"], "orbit sizes add up to 10"),
+        (_overcount, ["enumerate", "--p", "3", "--n", "3"], "orbit sizes add up to 12"),
         (_swap_to_ones, ["normalize", "--diag", "p=3;x=1,1,1"], "normalize gave first entry 1"),
     ],
     ids=["lex-minimum", "partition", "normalize"],

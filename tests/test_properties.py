@@ -1,15 +1,14 @@
 """Property tests: the swap laws, the closure kernel, orbit sizes and the characteristic
 decision on random diagonals, the two routes of the per-prime search, the threshold
 experiment's independence of its test primes, and the zero-sum register kernel on
-random product blocks of rows."""
+random tuples."""
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from functools import cache
-from itertools import product
 from unittest import mock
-
-import numpy as np
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -91,6 +90,14 @@ def test_orbit_size_counts_the_materialized_orbit(d):
     assert orbit_size(d) == len(orbit_materialized(d))
 
 
+@settings(max_examples=200, deadline=None)
+@given(m=st.lists(st.integers(0, 4), max_size=12).map(lambda xs: tuple(sorted(xs))))
+def test_run_length_count_is_the_multinomial(m):
+    # n!/prod(multiplicity!) from factorials, the count the run lengths replace
+    want = math.factorial(len(m)) // math.prod(map(math.factorial, Counter(m).values()))
+    assert spikes._arrangements(m) == want
+
+
 @settings(max_examples=150, deadline=None)
 @given(d=diagonals(5))
 def test_certificate_admits_own_prime_and_agrees_with_search(d):
@@ -118,14 +125,12 @@ def test_solution_space_search_meets_the_lattice_witness(d, q):
 
 
 @st.composite
-def product_blocks(draw) -> tuple[int, list[int], int, int]:
-    """A sweep block: a head, then t trailing coordinates over [low, p), at most 16 rows."""
-    # 67 takes the registers past a machine word, onto Python ints
+def kernel_tuples(draw) -> tuple[int, tuple[int, ...]]:
+    """A prime and a tuple of 1 to 10 residues, zero allowed."""
+    # 67 takes the register past a machine word
     p = draw(st.sampled_from((2, 3, 5, 7, 67)))
-    low = draw(st.integers(0, p - 1))
-    t = draw(st.integers(0, 3).filter(lambda t: (p - low) ** t <= 16))
-    head = draw(st.lists(st.integers(0, p - 1), min_size=0 if t else 1, max_size=6 - t))
-    return p, head, low, t
+    a = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=10))
+    return p, tuple(a)
 
 
 @cache
@@ -148,16 +153,15 @@ def test_threshold_experiment_does_not_depend_on_its_test_primes(p, n_max, prime
         assert report[key] == want[key], key
 
 
-@settings(max_examples=80, deadline=None)
-@given(block=product_blocks())
-def test_register_kernel_rows_match_least_mask_oracle(block):
-    # one call over the whole block: each row's witness is the one it has alone
-    p, head, low, t = block
-    rows = [tuple(head) + tail for tail in product(range(low, p), repeat=t)]
-    first, final = zerosum._reach_history(p, head, low, t)
+@settings(max_examples=150, deadline=None)
+@given(drawn=kernel_tuples())
+def test_register_kernel_rows_match_least_mask_oracle(drawn):
+    # one register per tuple: every target's verdict and walked witness
+    p, a = drawn
+    layers, final = zerosum._reach_history(p, a)
     for target in range(p):
-        reached, mask = zerosum._reconstruct(p, np.array(rows).T, first, final, target)
-        for r, a in enumerate(rows):
-            want = least_mask_subset_sum(p, a, target)
-            got = sum(1 << i for i in range(len(a)) if mask[i, r])
-            assert (bool(reached[r]), got) == (want is not None, want or 0), (p, a, target)
+        want = least_mask_subset_sum(p, a, target)
+        got = 0
+        if final >> target & 1:
+            got = sum(1 << i for i in zerosum._witness(p, a, layers, target))
+        assert (bool(final >> target & 1), got) == (want is not None, want or 0), (p, a, target)

@@ -417,19 +417,19 @@ class _Admitted(Exception):
     pass
 
 
-def test_audit_budget_counts_rows_and_sort_indices(monkeypatch):
+def test_audit_budget_counts_rows_and_keys(monkeypatch):
     # the edge is tested by refusal: an admitted audit stops before summing
     def admitted(p, n):
         raise _Admitted
 
     monkeypatch.setattr(represent, "_audit_rows", admitted)
-    # (p-1)^n diagonals, each a 2^n-bit row and a 64-bit sort index
+    # (p-1)^n diagonals, each a 2^n-bit row and a 64-bit key
     for p, n in [(241, 3), (3833, 2), (59, 4), (23, 5), (13, 6), (7, 8), (5, 9), (3, 14)]:
         assert (p - 1) ** n * ((1 << n) + 64) <= represent.AUDIT_BUDGET
         with pytest.raises(_Admitted):
             uniqueness_audit(p, n)
     for p, n in [(251, 3), (499, 3), (3847, 2), (15809, 2), (61, 4), (89, 4), (29, 5), (31, 5)]:
-        with pytest.raises(BudgetExceededError, match="bits of signature rows and sort indices"):
+        with pytest.raises(BudgetExceededError, match="bits of signature rows and row keys"):
             uniqueness_audit(p, n)
 
 

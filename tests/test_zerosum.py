@@ -9,7 +9,6 @@ import sys
 import textwrap
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from spikelab import (
@@ -143,23 +142,25 @@ def test_verify_budget(monkeypatch, capsys):
         raise AssertionError("a refused size must not sweep")
 
     monkeypatch.setattr(zerosum, "_sweep", no_sweep)
-    for p, n in ((7, 10), (7, 11)):  # 6^10 * 10 * 7 and 6^11 * 11 * 7 register steps
+    # C(24, 19) * 19 * 7 and C(25, 20) * 20 * 7 register steps
+    for p, n in ((7, 19), (7, 20)):
         with pytest.raises(BudgetExceededError):
             verify_lemma_2_1(p, n)
     with pytest.raises(BudgetExceededError):
-        verify_lemma_2_2(7, 10)  # 7^10 * 10 * 2 register steps
-    assert main(["lemma22", "--p", "7", "--n", "10"]) == 3
+        verify_lemma_2_2(7, 19)  # C(25, 19) * 19 * 2 register steps
+    assert main(["lemma22", "--p", "7", "--n", "19"]) == 3
     assert capsys.readouterr().err == (
-        "error: lemma 2.2 at p=7, n=10 exceeds the budget of 1000000000 register steps\n"
+        "error: lemma 2.2 at p=7, n=19 exceeds the budget of 5000000 register steps\n"
     )
 
 
-# per (lemma, p < 7): the largest admitted n, and the first refused one, at 10^9
-# register steps; the admitted sizes take 0.1-2.5 s on a 2-core VM, and 61 MB at most
+# per (lemma, p < 7): the largest admitted n, and the first refused one, at 5 * 10^6
+# register steps, C(p - low + n - 1, n) sorted tuples times n * (1 + T); the admitted
+# sizes take 0.3-1.2 s on a 2-core VM, and 87 MB at most (the one 2.5M-entry tuple)
 BUDGET_EDGES = [
-    ("2.1", 2, 976562, 976563),  # one one-row block, counted as 512 rows
-    ("2.1", 3, 23, 24), ("2.1", 5, 11, 12),
-    ("2.2", 2, 24, 25), ("2.2", 3, 15, 16), ("2.2", 5, 10, 11),
+    ("2.1", 2, 2500000, 2500001),  # one sorted tuple, n * 2 steps
+    ("2.1", 3, 1290, 1291), ("2.1", 5, 48, 49),
+    ("2.2", 2, 1580, 1581), ("2.2", 3, 169, 170), ("2.2", 5, 33, 34),
 ]
 
 
@@ -194,12 +195,13 @@ def test_huge_sweeps_exit_3_with_one_line(monkeypatch, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: lemma 2.")
-    assert captured.err.endswith("exceeds the budget of 1000000000 register steps\n")
+    assert captured.err.endswith("exceeds the budget of 5000000 register steps\n")
     assert captured.err.count("\n") == 1
 
 
 def test_verify_budget_admits_largest_p7_sweeps(monkeypatch):
-    # 6^9 * 9 * 7 and 7^9 * 9 * 2 register steps fit: the sweep is called, not refused
+    # C(23, 18) * 18 * 7 and C(24, 18) * 18 * 2 register steps fit, and so does
+    # n = 9, the largest size the budget admitted in tuples of the product
     calls = []
 
     def record(*args):
@@ -207,9 +209,44 @@ def test_verify_budget_admits_largest_p7_sweeps(monkeypatch):
         return {}
 
     monkeypatch.setattr(zerosum, "_sweep", record)
-    verify_lemma_2_1(7, 9)
-    verify_lemma_2_2(7, 9)
-    assert calls == [("2.1", 7, 9), ("2.2", 7, 9)]
+    for n in (9, 18):
+        verify_lemma_2_1(7, n)
+        verify_lemma_2_2(7, n)
+    assert calls == [("2.1", 7, 9), ("2.2", 7, 9), ("2.1", 7, 18), ("2.2", 7, 18)]
+
+
+def test_checked_prints_at_every_admitted_size():
+    # checked is (p - low)^n * T; at the largest admitted n of each lemma and
+    # prime it stays within Python's 4300-digit limit on int to str conversion
+    for lemma in ("2.1", "2.2"):
+        for p in (2, 3, 5, 7, 11, 13):  # from p = 11 on, the least n is refused
+            n = _largest_admitted(lemma, p)
+            if n is not None:
+                _, _, _, low, targets = _sweep_args(lemma, p, n)
+                assert len(str((p - low) ** n * len(targets))) < 4300, (lemma, p, n)
+
+
+def _largest_admitted(lemma: str, p: int) -> int | None:
+    """The largest n the budget admits, by doubling and bisection on refusals."""
+
+    def admits(n: int) -> bool:
+        _, _, _, low, targets = _sweep_args(lemma, p, n)
+        try:
+            zerosum._check_budget(lemma, p, n, low, len(targets))
+        except BudgetExceededError:
+            return False
+        return True
+
+    n = p - 1 if lemma == "2.1" else p  # the least n the hypothesis admits
+    if not admits(n):
+        return None
+    hi = n + 1
+    while admits(hi):
+        n, hi = hi, 2 * hi
+    while hi - n > 1:
+        mid = (n + hi) // 2
+        n, hi = (mid, hi) if admits(mid) else (n, mid)
+    return n
 
 
 SWEEP_GRID = [
@@ -234,34 +271,44 @@ def test_sweep_matches_scalar_loop(lemma, p, n):
     _same_json(zerosum._sweep(*args), sweep_by_product(*args))
 
 
-@pytest.mark.parametrize(
-    "lemma, p, n",
-    [("2.1", 3, 4), ("2.1", 5, 2), ("2.1", 5, 3), ("2.2", 3, 2), ("2.2", 3, 3), ("2.2", 5, 3)],
-)
-def test_sweep_blocks_keep_product_order(monkeypatch, lemma, p, n):
-    # blocks of at most 4 rows: many blocks, failures crossing block boundaries
-    monkeypatch.setattr(zerosum, "_SWEEP_CHUNK", 4)
-    args = _sweep_args(lemma, p, n)
-    _same_json(zerosum._sweep(*args), sweep_by_product(*args))
-
-
-def test_sweep_blocks_stay_within_chunk(monkeypatch):
-    rows = []
+def test_sweep_runs_the_kernel_once_per_sorted_tuple(monkeypatch):
+    runs = []
     real = zerosum._reach_history
 
-    def counted(p, head, low, t):
-        rows.append((p - low) ** t)
-        return real(p, head, low, t)
+    def counted(p, a):
+        runs.append(a)
+        return real(p, a)
 
     monkeypatch.setattr(zerosum, "_reach_history", counted)
     report = verify_lemma_2_2(5, 8)
     assert report["checked"] == 5**8 and report["failures"] == []
-    assert sum(rows) == 5**8
-    assert max(rows) <= zerosum._SWEEP_CHUNK < 5**8
+    assert runs == list(itertools.combinations_with_replacement(range(5), 8))  # C(12, 8) = 495
+
+
+def test_failing_tuples_expand_into_their_distinct_arrangements():
+    # lexicographic order, one tuple per arrangement: the expansion never
+    # walks all n! orders of a tuple with repeated entries
+    for n in range(6):
+        for s in itertools.combinations_with_replacement(range(3), n):
+            got = list(zerosum._distinct_arrangements(s))
+            assert got == sorted(set(itertools.permutations(s))), s
+            assert len(got) == zerosum._arrangements(s)
+
+
+def test_arrangement_counts_that_miss_the_product_exit_1(monkeypatch, capsys):
+    # the counts must add up to (p - low)^n, or the sweep checked other tuples
+    real = zerosum._arrangements
+    monkeypatch.setattr(zerosum, "_arrangements", lambda s: real(s) + (s == (0, 1, 2)))
+    with pytest.raises(VerdictMismatchError, match=r"arrangement counts add up to 28, not 3\^3"):
+        verify_lemma_2_2(3, 3)
+    assert main(["lemma22", "--p", "3", "--n", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: arrangement counts add up to 28, not 3^3\n"
 
 
 def test_least_bitmask_witness_past_a_machine_word():
-    # GF(65521): the head register is one 65521-bit Python int
+    # GF(65521): the register is one 65521-bit Python int
     rng = random.Random(65521)
     f = PrimeField(65521)
     for _ in range(20):
@@ -278,11 +325,13 @@ def test_least_bitmask_witness_past_a_machine_word():
 
 
 def test_one_row_sweep_runs_on_its_head(capsys):
-    # p = 2 has one nonzero residue, so the sweep is one row, all head
+    # p = 2 has one nonzero residue, so the sweep runs the kernel on one sorted tuple
     assert main(["lemma21", "--p", "2", "--n", "300"]) == 0
     result = json.loads(capsys.readouterr().out)["result"]
     assert result["checked"] == 1 and result["failures"] == []
-    # 299 is first reached at step 299, past what a byte holds
+    # the register stops once it is full, two steps in
+    assert zerosum._reach_history(2, (1,) * 300) == ([0b10, 0b01], 0b11)
+    # 299 is first reached at step 299, and the walk takes all 299 steps
     assert subset_with_sum(PrimeField(1009), (1,) * 300, 299) == tuple(range(1, 300))
 
 
@@ -292,44 +341,55 @@ def test_solvers_reduce_inputs_mod_p():
     assert zero_sum_subset(f, (7, -1, 13)) == zero_sum_subset(f, (2, 4, 3)) == (1, 3)
 
 
-_real_reconstruct = zerosum._reconstruct
-
-
-def _wrong_witness(*args):
-    reached, mask = _real_reconstruct(*args)
-    mask[:] = False
-    mask[0] = True  # every witness is step 1, which sums to a[0] whatever the target
-    return reached, mask
+def _wrong_witness(p, a, layers, target):
+    return [0]  # every witness is step 1, which sums to a[0] whatever the target
 
 
 def _drop_final_bits(mask):
     real = zerosum._reach_history
 
     def dropped(*args):
-        first, final = real(*args)
-        return first, final & ~np.uint64(mask)
+        layers, final = real(*args)
+        return layers, final & ~mask
 
     return dropped
 
 
 def test_sweep_reports_witness_that_fails_to_resum(monkeypatch):
-    monkeypatch.setattr(zerosum, "_reconstruct", _wrong_witness)
+    # the fault acts on sorted tuples: a failing (sorted tuple, target) lists
+    # those of its arrangements that fail on their own run
+    monkeypatch.setattr(zerosum, "_witness", _wrong_witness)
     report = verify_lemma_2_1(3, 2)
     assert report["checked"] == 8
     assert report["failures"] == [
         {"a": [1, 1], "k": 2, "witness": [1]},
-        {"a": [1, 2], "k": 2, "witness": [1]},
-        {"a": [2, 1], "k": 1, "witness": [1]},
-        {"a": [2, 2], "k": 1, "witness": [1]},
+        {"a": [1, 2], "k": 2, "witness": [1]},  # (2, 1) re-sums to 2 at k = 2
+        {"a": [2, 2], "k": 1, "witness": [1]},  # sorted (1, 2) passes at k = 1
     ]
     report = verify_lemma_2_2(3, 3)
     assert report["checked"] == 27
-    assert len(report["failures"]) == 18  # every tuple with a[0] != 0
-    assert report["failures"][0] == {"a": [1, 0, 0], "k": 0, "witness": [1]}
+    # a sorted tuple with a zero starts with it, so only the zero-free ones fail
+    assert report["failures"] == [
+        {"a": list(a), "k": 0, "witness": [1]} for a in itertools.product((1, 2), repeat=3)
+    ]
+
+
+def test_corrupt_history_fails_the_resum_instead_of_looping(monkeypatch):
+    # 4 enters at step 3, but the residue left after it, 1, is in no layer
+    # below: each layer is read once, and the part witness does not re-sum
+    layers = [0b00001, 0b00100, 0b00000, 0b10000]
+    monkeypatch.setattr(zerosum, "_reach_history", lambda p, a: (layers, 0b11111))
+    with pytest.raises(VerdictMismatchError, match=r"witness \(4,\) of \(1, 2, 3, 3\) does not"):
+        subset_with_sum(PrimeField(5), (1, 2, 3, 3), 4)
+    # a register that claims zero with no layer holding it walks to no step at
+    # all, and the empty set is no witness, though it sums to zero
+    monkeypatch.setattr(zerosum, "_reach_history", lambda p, a: ([0b110], 0b111))
+    with pytest.raises(VerdictMismatchError, match=r"witness \(\) of \(1,\) does not re-sum to 0"):
+        zero_sum_subset(PrimeField(3), (1,))
 
 
 def test_solver_witness_that_fails_to_resum_raises(monkeypatch):
-    monkeypatch.setattr(zerosum, "_reconstruct", _wrong_witness)
+    monkeypatch.setattr(zerosum, "_witness", _wrong_witness)
     with pytest.raises(VerdictMismatchError, match=r"witness \(1,\) of \(1, 2, 3\) does not re-sum"):
         subset_with_sum(PrimeField(5), (1, 2, 3), 4)
     with pytest.raises(VerdictMismatchError):
@@ -342,7 +402,7 @@ def test_solver_resum_check_survives_optimized_python():
         from spikelab import PrimeField, VerdictMismatchError, subset_with_sum, zerosum
         from test_zerosum import _wrong_witness
 
-        zerosum._reconstruct = _wrong_witness
+        zerosum._witness = _wrong_witness
         try:
             subset_with_sum(PrimeField(5), (1, 2, 3), 4)
         except VerdictMismatchError as exc:
@@ -372,7 +432,7 @@ def test_sweep_reports_unreached_target(monkeypatch):
 
 @pytest.mark.parametrize(
     "attr, fault",
-    [("_reconstruct", _wrong_witness), ("_reach_history", _drop_final_bits(0b101))],
+    [("_witness", _wrong_witness), ("_reach_history", _drop_final_bits(0b101))],
 )
 def test_lemma_failures_exit_1(monkeypatch, capsys, attr, fault):
     monkeypatch.setattr(zerosum, attr, fault)
