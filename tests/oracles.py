@@ -265,6 +265,23 @@ def is_circuit(M: MatrixGF) -> bool:
     return True
 
 
+def axioms_by_definition(M: MatrixGF) -> bool:
+    """The three spike conditions as stated: every pair of points on a line
+    ranked, every set of k < n lines ranked, then the whole matrix."""
+    n = M.rows
+    line = [[i, n, n + 1 + i] for i in range(n)]
+    for cols in line:
+        for pair in itertools.combinations(cols, 2):
+            if M.select_columns(pair).rank() != 2:
+                return False
+    for k in range(1, n):
+        for lines in itertools.combinations(range(n), k):
+            cols = sorted({c for i in lines for c in line[i]})
+            if M.select_columns(cols).rank() != k + 1:
+                return False
+    return M.rank() == n
+
+
 def least_mask_subset_sum(p: int, a: tuple[int, ...], target: int) -> int | None:
     """Smallest bitmask of a nonempty subset of a summing to target mod p."""
     for mask in range(1, 1 << len(a)):

@@ -311,10 +311,10 @@ def test_axioms_refused_past_cap_before_rank_work(capsys, monkeypatch):
         raise AssertionError("rank work ran past the axioms cap")
 
     monkeypatch.setattr(MatrixGF, "rank", no_rank)
-    assert main(["axioms", "--diag", "p=3;x=" + ",".join(["1"] * 13)]) == 2
+    assert main(["axioms", "--diag", "p=3;x=" + ",".join(["1"] * 25)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: axiom check capped at n=12\n"
+    assert captured.err == "error: axiom check capped at n=24\n"
 
 
 def test_signature_report_refused_past_member_cap_before_listing(capsys, monkeypatch):

@@ -347,6 +347,18 @@ def test_audit_survives_a_degenerate_key_mix(monkeypatch, mix, p, n):
     assert uniqueness_audit(p, n) == _audit_by_bytes(p, n)
 
 
+def test_audit_of_a_lone_diagonal_builds_no_key(monkeypatch):
+    # over GF(2) the one diagonal is (1, ..., 1): its row has no copies to find
+    def no_mix(words):
+        raise AssertionError("a lone row was keyed")
+
+    monkeypatch.setattr(represent, "_mix_words", no_mix)
+    for n in range(1, spikes.SIGNATURE_MAX_N + 1):
+        report = uniqueness_audit(2, n)
+        assert (report["distinct_signatures"], report["collisions"]) == (1, 0), n
+        assert report["collision_examples"] == []
+
+
 def test_audit_injective_at_guarantee_threshold():
     report = uniqueness_audit(3, 5)  # n = 2p-1
     assert report["collisions"] == 0
@@ -667,10 +679,10 @@ def test_estimate_eliminates_once_per_class_and_skips_cofinite_searches(monkeypa
 
     def eliminate(sig):
         eliminated.append(sig.bits)
-        generic, special, m = rational(sig)
+        generic, special, h, m = rational(sig)
         if generic:
             cofinite.add(sig.bits)
-        return generic, special, m
+        return generic, special, h, m
 
     def search(sig, q, budget):
         decided.append(sig.bits)
@@ -687,6 +699,16 @@ def test_estimate_eliminates_once_per_class_and_skips_cofinite_searches(monkeypa
     assert len(eliminated) == sum(level["classes"] for level in report["levels"])
     assert cofinite and decided
     assert cofinite.isdisjoint(decided)
+
+
+def test_estimate_builds_no_prime_list(monkeypatch):
+    # the primes up to h matter only to a generic class, which the scan rejects
+    def no_primes(v):
+        raise AssertionError("the scan built the primes up to h")
+
+    monkeypatch.setattr(represent, "is_prime", no_primes)
+    report = estimate_L(7, [2, 3, 5, 7, 11], 6)
+    assert report["found_n"] is not None
 
 
 def test_estimate_caps():

@@ -39,6 +39,7 @@ from spikelab import (
 
 from oracles import (
     SpikeRep,
+    axioms_by_definition,
     change_basis_standardize,
     default_labels,
     is_circuit,
@@ -186,7 +187,7 @@ def test_check_axioms_detects_two_parallel_points_on_a_line():
             assert not check_axioms(MatrixGF(GF5, rows)), (n, i)
 
 
-def test_check_axioms_ranks_each_line_once(monkeypatch):
+def test_check_axioms_ranks_each_line_and_its_complement_once(monkeypatch):
     calls = 0
     rank = MatrixGF.rank
 
@@ -196,12 +197,64 @@ def test_check_axioms_ranks_each_line_once(monkeypatch):
         return rank(self)
 
     monkeypatch.setattr(MatrixGF, "rank", counted)
-    for n in range(3, 7):
+    for n in range(3, spikes.AXIOMS_MAX_N + 1):
         calls = 0
         assert check_axioms(build_rep(Diagonal(GF5, (1,) * n)))
-        # 3n parallel probes, one per nonempty proper set of lines, one for
-        # all n; ranking each line again on its own would add n more
-        assert calls == 3 * n + (1 << n) - 1, n
+        # per line its three pairs and itself, then every line but it; one
+        # rank per set of lines would pass 2^n here from n = 5 on
+        assert calls == 5 * n, n
+
+
+def _near_spike(rng: random.Random, p: int, n: int) -> MatrixGF:
+    """Columns e_1..e_n, t, f_1..f_n, where line i spans t and direction d_i
+    and its three points are pairwise non-parallel.
+
+    The d_i are the columns of a random invertible matrix P and t = P s, so
+    the lines through t form a spike exactly when every s_i is nonzero.
+    Each s_i is zero with probability 1/(2n), and each d_i is redrawn with
+    the same probability as a random combination of other directions and t.
+    """
+    field = PrimeField(p)
+    while True:
+        P = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        if MatrixGF(field, P).rank() == n:
+            break
+    d = [[P[r][i] for r in range(n)] for i in range(n)]
+    while True:
+        s = [0 if rng.random() < 1 / (2 * n) else rng.randrange(1, p) for _ in range(n)]
+        if sum(v != 0 for v in s) >= 2:  # t is then parallel to no d_i
+            break
+    t = [sum(P[r][i] * s[i] for i in range(n)) % p for r in range(n)]
+    for i in range(n):
+        if rng.random() < 1 / (2 * n):
+            others = rng.sample([j for j in range(n) if j != i], rng.randrange(1, n - 1))
+            coef = {j: rng.randrange(1, p) for j in others}
+            a = rng.randrange(p)
+            d[i] = [(a * t[r] + sum(c * d[j][r] for j, c in coef.items())) % p for r in range(n)]
+    es, fs = [], []
+    for i in range(n):
+        while True:
+            a, c = rng.randrange(p), rng.randrange(p)
+            b, g = rng.randrange(1, p), rng.randrange(1, p)
+            if (a * g - b * c) % p:
+                break
+        es.append([(a * t[r] + b * d[i][r]) % p for r in range(n)])
+        fs.append([(c * t[r] + g * d[i][r]) % p for r in range(n)])
+    cols = es + [t] + fs
+    return MatrixGF(field, [[col[r] for col in cols] for r in range(n)])
+
+
+def test_check_axioms_matches_the_definition_on_near_spikes():
+    rng = random.Random(109)
+    outcomes = {n: set() for n in range(3, 8)}
+    for p in (2, 3, 5):
+        for n in outcomes:
+            for _ in range(20):
+                M = _near_spike(rng, p, n)
+                holds = axioms_by_definition(M)
+                assert check_axioms(M) == holds, (p, n, M.entries)
+                outcomes[n].add(holds)
+    assert all(seen == {True, False} for seen in outcomes.values()), outcomes
 
 
 def test_check_axioms_rejects_wrong_shape():

@@ -1,7 +1,8 @@
 """The benchmark keeps its own copy of gate c11's argv list, its lemma jobs must stay
 inside the sweep budget and its audits inside the audit budget, its searches far inside
-the lattice cap, its result checks must accept the library's payloads, and the functions
-its tracer requires must exist; none of these may drift from the library."""
+the lattice cap, every job of its seed-1 runs must return its exit code and pass its
+result check, and the functions its tracer requires must exist; none of these may drift
+from the library."""
 
 from __future__ import annotations
 
@@ -48,6 +49,29 @@ def test_bench_checks_accept_every_cli_run(tmp_path):
         assert main([*argv, "--output", str(path)]) == job.expect, argv
         result = json.loads(path.read_text())["result"]
         assert bench["CHECKS"][argv[0]](job, result, None) is None, argv
+
+
+def test_bench_seed_1_jobs_pass_their_checks_in_order(tmp_path, capsys):
+    # every job the benchmark times at seed 1, full and smoke, as its child runs
+    # them: a job that fails here would raise the benchmark's failed share, and
+    # a paired check reads the result of the job just before it
+    bench = runpy.run_path(str(WORKLOADS))
+    path = tmp_path / "result.json"
+    jobs = 0
+    for name in bench["WORKLOADS"]:
+        for smoke in (False, True):
+            prev = None
+            for job in bench["build"](name, 1, smoke):
+                path.unlink(missing_ok=True)
+                code = main([*job.argv, "--output", str(path)])
+                assert code == job.expect, (name, smoke, job.argv)
+                result = None
+                if code == 0:
+                    result = json.loads(path.read_text())["result"]
+                    assert job.check(job, result, prev) is None, (name, smoke, job.argv)
+                prev = result
+                jobs += 1
+    assert jobs > 1000
 
 
 def test_bench_lemma_jobs_fit_the_hypothesis():
