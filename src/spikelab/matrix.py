@@ -11,8 +11,11 @@ whenever q divides no pivot.
 
 from __future__ import annotations
 
+from math import log2
 from random import Random
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     MismatchedShapeError,
@@ -70,101 +73,220 @@ class MatrixGF:
         return MatrixGF(self.field, [[self.entries[i][j] for j in idx] for i in range(self.rows)])
 
     def rank(self) -> int:
-        return len(_echelon(self.entries, self.field.p)[1])
+        return int(_ranks([self.entries], self.field.p)[0])
 
     def det(self) -> int:
         if self.rows != self.cols:
             raise NonSquareError(f"det of {self.rows}x{self.cols} matrix")
-        _, cols, pivots, sign = _echelon(self.entries, self.field.p)
-        if len(cols) < self.rows:
-            return 0
-        return sign * pivots[-1] % self.field.p
+        return int(_dets([self.entries], self.field.p)[0])
+
+
+# residues below 2^31 multiply to below 2^62, so s*a - t*b fits int64
+_MODULUS_LIMIT = 1 << 31
+
+
+def _int64(rows) -> "np.ndarray":
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        raise TooLargeError("matrix entries exceed int64") from None
+
+
+def _check_entry_bound(a: "np.ndarray", q: Optional[int]) -> None:
+    """Refuse a stack whose elimination could pass int64, before any of it runs.
+
+    Mod q every product is of two residues, below 2^62 when q < 2^31.  Over
+    Z every value the elimination and ``rref`` keep is a minor of the input,
+    at most k x k with k = min(r, c), so at most H = N^k with N the largest
+    row norm (Hadamard); every value they form on the way is a sum of at
+    most k + 1 products of two such minors.  So (k + 1) H^2 must stay below
+    2^63.
+    """
+    if q is not None:
+        if q >= _MODULUS_LIMIT:
+            raise TooLargeError(f"elimination mod q needs q < 2^31, got {q}")
+        return
+    k = min(a.shape[1:])
+    if not a.size:
+        return
+    norm_sq = float(np.square(a, dtype=np.float64).sum(axis=2).max())
+    # log2 of (k + 1) H^2; the float error is far inside the 2^-20 margin
+    bits = k * log2(max(norm_sq, 1.0)) + log2(k + 1)
+    if bits >= 63 - 2.0**-20:
+        raise TooLargeError(f"elimination values could pass int64 (bound 2^{bits:.2f})")
+
+
+def _bareiss_step(rows, pivot_row, pv, prev, col: int, q: Optional[int]) -> None:
+    """Replace each row a in place by (pv*a - c*b) / prev, with c its entry in
+    col and b the pivot row; mod q, prev^-1 multiplies.
+
+    rows is one matrix's rows with ints pv and prev, or a stack's with
+    (B, 1, 1) arrays of them.
+    """
+    lead = rows[..., col, None]
+    if q is None:
+        t = lead * pivot_row[..., None, :]
+        rows *= pv
+        rows -= t
+        rows //= prev
+        return
+    if isinstance(prev, int):
+        inv = pow(prev, -1, q)
+    else:
+        inv = np.array([pow(v, -1, q) for v in prev.ravel().tolist()], dtype=np.int64)
+        inv = inv.reshape(prev.shape)
+    t = lead * inv % q * pivot_row[..., None, :]
+    rows *= pv * inv % q
+    rows -= t
+    rows %= q
 
 
 def _echelon(
-    rows: Sequence[Sequence[int]], q: Optional[int] = None
-) -> tuple[list[list[int]], list[int], list[int], int]:
-    """One fraction-free (Bareiss) forward elimination, over Z (q None) or GF(q).
+    stack, q: Optional[int] = None
+) -> tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]:
+    """One fraction-free (Bareiss) forward elimination of a (B, r, c) stack of
+    integer matrices, each on its own, over Z (q None) or GF(q).
 
-    Returns the nonzero echelon rows, their pivot columns, each pivot as it
-    was met, and the sign of the row swaps.  Each step replaces every row
-    below the pivot row by (pv*a - c*b) / prev, where pv is the new pivot
-    and prev the one before: exact division over Z, so every entry is a
-    minor of the input, and multiplication by prev^-1 over GF(q).  The
-    pivot row is the first at or below the rank with a nonzero entry, so
-    over GF(q) this is the run over Z reduced mod q if q divides no pivot.
-    The last pivot of a square matrix of full rank is sign * det.
+    Returns (rows, rank, cols, pivots, sign): the eliminated stack, where
+    matrix b holds its rank[b] echelon rows above zero rows; its pivot
+    columns and its pivots as they were met, in the first rank[b] entries of
+    row b of cols and pivots (B x min(r, c)); and the sign of its row swaps.
+    Each step replaces every row below the pivot row by (pv*a - c*b) / prev,
+    where pv is the new pivot and prev the one before: exact division over
+    Z, so every entry is a minor of the input, and multiplication by
+    prev^-1 over GF(q).  The pivot row is the first at or below the
+    matrix's rank with a nonzero entry, so over GF(q) this is the run over Z
+    reduced mod q if q divides no pivot, and zero rows below the real ones
+    change nothing.  The last pivot of a square matrix of full rank is
+    sign * det.  ``_check_entry_bound`` refuses the stack first if a value
+    could pass int64.  While all the matrices share one rank a step updates
+    the slice of rows below it; from the first column where their ranks
+    part, it masks the rows at or above each matrix's own.  A single matrix
+    keeps its pivots as Python ints, which small matrices notice.
     """
-    mat = [[v if q is None else v % q for v in row] for row in rows]
-    nrows = len(mat)
-    cols: list[int] = []
-    pivots: list[int] = []
-    sign = 1
-    prev = 1
-    rank = 0
-    for col in range(len(mat[0]) if mat else 0):
-        for r in range(rank, nrows):
-            if mat[r][col]:
+    a = _int64(stack)
+    B, r, c = a.shape
+    _check_entry_bound(a, q)
+    if q is not None:
+        np.remainder(a, q, out=a)
+    k = min(r, c)
+    cols = np.zeros((B, k), dtype=np.int64)
+    pivots = np.zeros((B, k), dtype=np.int64)
+    sign = np.ones(B, dtype=np.int64)
+    lo = col = 0
+    if B == 1:
+        m, prev = a[0], 1
+        for col in range(c):
+            if lo == r:
                 break
-        else:
+            hits = np.flatnonzero(m[lo:, col])
+            if not len(hits):
+                continue
+            if hits[0]:
+                at = lo + int(hits[0])
+                m[[lo, at]] = m[[at, lo]]
+                sign = -sign
+            pv = int(m[lo, col])
+            _bareiss_step(m[lo + 1 :], m[lo], pv, prev, col, q)
+            cols[0, lo], pivots[0, lo], prev = col, pv, pv
+            lo += 1
+        return a, np.array([lo]), cols, pivots, sign
+    prev = np.ones((B, 1, 1), dtype=np.int64)
+    every = np.arange(B)
+    while col < c and lo < r:
+        lead = a[:, lo:, col]
+        at = lead.astype(bool).argmax(axis=1)
+        pv = lead[every, at]
+        found = np.count_nonzero(pv)
+        if found < B:
+            if found:
+                break  # the ranks part at this column
+            col += 1
             continue
-        if r != rank:
-            mat[rank], mat[r] = mat[r], mat[rank]
-            sign = -sign
-        pivot_row = mat[rank]
-        pv = pivot_row[col]
-        if q is not None:
-            inv = pow(prev, -1, q)
-            s = pv * inv % q
-        for i in range(rank + 1, nrows):
-            other = mat[i]
-            c = other[col]
-            if not c and pv == prev:
-                continue  # the update would leave the row as it is
-            if q is None:
-                mat[i] = [(pv * a - c * b) // prev for a, b in zip(other, pivot_row)]
-            else:
-                t = c * inv % q
-                mat[i] = [(s * a - t * b) % q for a, b in zip(other, pivot_row)]
-        cols.append(col)
-        pivots.append(pv)
-        prev = pv
-        rank += 1
-        if rank == nrows:
-            break
-    return mat[:rank], cols, pivots, sign
+        if at.any():
+            moved = np.flatnonzero(at)
+            at = at[moved] + lo
+            a[moved, lo], a[moved, at] = a[moved, at], a[moved, lo]
+            sign[moved] *= -1
+        _bareiss_step(a[:, lo + 1 :], a[:, lo], pv[:, None, None], prev, col, q)
+        cols[:, lo] = col
+        pivots[:, lo] = pv
+        prev = pv[:, None, None]
+        lo += 1
+        col += 1
+    rank = np.full(B, lo, dtype=np.int64)
+    below = np.arange(r)
+    for col in range(col, c if lo < r else 0):
+        nonzero = (a[:, :, col] != 0) & (below >= rank[:, None])
+        sel = np.flatnonzero(nonzero.any(axis=1))
+        if not len(sel):
+            continue
+        m = a[sel]
+        top = rank[sel]
+        at = nonzero[sel].argmax(axis=1)
+        moved = np.flatnonzero(at != top)
+        if len(moved):
+            at, to = at[moved], top[moved]
+            m[moved, to], m[moved, at] = m[moved, at], m[moved, to]
+            sign[sel[moved]] *= -1
+        pivot_row = m[np.arange(len(sel)), top]
+        pv = pivot_row[:, col, None, None]
+        step = m.copy()
+        _bareiss_step(step, pivot_row, pv, prev[sel], col, q)
+        a[sel] = np.where((below > top[:, None])[:, :, None], step, m)
+        cols[sel, top] = col
+        pivots[sel, top] = pv[:, 0, 0]
+        prev[sel] = pv
+        rank[sel] += 1
+    return a, rank, cols, pivots, sign
+
+
+def _ranks(stack, q: int) -> "np.ndarray":
+    """The rank of each matrix of a stack over GF(q)."""
+    return _echelon(stack, q)[1]
+
+
+def _dets(stack, p: int) -> "np.ndarray":
+    """The determinant mod p of each square matrix of a stack."""
+    _, rank, _, pivots, sign = _echelon(stack, p)
+    return np.where(rank == pivots.shape[1], sign * pivots[:, -1] % p, 0)
 
 
 def rref(
-    rows: Sequence[Sequence[int]], q: Optional[int] = None
+    rows, q: Optional[int] = None
 ) -> tuple[list[list[int]], list[int], list[int]]:
     """d times the reduced row echelon form of an integer matrix, over Q (q None)
     or over GF(q), with d the last pivot.
 
     Returns the nonzero reduced rows, their pivot columns, and each pivot as
-    ``_echelon`` met it.  Back-substitution keeps the rows integral: from
-    the last pivot row up, row k becomes (d*row_k - sum of row_k[c_j] *
-    row_j over the later pivot rows) / pv_k, with d the last pivot and the
-    later rows already in this form, so every pivot entry becomes d and
-    every other pivot column entry 0.  Over Q, by Cramer's rule, each entry
-    is, up to sign, a minor of the input; over GF(q) the division is by the
-    inverse, so the rows are those over Q reduced mod q if q divides no pivot.
+    ``_echelon`` met it, all as plain ints.  Back-substitution keeps the
+    rows integral: from the last pivot row up, row k becomes (d*row_k - sum
+    of row_k[c_j] * row_j over the later pivot rows) / pv_k, with d the last
+    pivot and the later rows already in this form, so every pivot entry
+    becomes d and every other pivot column entry 0.  The sums are built one
+    later row at a time, for every earlier row at once.  Over Q, by
+    Cramer's rule, each entry is, up to sign, a minor of the input; over
+    GF(q) the division is by the inverse, so the rows are those over Q
+    reduced mod q if q divides no pivot.
     """
-    mat, cols, pivots, _ = _echelon(rows, q)
-    d = pivots[-1] if pivots else 1
-    for k in range(len(cols) - 2, -1, -1):
-        row = mat[k]
-        acc = [d * a for a in row]
-        for j in range(k + 1, len(cols)):
-            c = row[cols[j]]
-            if c:
-                acc = [a - c * b for a, b in zip(acc, mat[j])]
-        if q is None:
-            mat[k] = [a // pivots[k] for a in acc]
-        else:
-            inv = pow(pivots[k], -1, q)
-            mat[k] = [a * inv % q for a in acc]
-    return mat, cols, pivots
+    if not len(rows):
+        return [], [], []
+    a, rank, cols, pivots, _ = _echelon([rows], q)
+    k = int(rank[0])
+    echelon, cols, pivots = a[0, :k], cols[0, :k], pivots[0, :k]
+    reduced = echelon.copy()
+    if k > 1:
+        d = int(pivots[-1])
+        acc = d * echelon[:-1]
+        for j in range(k - 1, 0, -1):
+            acc[:j] -= echelon[:j, cols[j], None] * reduced[j]
+            pv = int(pivots[j - 1])
+            if q is None:
+                reduced[j - 1] = acc[j - 1] // pv
+            else:
+                acc[:j] %= q
+                reduced[j - 1] = acc[j - 1] * pow(pv, -1, q) % q
+    return reduced.tolist(), cols.tolist(), pivots.tolist()
 
 
 def spike_det(field: PrimeField, x: Sequence[int]) -> int:
@@ -203,20 +325,29 @@ def verify_det_identity(p: int, n_max: int = 7, samples: int = 500, seed: int = 
             f"determinant check capped at {DETCHECK_MAX_SAMPLES} samples, got {samples}"
         )
     rng = Random(seed)
-    failures = []
-    checked = 0
+    draws = []
     for _ in range(samples):
         n = rng.randint(1, n_max)
-        x = [rng.randint(1, p - 1) for _ in range(n)]
+        draws.append([rng.randint(1, p - 1) for _ in range(n)])
+    # one stack of explicit matrices per n, eliminated at once
+    slow = [0] * samples
+    by_n: dict[int, list[int]] = {}
+    for i, x in enumerate(draws):
+        by_n.setdefault(len(x), []).append(i)
+    for n, at in by_n.items():
+        stack = np.ones((len(at), n, n), dtype=np.int64)
+        stack[:, range(n), range(n)] += np.array([draws[i] for i in at], dtype=np.int64)
+        for i, det in zip(at, _dets(stack, p).tolist()):
+            slow[i] = det
+    failures = []
+    for x, det in zip(draws, slow):
         fast = spike_det(field, x)
-        slow = ones_plus_diag(field, x).det()
-        checked += 1
-        if fast != slow:
-            failures.append({"x": x, "closed_form": fast, "elimination": slow})
+        if fast != det:
+            failures.append({"x": x, "closed_form": fast, "elimination": det})
     return {
         "p": p,
         "n_max": n_max,
         "samples": samples,
-        "checked": checked,
+        "checked": samples,
         "failures": failures,
     }

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Optional, Sequence
+from math import isqrt
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .errors import (
     VerdictMismatchError,
     ZeroEntryError,
 )
-from .field import PrimeField, is_prime
+from .field import PrimeField
 from .matrix import rref
 from .spikes import (
     CANONICAL_MAX_N,
@@ -50,55 +51,66 @@ _LOW_CHUNK = 1 << 14
 # exhaustive representability search
 
 
-# subset sums a lattice search may compute before it hands over to the
-# solution-space search; at about 0.3 us a sum that is about 0.3 s
+# lattice sums a search may read and write before it hands over to the
+# solution-space search; at about 0.1 us a sum that is about 0.1 s
 _LATTICE_CAP = 10**6
 
 
 def search_rep(sig: Signature, q: int) -> tuple[Optional[Diagonal], int]:
-    """Find a diagonal over GF(q) with exactly this signature, plus sums computed.
+    """Find a diagonal over GF(q) with exactly this signature, plus sums counted.
 
-    Depth-first over inverse vectors z in (GF(q)\\{0})^n in lex order.  Once
-    z_k is placed, every subset whose top index is k+1 has its sum settled,
-    so membership can be enforced immediately; a complete pruned sweep is
-    still exhaustive, so a None return proves non-existence.  Past
-    _LATTICE_CAP subset sums the lattice hands over to ``_admissible_point``,
-    which meets the same lex-least z first.  The count is the subset sums
-    the lattice computed, so it exceeds the cap exactly when it handed over.
+    Depth-first over inverse vectors z in (GF(q)\\{0})^n in lex order, one
+    level per coordinate.  At level k the sums of the subsets below 2^k are
+    fixed, and the members whose top index is k+1 decide z_k.  With any
+    such member I, z_k is forced to -1 - sum(I minus k+1), and it is
+    admissible iff it is nonzero and exactly those members' lower sets have
+    that sum.  With none, z_k may be any value that puts no lower sum at -1.
+    Values are tried in ascending order, so a complete search is exhaustive
+    (None proves non-existence) and meets the lex-least z first.  A level's
+    members are listed on its first visit.  Past _LATTICE_CAP sums the
+    lattice hands over to ``_admissible_point``, which meets the same
+    lex-least z first.  The count is the lower sums read plus the level sums
+    written, so it exceeds the cap exactly when the lattice handed over.
     """
     n = sig.n
     if n > SEARCH_MAX_N:
         raise TooLargeError(f"search capped at n={SEARCH_MAX_N}, got {n}")
     field = PrimeField(q)
-    target = q - 1
-    member = sig.flags().tolist()
+    flags = sig.flags()
+    members: list[Optional[list[int]]] = [None] * n
     cap = _LATTICE_CAP
     sums = [0] * (1 << n)
     z = [0] * n
     spent = 0
 
-    def dfs(k: int) -> bool:
+    def count(sums_touched: int) -> None:
         nonlocal spent
+        spent += sums_touched
+        if spent > cap:
+            raise BudgetExceededError(f"lattice cap {cap} reached searching GF({q})")
+
+    def dfs(k: int) -> bool:
         base = 1 << k
-        # fills one lattice level per value tried and exits early: not subset_sums
-        for v in range(1, q):
-            ok = True
-            for lower in range(base):
-                s = sums[lower] + v
-                if s >= q:
-                    s -= q
-                mask = lower | base
-                sums[mask] = s
-                if (s == target) != member[mask]:
-                    ok = False
-                    break
-            spent += lower + 1
-            if spent > cap:
-                raise BudgetExceededError(f"lattice cap {cap} reached searching GF({q})")
-            if ok:
-                z[k] = v
-                if k + 1 == n or dfs(k + 1):
-                    return True
+        lower = sums[:base]
+        count(base)
+        if members[k] is None:
+            members[k] = np.flatnonzero(flags[base : 2 * base]).tolist()
+        below = members[k]
+        if below:
+            s = lower[below[0]]
+            v = (-1 - s) % q
+            if not v or lower.count(s) != len(below) or any(lower[i] != s for i in below):
+                return False
+            values: Iterable[int] = (v,)
+        else:
+            taken = set(lower)
+            values = (v for v in range(1, q) if (-1 - v) % q not in taken)
+        for v in values:
+            count(base)
+            sums[base : 2 * base] = [(s + v) % q for s in lower]
+            z[k] = v
+            if k + 1 == n or dfs(k + 1):
+                return True
         return False
 
     try:
@@ -286,7 +298,11 @@ def _solution_space(
     free coordinates, the solutions are in lex order.
     """
     n = sig.n
-    rows = [[mask >> i & 1 for i in range(n - 1, -1, -1)] + [-1] for mask in sig.members()]
+    members = np.flatnonzero(sig.flags())
+    # column j holds coordinate n - 1 - j, and the last column the constant -1
+    rows = np.empty((len(members), n + 1), dtype=np.int64)
+    rows[:, :n] = members[:, None] >> np.arange(n - 1, -1, -1) & 1
+    rows[:, n] = -1
     reduced, cols, pivots = rref(rows, q)
     one = pivots[-1] if pivots else 1
     if cols and cols[-1] == n:
@@ -319,14 +335,19 @@ def _forms(sig: Signature, F: "np.ndarray", one: int) -> "np.ndarray":
     return np.concatenate([sums[:, nonmember], F], axis=1)
 
 
-def _admissible_point(sig: Signature, q: int, budget: int) -> tuple[Optional[list[int]], int]:
+def _admissible_point(
+    sig: Signature, q: int, budget: int, rational: Optional[tuple] = None
+) -> tuple[Optional[list[int]], int]:
     """The lex-least inverse vector over GF(q) with exactly this signature, or
     None; plus form values spent.
 
-    Row-reduces the member equations mod q and takes the forms on the
-    solution space at ``_solution_space``'s scale ``one``, as the
-    certificate does over Q; a nonzero scale leaves each form's zeros in
-    place.  It then searches depth-first over nonzero free coordinates in
+    Takes the solution space of the member equations over GF(q) and the
+    forms on it at ``_solution_space``'s scale ``one``, as the certificate
+    does over Q; a nonzero scale leaves each form's zeros in place.  Given
+    ``rational``, ``_solution_space(sig)`` over Q, and q dividing none of
+    its pivots, the space is its F and ``one`` reduced mod q: the
+    elimination mod q is the one over Q reduced.  Otherwise the member
+    equations are row-reduced mod q.  It then searches depth-first over nonzero free coordinates in
     ascending order, so by ``_solution_space``'s order it meets the
     lex-least point first, and divides that point by ``one``.  A
     forbidden form is checked as soon as its last free coordinate with a
@@ -337,7 +358,11 @@ def _admissible_point(sig: Signature, q: int, budget: int) -> tuple[Optional[lis
     """
     # q < 2^29 (a special prime divides a form coefficient or a pivot), so
     # sums of a dozen products of residues fit in int64
-    F, one, _ = _solution_space(sig, q)
+    if rational is not None and all(pv % q for pv in rational[2]):
+        F, one, _ = rational
+        F, one = None if F is None else F % q, one % q
+    else:
+        F, one, _ = _solution_space(sig, q)
     if F is None:
         return None, 0
     forms = _forms(sig, F, one) % q
@@ -406,8 +431,11 @@ class CharCertificate:
         return out
 
 
-def _rational_part(sig: Signature) -> tuple[bool, list[int], int, Optional[tuple[int, ...]]]:
-    """The certificate's elimination over Q: (generic, special primes, h, m).
+def _rational_part(
+    sig: Signature,
+) -> tuple[bool, list[int], int, Optional[tuple[int, ...]], tuple]:
+    """The certificate's elimination over Q: (generic, special primes, h, m,
+    space), with space ``_solution_space(sig)``.
 
     Let V be the rational solutions of the member equations, k its
     dimension, and h the number of forbidden hyperplanes (one per nonempty
@@ -443,33 +471,47 @@ def _rational_part(sig: Signature) -> tuple[bool, list[int], int, Optional[tuple
                 h = (1 << n) - 1 - sig.size + n
         if len(F) == 1 and not (F[0] % one).any():
             m = tuple((F[0] // one).tolist())
-    return generic, sorted(special), h, m
+    return generic, sorted(special), h, m, (F, one, pivots)
 
 
-def _decisions(sig: Signature, primes: Sequence[int]) -> Iterator[tuple[int, bool]]:
+def _decisions(sig: Signature, primes: Sequence[int], rational: tuple) -> Iterator[tuple[int, bool]]:
     """Yield (q, representable over GF(q)) for each prime in the given order.
 
-    One ``_admissible_point`` search each, lazily, so a caller that stops
+    One ``_admissible_point`` search each, on the rational solution space
+    ``rational`` wherever it reduces mod q, lazily, so a caller that stops
     consuming stops the searches; the primes share one AUDIT_BUDGET.
     """
     spent = 0
     for q in primes:
-        point, cost = _admissible_point(sig, q, AUDIT_BUDGET - spent)
+        point, cost = _admissible_point(sig, q, AUDIT_BUDGET - spent, rational)
         spent += cost
         yield q, point is not None
+
+
+def _primes_upto(h: int) -> list[int]:
+    """The primes up to h, ascending, by one sieve of Eratosthenes."""
+    if h < 2:
+        return []
+    sieve = np.ones(h + 1, dtype=bool)
+    sieve[:2] = False
+    for v in range(2, isqrt(h) + 1):
+        if sieve[v]:
+            sieve[v * v :: v] = False
+    return np.flatnonzero(sieve).tolist()
 
 
 def build_certificate(sig: Signature) -> CharCertificate:
     """Decide every characteristic at once from one elimination over Q.
 
-    ``_rational_part`` gives the generic answer and the special primes it
-    leaves open, the primes up to its bound h among them; each of those is
-    then decided by ``_admissible_point``.
+    ``_rational_part`` gives the generic answer, the special primes it
+    leaves open and its bound h; the primes up to h come from one sieve.
+    Each special prime is then decided by ``_admissible_point``, on the
+    rational solution space wherever q divides none of its pivots.
     """
-    generic, special, h, m = _rational_part(sig)
-    special = sorted(set(special).union(v for v in range(2, h + 1) if is_prime(v)))
+    generic, special, h, m, rational = _rational_part(sig)
+    special = sorted(set(special).union(_primes_upto(h)))
     # a cofinite set lists the special primes that fail, a finite one those that pass
-    listed = tuple(q for q, ok in _decisions(sig, special) if ok != generic)
+    listed = tuple(q for q, ok in _decisions(sig, special, rational) if ok != generic)
     if generic:
         return CharCertificate(sig.n, sig.bits, m, "cofinite", excluded=listed)
     return CharCertificate(sig.n, sig.bits, m, "finite", primes=listed)
@@ -609,11 +651,11 @@ def _only_in_characteristic(sig: Signature, p: int) -> Optional[CharCertificate]
     out {p}; a class that passes has had every special prime decided.  Only
     a generic class has a bound h, so no prime up to h is ever built here.
     """
-    generic, special, _, m = _rational_part(sig)
+    generic, special, _, m, rational = _rational_part(sig)
     if generic or p not in special:
         return None
     order = [p] + [q for q in special if q != p]
-    if all(ok == (q == p) for q, ok in _decisions(sig, order)):
+    if all(ok == (q == p) for q, ok in _decisions(sig, order, rational)):
         return CharCertificate(sig.n, sig.bits, m, "finite", primes=(p,))
     return None
 

@@ -1,10 +1,10 @@
 """Slow, independently written reference implementations.
 
 Everything here favors obviousness over speed: cofactor determinants and
-inverses, per-subset summation, rank probes against explicitly built column
-sets, the swap as an explicit change of basis, the lemma sweep as one
-scalar loop over the product.  Fast library code is only
-trusted where it agrees with these.
+inverses, one matrix eliminated row by row in Python ints, per-subset
+summation, rank probes against explicitly built column sets, the swap as
+an explicit change of basis, the lemma sweep as one scalar loop over the
+product.  Fast library code is only trusted where it agrees with these.
 """
 
 from __future__ import annotations
@@ -73,6 +73,103 @@ def inverse_by_cofactors(p: int, rows: list[list[int]]) -> list[list[int]] | Non
     return [[cofactor(j, i) * inv % p for j in range(n)] for i in range(n)]
 
 
+def echelon_by_rows(
+    rows: list[list[int]], q: Optional[int] = None
+) -> tuple[list[list[int]], list[int], list[int], int]:
+    """Fraction-free (Bareiss) forward elimination of one matrix, row by row
+    in Python ints, over Z (q None) or GF(q): the nonzero echelon rows, their
+    pivot columns, each pivot as met, and the sign of the row swaps.
+
+    The pivot row is the first at or below the rank with a nonzero entry;
+    each row below it becomes (pv*a - c*b) / prev, exactly over Z and with
+    prev^-1 over GF(q).  This is the reference for ``matrix._echelon``.
+    """
+    mat = [[v if q is None else v % q for v in row] for row in rows]
+    nrows = len(mat)
+    cols: list[int] = []
+    pivots: list[int] = []
+    sign = 1
+    prev = 1
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        for r in range(rank, nrows):
+            if mat[r][col]:
+                break
+        else:
+            continue
+        if r != rank:
+            mat[rank], mat[r] = mat[r], mat[rank]
+            sign = -sign
+        pivot_row = mat[rank]
+        pv = pivot_row[col]
+        if q is not None:
+            inv = pow(prev, -1, q)
+            s = pv * inv % q
+        for i in range(rank + 1, nrows):
+            other = mat[i]
+            c = other[col]
+            if not c and pv == prev:
+                continue  # the update would leave the row as it is
+            if q is None:
+                mat[i] = [(pv * a - c * b) // prev for a, b in zip(other, pivot_row)]
+            else:
+                t = c * inv % q
+                mat[i] = [(s * a - t * b) % q for a, b in zip(other, pivot_row)]
+        cols.append(col)
+        pivots.append(pv)
+        prev = pv
+        rank += 1
+        if rank == nrows:
+            break
+    return mat[:rank], cols, pivots, sign
+
+
+def rref_by_rows(
+    rows: list[list[int]], q: Optional[int] = None
+) -> tuple[list[list[int]], list[int], list[int]]:
+    """d times the reduced row echelon form, d the last pivot, by back-substitution
+    one row at a time over ``echelon_by_rows``: the reference for ``matrix.rref``."""
+    mat, cols, pivots, _ = echelon_by_rows(rows, q)
+    d = pivots[-1] if pivots else 1
+    for k in range(len(cols) - 2, -1, -1):
+        row = mat[k]
+        acc = [d * a for a in row]
+        for j in range(k + 1, len(cols)):
+            c = row[cols[j]]
+            if c:
+                acc = [a - c * b for a, b in zip(acc, mat[j])]
+        if q is None:
+            mat[k] = [a // pivots[k] for a in acc]
+        else:
+            inv = pow(pivots[k], -1, q)
+            mat[k] = [a * inv % q for a in acc]
+    return mat, cols, pivots
+
+
+def rank_by_rows(M: MatrixGF) -> int:
+    """The rank over GF(p) by ``echelon_by_rows``, not by the library's kernel."""
+    return len(echelon_by_rows(M.entries, M.field.p)[1])
+
+
+def det_identity_per_sample(p: int, n_max: int, samples: int, seed: int, closed_form) -> dict:
+    """``verify_det_identity``'s report, one sample at a time: draw n and the
+    diagonal, then compare closed_form(field, x) with the determinant of the
+    explicit matrix by ``echelon_by_rows``."""
+    field = PrimeField(p)
+    rng = random.Random(seed)
+    failures = []
+    for _ in range(samples):
+        n = rng.randint(1, n_max)
+        x = [rng.randint(1, p - 1) for _ in range(n)]
+        rows = [[1 + x[i] if i == j else 1 for j in range(n)] for i in range(n)]
+        _, cols, pivots, sign = echelon_by_rows(rows, p)
+        slow = sign * pivots[-1] % p if len(cols) == n else 0
+        fast = closed_form(field, x)
+        if fast != slow:
+            failures.append({"x": x, "closed_form": fast, "elimination": slow})
+    return {"p": p, "n_max": n_max, "samples": samples, "checked": samples, "failures": failures}
+
+
 def rank_by_minors(p: int, rows: list[list[int]]) -> int:
     """Largest k with a nonvanishing k-by-k minor.  Exponential; keep tiny."""
     m, n = len(rows), len(rows[0])
@@ -102,7 +199,7 @@ def signature_by_rank(x: Diagonal) -> int:
     """Signature bits via the geometry: a subset is in iff its transversal drops rank."""
     bits = 0
     for mask in range(1, 1 << x.n):
-        if transversal_matrix(x, mask).rank() < x.n:
+        if rank_by_rows(transversal_matrix(x, mask)) < x.n:
             bits |= 1 << mask
     return bits
 
@@ -117,6 +214,40 @@ def signature_by_sums(x: Diagonal) -> int:
         if s == p - 1:
             bits |= 1 << mask
     return bits
+
+
+def search_by_values(sig: Signature, q: int) -> Optional[Diagonal]:
+    """The lex-least diagonal over GF(q) with exactly this signature, or None.
+
+    Depth-first over inverse vectors z in lex order: at level k every value
+    of z_k is tried in turn, the level's subset sums are filled one by one,
+    and a value fails at the first sum whose membership disagrees.
+    """
+    n = sig.n
+    member = sig.flags().tolist()
+    sums = [0] * (1 << n)
+    z = [0] * n
+
+    def dfs(k: int) -> bool:
+        base = 1 << k
+        for v in range(1, q):
+            ok = True
+            for lower in range(base):
+                s = (sums[lower] + v) % q
+                sums[lower | base] = s
+                if (s == q - 1) != member[lower | base]:
+                    ok = False
+                    break
+            if ok:
+                z[k] = v
+                if k + 1 == n or dfs(k + 1):
+                    return True
+        return False
+
+    if not dfs(0):
+        return None
+    field = PrimeField(q)
+    return Diagonal(field, tuple(field.inv(v) for v in z))
 
 
 def audit_rows_per_diagonal(p: int, n: int) -> np.ndarray:
@@ -256,11 +387,11 @@ def certificate_from_integers(sig: Signature, m: tuple[int, ...]) -> CharCertifi
 def is_circuit(M: MatrixGF) -> bool:
     """The column set is dependent but every proper subset is independent."""
     k = M.cols
-    if M.rank() == k:
+    if rank_by_rows(M) == k:
         return False
     for drop in range(k):
         keep = [j for j in range(k) if j != drop]
-        if M.select_columns(keep).rank() < k - 1:
+        if rank_by_rows(M.select_columns(keep)) < k - 1:
             return False
     return True
 
@@ -272,14 +403,14 @@ def axioms_by_definition(M: MatrixGF) -> bool:
     line = [[i, n, n + 1 + i] for i in range(n)]
     for cols in line:
         for pair in itertools.combinations(cols, 2):
-            if M.select_columns(pair).rank() != 2:
+            if rank_by_rows(M.select_columns(pair)) != 2:
                 return False
     for k in range(1, n):
         for lines in itertools.combinations(range(n), k):
             cols = sorted({c for i in lines for c in line[i]})
-            if M.select_columns(cols).rank() != k + 1:
+            if rank_by_rows(M.select_columns(cols)) != k + 1:
                 return False
-    return M.rank() == n
+    return rank_by_rows(M) == n
 
 
 def least_mask_subset_sum(p: int, a: tuple[int, ...], target: int) -> int | None:
@@ -342,10 +473,10 @@ def sweep_by_product(lemma: str, p: int, n: int, low: int, targets) -> dict:
 def bases_bruteforce(M: MatrixGF) -> tuple[int, ...]:
     """All maximal-rank column subsets as ascending bitmasks, by direct rank calls."""
     n_cols = M.cols
-    r = M.rank()
+    r = rank_by_rows(M)
     out = []
     for cols in itertools.combinations(range(n_cols), r):
-        if M.select_columns(list(cols)).rank() == r:
+        if rank_by_rows(M.select_columns(list(cols))) == r:
             out.append(sum(1 << j for j in cols))
     return tuple(sorted(out))
 

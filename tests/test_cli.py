@@ -351,8 +351,8 @@ def test_budget_exhaustion_exits_3(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "diag, q, witness",
     [
-        # one point, z = -1/2, far past the lattice cap in lex order
-        ("p=3;x=1,1,1", "65521", [65519, 65519, 65519]),
+        # sixteen members at n = 8; the lex-least point lies past the cap
+        ("p=17;x=11,1,1,1,1,13,7,14", "167", [111, 1, 1, 1, 1, 42, 67, 139]),
         # seven members at n = 10 leave no point over GF(19)
         ("p=97;x=17,69,11,61,32,90,11,55,74,86", "19", None),
     ],

@@ -4,9 +4,11 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from spikelab import (
+    Diagonal,
     MatrixGF,
     MismatchedShapeError,
     NonSquareError,
@@ -14,13 +16,25 @@ from spikelab import (
     TooLargeError,
     TooSmallError,
     ZeroEntryError,
+    build_certificate,
+    build_rep,
+    check_axioms,
     ones_plus_diag,
+    signature,
     spike_det,
     verify_det_identity,
 )
+from spikelab import matrix
 from spikelab.matrix import DETCHECK_MAX_N, DETCHECK_MAX_SAMPLES, rref
 
-from oracles import det_cofactor, random_matrix, rank_by_minors
+from oracles import (
+    det_cofactor,
+    det_identity_per_sample,
+    echelon_by_rows,
+    random_matrix,
+    rank_by_minors,
+    rref_by_rows,
+)
 
 
 # construction ---------------------------------------------------------------
@@ -185,6 +199,143 @@ def test_rref_known_values():
     assert [[Fraction(v, pivots[-1]) for v in row] for row in reduced] == [[1, 0, -5], [0, 1, 3]]
     assert rref([[2, 4, 2], [1, 3, 4], [3, 7, 6]], 2) == ([[1, 1, 0]], [0], [1])
     assert rref([[0, 0], [0, 0]]) == ([], [], [])
+
+
+# the stacked elimination against the row-by-row reference --------------------
+
+# 2^29 - 3 and 2^31 - 1 are prime; the kernel admits any q below 2^31
+_MODULI = (None, 2, 3, 5, 13, (1 << 29) - 3, (1 << 31) - 1)
+
+
+def _drawn_matrix(rng: random.Random, r: int, c: int) -> list[list[int]]:
+    """Small integer entries, often zero, and now and then a singular shape:
+    an all-zero matrix, zero rows, or a row that combines two others."""
+    rows = [[rng.randint(-4, 4) if rng.random() < 0.6 else 0 for _ in range(c)] for _ in range(r)]
+    kind = rng.random()
+    if kind < 0.15:
+        rows = [[0] * c for _ in range(r)]
+    elif kind < 0.3:
+        rows[rng.randrange(r)] = [0] * c
+    elif kind < 0.5 and r > 2:
+        i, j, k = rng.sample(range(r), 3)
+        rows[k] = [a - 2 * b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+def _per_matrix(out, b: int):
+    rows, rank, cols, pivots, sign = out
+    k = int(rank[b])
+    assert not rows[b, k:].any(), "rows below the rank are zero"
+    return rows[b, :k].tolist(), cols[b, :k].tolist(), pivots[b, :k].tolist(), int(sign[b])
+
+
+def test_stacked_echelon_matches_the_row_oracle_matrix_by_matrix():
+    rng = random.Random(401)
+    ranks_seen = set()
+    for _ in range(300):
+        q = rng.choice(_MODULI)
+        r, c, B = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 6)
+        stack = [_drawn_matrix(rng, r, c) for _ in range(B)]
+        out = matrix._echelon(stack, q)
+        ranks_seen.add(len(set(out[1].tolist())))
+        for b, rows in enumerate(stack):
+            assert _per_matrix(out, b) == echelon_by_rows(rows, q), (q, rows)
+    # stacks whose ranks part, and stacks that share one
+    assert {1, 2, 3} <= ranks_seen
+
+
+def test_zero_rows_below_the_real_ones_change_nothing():
+    rng = random.Random(409)
+    for _ in range(150):
+        q = rng.choice(_MODULI)
+        r, c, B = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 5)
+        stack = [_drawn_matrix(rng, r, c) for _ in range(B)]
+        pad = rng.randint(1, 4)
+        padded = [rows + [[0] * c for _ in range(pad)] for rows in stack]
+        out, wide = matrix._echelon(stack, q), matrix._echelon(padded, q)
+        for b in range(B):
+            assert _per_matrix(wide, b) == _per_matrix(out, b)
+
+
+def test_rref_matches_the_row_oracle():
+    rng = random.Random(419)
+    for _ in range(300):
+        q = rng.choice(_MODULI)
+        rows = _drawn_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
+        assert rref(rows, q) == rref_by_rows(rows, q), (q, rows)
+
+
+def test_member_systems_reduce_as_the_row_oracle_does():
+    # certificate-sized systems: one row of 0/1 coefficients and -1 per member
+    rng = random.Random(421)
+    for _ in range(20):
+        n = rng.randint(6, 10)
+        members = rng.sample(range(1, 1 << n), rng.randint(n, 3 * n))
+        rows = [[m >> i & 1 for i in range(n - 1, -1, -1)] + [-1] for m in members]
+        for q in (None, 2, 3, 7, 13):
+            assert rref(rows, q) == rref_by_rows(rows, q)
+
+
+def test_int64_guard_refuses_at_its_edge(monkeypatch):
+    def no_step(*args):
+        raise AssertionError("a refused stack must not be eliminated")
+
+    # over Z: (k + 1) N^(2k) < 2^63, N the largest row norm; here k = 2 and
+    # N = a, so the edge lies between a = 41000 and a = 42000
+    a = 41000
+    assert rref([[a, 0], [0, a]]) == ([[a * a, 0], [0, a * a]], [0, 1], [a, a * a])
+    monkeypatch.setattr(matrix, "_bareiss_step", no_step)
+    with pytest.raises(TooLargeError):
+        rref([[42000, 0], [0, 42000]])
+    # one matrix past the bound refuses its whole stack
+    with pytest.raises(TooLargeError):
+        matrix._echelon([[[1, 0], [0, 1]], [[42000, 0], [0, 42000]]])
+    with pytest.raises(TooLargeError):
+        rref([[1 << 70]])
+    # mod q: residues below 2^31 multiply within int64
+    with pytest.raises(TooLargeError):
+        rref([[1, 2], [3, 4]], 1 << 31)
+    monkeypatch.undo()
+    assert rref([[1, 2], [3, 4]], (1 << 31) - 1)[1] == [0, 1]
+
+
+def test_verify_det_identity_matches_the_per_sample_loop(monkeypatch):
+    rng = random.Random(431)
+    cases = [(rng.choice((2, 3, 5, 11, 13, 65521)), rng.randint(1, DETCHECK_MAX_N),
+              rng.randint(0, 300), rng.randrange(1000)) for _ in range(12)]
+    for p, n_max, samples, seed in cases:
+        want = det_identity_per_sample(p, n_max, samples, seed, spike_det)
+        assert verify_det_identity(p, n_max, samples, seed) == want
+
+    def faulty(field, x):
+        # wrong exactly when the diagonal has a 1 in it
+        return (spike_det(field, x) + (1 in x)) % field.p
+
+    monkeypatch.setattr(matrix, "spike_det", faulty)
+    for p, n_max, samples, seed in cases:
+        want = det_identity_per_sample(p, n_max, samples, seed, faulty)
+        assert verify_det_identity(p, n_max, samples, seed) == want
+    assert any(det_identity_per_sample(*case, faulty)["failures"] for case in cases)
+
+
+def test_every_elimination_runs_on_the_stacked_kernel(monkeypatch):
+    def no_elimination(*args):
+        raise RuntimeError("eliminated")
+
+    monkeypatch.setattr(matrix, "_echelon", no_elimination)
+    M = MatrixGF(PrimeField(5), [[1, 2], [3, 4]])
+    d = Diagonal(PrimeField(5), (1, 2, 3, 4))
+    calls = [
+        M.rank,
+        M.det,
+        lambda: rref([[1, 2], [3, 4]]),
+        lambda: check_axioms(build_rep(d)),
+        lambda: verify_det_identity(5, 4, 10, 1),
+        lambda: build_certificate(signature(d)),
+    ]
+    for call in calls:
+        with pytest.raises(RuntimeError, match="eliminated"):
+            call()
 
 
 # the closed-form spike determinant ------------------------------------------

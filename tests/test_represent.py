@@ -44,8 +44,10 @@ from oracles import (
     certificate_from_integers,
     propagate_facts,
     random_diagonal,
+    search_by_values,
     signature_by_sums,
 )
+from spikelab.field import is_prime
 
 GF3 = PrimeField(3)
 GF5 = PrimeField(5)
@@ -78,9 +80,26 @@ def test_search_frozen_transfer_example():
     d = Diagonal(GF3, (2, 2, 2, 1))
     w, sums = search_rep(signature(d), 5)
     assert w is not None and w.x == (4, 4, 4, 1)
-    assert sums == 24
+    # each level reads its lower sums and writes its own once: 2 (1 + 2 + 4 + 8)
+    assert sums == 30
     again, sums2 = search_rep(signature(d), 5)
     assert again.x == w.x and sums2 == sums
+
+
+def test_search_matches_the_per_value_oracle():
+    # solving each level meets the same lex-least witness as trying every value
+    rng = random.Random(313)
+    answers = set()
+    for _ in range(300):
+        p = rng.choice((3, 5, 7, 11, 13))
+        d = random_diagonal(rng, p, rng.randrange(1, 8))
+        q = rng.choice((2, 3, 5, 7, 11, 13, 17, 19, 23))
+        sig = signature(d)
+        witness, sums = search_rep(sig, q)
+        assert sums <= represent._LATTICE_CAP
+        assert witness == search_by_values(sig, q), (d, q)
+        answers.add(witness is None)
+    assert answers == {True, False}
 
 
 def test_search_exhaustive_no():
@@ -557,6 +576,27 @@ def test_charset_caps():
         characteristic_set(Diagonal(PrimeField(2), (1,) * 13), [3])
 
 
+@pytest.mark.parametrize("p, sizes", [(3, range(3, 7)), (5, range(3, 6)), (7, range(3, 6))])
+def test_special_primes_reuse_the_rational_space_where_no_pivot_vanishes(p, sizes):
+    # reduced mod q the rational space gives every special prime the point
+    # and decision a fresh elimination mod q gives
+    reused = 0
+    for n in sizes:
+        for d in enumerate_spikes(p, n):
+            sig = signature(d)
+            generic, special, h, _, rational = represent._rational_part(sig)
+            for q in sorted(set(special).union(represent._primes_upto(h))):
+                got = represent._admissible_point(sig, q, represent.AUDIT_BUDGET, rational)
+                assert got == represent._admissible_point(sig, q, represent.AUDIT_BUDGET), (d, q)
+                reused += all(pv % q for pv in rational[2])
+    assert reused
+
+
+def test_prime_sieve_matches_trial_division():
+    for h in (0, 1, 2, 3, 4, 97, 4108):
+        assert represent._primes_upto(h) == [v for v in range(2, h + 1) if is_prime(v)]
+
+
 # the threshold experiment ---------------------------------------------------------
 
 
@@ -663,7 +703,7 @@ def test_estimate_class_decision_matches_the_full_certificate(monkeypatch, p, ad
     # class at these sizes has the set {p}, so a forged search that admits
     # every prime also checks that the other special primes are decided
     if admit_all:
-        monkeypatch.setattr(represent, "_admissible_point", lambda sig, q, budget: ([1], 1))
+        monkeypatch.setattr(represent, "_admissible_point", lambda sig, q, budget, rational: ([1], 1))
     for n in range(3, 7):
         for d in enumerate_spikes(p, n):
             sig = signature(d)
@@ -679,14 +719,14 @@ def test_estimate_eliminates_once_per_class_and_skips_cofinite_searches(monkeypa
 
     def eliminate(sig):
         eliminated.append(sig.bits)
-        generic, special, h, m = rational(sig)
+        generic, special, h, m, space = rational(sig)
         if generic:
             cofinite.add(sig.bits)
-        return generic, special, h, m
+        return generic, special, h, m, space
 
-    def search(sig, q, budget):
+    def search(sig, q, budget, space):
         decided.append(sig.bits)
-        return searched(sig, q, budget)
+        return searched(sig, q, budget, space)
 
     def unused(sig):
         raise AssertionError("the scan confirms the winner against its own certificate")
@@ -706,7 +746,7 @@ def test_estimate_builds_no_prime_list(monkeypatch):
     def no_primes(v):
         raise AssertionError("the scan built the primes up to h")
 
-    monkeypatch.setattr(represent, "is_prime", no_primes)
+    monkeypatch.setattr(represent, "_primes_upto", no_primes)
     report = estimate_L(7, [2, 3, 5, 7, 11], 6)
     assert report["found_n"] is not None
 

@@ -188,21 +188,20 @@ def test_check_axioms_detects_two_parallel_points_on_a_line():
 
 
 def test_check_axioms_ranks_each_line_and_its_complement_once(monkeypatch):
-    calls = 0
-    rank = MatrixGF.rank
+    stacks = []
+    echelon = matrix._echelon
 
-    def counted(self):
-        nonlocal calls
-        calls += 1
-        return rank(self)
+    def counted(stack, q=None):
+        stacks.append(len(stack))
+        return echelon(stack, q)
 
-    monkeypatch.setattr(MatrixGF, "rank", counted)
+    monkeypatch.setattr(matrix, "_echelon", counted)
     for n in range(3, spikes.AXIOMS_MAX_N + 1):
-        calls = 0
+        stacks.clear()
         assert check_axioms(build_rep(Diagonal(GF5, (1,) * n)))
-        # per line its three pairs and itself, then every line but it; one
-        # rank per set of lines would pass 2^n here from n = 5 on
-        assert calls == 5 * n, n
+        # one stack of the 3n pairs, one of the n lines, one of every line
+        # but one; one rank per set of lines would pass 2^n from n = 5 on
+        assert stacks == [3 * n, n, n], n
 
 
 def _near_spike(rng: random.Random, p: int, n: int) -> MatrixGF:
