@@ -109,7 +109,8 @@ def _check_entry_bound(a: "np.ndarray", q: Optional[int]) -> None:
     k = min(a.shape[1:])
     if not a.size:
         return
-    norm_sq = float(np.square(a, dtype=np.float64).sum(axis=2).max())
+    floats = a.astype(np.float64)
+    norm_sq = float(np.einsum("brc,brc->br", floats, floats).max())
     # log2 of (k + 1) H^2; the float error is far inside the 2^-20 margin
     bits = k * log2(max(norm_sq, 1.0)) + log2(k + 1)
     if bits >= 63 - 2.0**-20:
@@ -120,25 +121,24 @@ def _bareiss_step(rows, pivot_row, pv, prev, col: int, q: Optional[int]) -> None
     """Replace each row a in place by (pv*a - c*b) / prev, with c its entry in
     col and b the pivot row; mod q, prev^-1 multiplies.
 
-    rows is one matrix's rows with ints pv and prev, or a stack's with
-    (B, 1, 1) arrays of them.
+    rows are one matrix's, with ints pv and prev, or a stack's, with
+    (B, 1, 1) arrays of them; prev None stands for 1, before the first pivot.
     """
-    lead = rows[..., col, None]
-    if q is None:
-        t = lead * pivot_row[..., None, :]
-        rows *= pv
-        rows -= t
-        rows //= prev
-        return
-    if isinstance(prev, int):
-        inv = pow(prev, -1, q)
-    else:
-        inv = np.array([pow(v, -1, q) for v in prev.ravel().tolist()], dtype=np.int64)
-        inv = inv.reshape(prev.shape)
-    t = lead * inv % q * pivot_row[..., None, :]
-    rows *= pv * inv % q
+    t = rows[..., col, None] * pivot_row[..., None, :]
+    rows *= pv
     rows -= t
+    if q is None:
+        if prev is not None:
+            rows //= prev
+        return
     rows %= q
+    if prev is not None:
+        if isinstance(prev, int):
+            rows *= pow(prev, -1, q)
+        else:
+            inv = [pow(v, -1, q) for v in prev.ravel().tolist()]
+            rows *= np.array(inv, dtype=np.int64).reshape(prev.shape)
+        rows %= q
 
 
 def _echelon(
@@ -179,7 +179,7 @@ def _echelon(
         for col in range(c):
             if lo == r:
                 break
-            hits = np.flatnonzero(m[lo:, col])
+            hits = m[lo:, col].nonzero()[0]
             if not len(hits):
                 continue
             if hits[0]:
@@ -187,11 +187,12 @@ def _echelon(
                 m[[lo, at]] = m[[at, lo]]
                 sign = -sign
             pv = int(m[lo, col])
-            _bareiss_step(m[lo + 1 :], m[lo], pv, prev, col, q)
+            if lo + 1 < r:
+                _bareiss_step(m[lo + 1 :], m[lo], pv, prev if prev != 1 else None, col, q)
             cols[0, lo], pivots[0, lo], prev = col, pv, pv
             lo += 1
         return a, np.array([lo]), cols, pivots, sign
-    prev = np.ones((B, 1, 1), dtype=np.int64)
+    prev = None
     every = np.arange(B)
     while col < c and lo < r:
         lead = a[:, lo:, col]
@@ -203,18 +204,21 @@ def _echelon(
                 break  # the ranks part at this column
             col += 1
             continue
-        if at.any():
-            moved = np.flatnonzero(at)
+        moved = at.nonzero()[0]
+        if len(moved):
             at = at[moved] + lo
             a[moved, lo], a[moved, at] = a[moved, at], a[moved, lo]
             sign[moved] *= -1
-        _bareiss_step(a[:, lo + 1 :], a[:, lo], pv[:, None, None], prev, col, q)
+        if lo + 1 < r:
+            _bareiss_step(a[:, lo + 1 :], a[:, lo], pv[:, None, None], prev if lo else None, col, q)
         cols[:, lo] = col
         pivots[:, lo] = pv
         prev = pv[:, None, None]
         lo += 1
         col += 1
     rank = np.full(B, lo, dtype=np.int64)
+    if not lo:
+        prev = np.ones((B, 1, 1), dtype=np.int64)
     below = np.arange(r)
     for col in range(col, c if lo < r else 0):
         nonzero = (a[:, :, col] != 0) & (below >= rank[:, None])
@@ -271,22 +275,21 @@ def rref(
     """
     if not len(rows):
         return [], [], []
-    a, rank, cols, pivots, _ = _echelon([rows], q)
+    a, rank, cols, pivots, _ = _echelon(_int64(rows)[None], q)
     k = int(rank[0])
-    echelon, cols, pivots = a[0, :k], cols[0, :k], pivots[0, :k]
+    echelon = a[0, :k]
+    cols, pivots = cols[0, :k].tolist(), pivots[0, :k].tolist()
     reduced = echelon.copy()
     if k > 1:
-        d = int(pivots[-1])
-        acc = d * echelon[:-1]
+        acc = pivots[-1] * echelon[:-1]
         for j in range(k - 1, 0, -1):
             acc[:j] -= echelon[:j, cols[j], None] * reduced[j]
-            pv = int(pivots[j - 1])
             if q is None:
-                reduced[j - 1] = acc[j - 1] // pv
+                reduced[j - 1] = acc[j - 1] // pivots[j - 1]
             else:
                 acc[:j] %= q
-                reduced[j - 1] = acc[j - 1] * pow(pv, -1, q) % q
-    return reduced.tolist(), cols.tolist(), pivots.tolist()
+                reduced[j - 1] = acc[j - 1] * pow(pivots[j - 1], -1, q) % q
+    return reduced.tolist(), cols, pivots
 
 
 def spike_det(field: PrimeField, x: Sequence[int]) -> int:

@@ -83,30 +83,30 @@ def search_rep(sig: Signature, q: int) -> tuple[Optional[Diagonal], int]:
     z = [0] * n
     spent = 0
 
-    def count(sums_touched: int) -> None:
-        nonlocal spent
-        spent += sums_touched
-        if spent > cap:
-            raise BudgetExceededError(f"lattice cap {cap} reached searching GF({q})")
-
     def dfs(k: int) -> bool:
+        nonlocal spent
         base = 1 << k
         lower = sums[:base]
-        count(base)
-        if members[k] is None:
-            members[k] = np.flatnonzero(flags[base : 2 * base]).tolist()
+        spent += base
+        if spent > cap:
+            raise BudgetExceededError(f"lattice cap {cap} reached searching GF({q})")
         below = members[k]
+        if below is None:
+            below = members[k] = flags[base : 2 * base].nonzero()[0].tolist()
         if below:
             s = lower[below[0]]
             v = (-1 - s) % q
-            if not v or lower.count(s) != len(below) or any(lower[i] != s for i in below):
+            hits = len(below)
+            if not v or lower.count(s) != hits or [lower[i] for i in below].count(s) != hits:
                 return False
             values: Iterable[int] = (v,)
         else:
             taken = set(lower)
             values = (v for v in range(1, q) if (-1 - v) % q not in taken)
         for v in values:
-            count(base)
+            spent += base
+            if spent > cap:
+                raise BudgetExceededError(f"lattice cap {cap} reached searching GF({q})")
             sums[base : 2 * base] = [(s + v) % q for s in lower]
             z[k] = v
             if k + 1 == n or dfs(k + 1):
