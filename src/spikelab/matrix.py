@@ -2,11 +2,14 @@
 
 Entries are raw ints in [0, p); the modulus rides along as a PrimeField.
 Rank, determinant and ``rref`` share one fraction-free forward elimination,
-``_echelon``, which runs on integers over Z or on residues mod q.  Every
-value it yields is an integer, and ``rref`` has one scale in both fields:
-it returns d times the reduced form, with d its last pivot, so over Q each
-entry is a minor of the input, and mod q the same rows reduced mod q
-whenever q divides no pivot.
+``_echelon``, which runs in numpy int64 on a stack of matrices at once, on
+integers over Z or on residues mod q, and refuses a stack whose values could
+pass int64.  Every value it yields is an integer, and ``rref`` has one scale
+in both fields: it returns d times the reduced form, with d its last pivot,
+so over Q each entry is a minor of the input, and mod q the same rows
+reduced mod q whenever q divides no pivot.  Callers with many small
+matrices, the determinant check and ``spikes.check_axioms``, hand over
+stacks.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .errors import (
 )
 from .field import PrimeField
 
-DETCHECK_MAX_N = 12  # (12, 10^4) takes about 1.2 s on a 2-core VM
+DETCHECK_MAX_N = 12  # (12, 10^4) takes about 0.2-0.3 s on a 2-core VM
 DETCHECK_MAX_SAMPLES = 10_000
 
 
@@ -73,7 +76,7 @@ class MatrixGF:
         return MatrixGF(self.field, [[self.entries[i][j] for j in idx] for i in range(self.rows)])
 
     def rank(self) -> int:
-        return int(_ranks([self.entries], self.field.p)[0])
+        return int(_echelon([self.entries], self.field.p)[1][0])
 
     def det(self) -> int:
         if self.rows != self.cols:
@@ -81,7 +84,7 @@ class MatrixGF:
         return int(_dets([self.entries], self.field.p)[0])
 
 
-# residues below 2^31 multiply to below 2^62, so s*a - t*b fits int64
+# residues below 2^31 multiply to below 2^62, so pv*a - c*b fits int64
 _MODULUS_LIMIT = 1 << 31
 
 
@@ -245,11 +248,6 @@ def _echelon(
     return a, rank, cols, pivots, sign
 
 
-def _ranks(stack, q: int) -> "np.ndarray":
-    """The rank of each matrix of a stack over GF(q)."""
-    return _echelon(stack, q)[1]
-
-
 def _dets(stack, p: int) -> "np.ndarray":
     """The determinant mod p of each square matrix of a stack."""
     _, rank, _, pivots, sign = _echelon(stack, p)
@@ -275,7 +273,7 @@ def rref(
     """
     if not len(rows):
         return [], [], []
-    a, rank, cols, pivots, _ = _echelon(_int64(rows)[None], q)
+    a, rank, cols, pivots, _ = _echelon([rows], q)
     k = int(rank[0])
     echelon = a[0, :k]
     cols, pivots = cols[0, :k].tolist(), pivots[0, :k].tolist()

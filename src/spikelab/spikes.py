@@ -33,7 +33,7 @@ from . import matrix
 from .matrix import MatrixGF
 
 SIGNATURE_MAX_N = 24
-AXIOMS_MAX_N = 24  # 5n ranks of at most n x (2n - 1) columns: 17 ms at n = 24, 0.13 s at 64
+AXIOMS_MAX_N = 24  # three stacks of ranks, the widest n x (2n - 1): 8-12 ms at n = 24
 CANONICAL_MAX_N = 7
 ENUMERATE_MAX_P = 17
 
@@ -145,7 +145,7 @@ def check_axioms(M: MatrixGF) -> bool:
 
     def ranks(column_sets: list) -> "np.ndarray":
         # one matrix per set of columns: (sets, n rows, columns per set)
-        return matrix._ranks(entries[:, column_sets].transpose(1, 0, 2), M.field.p)
+        return matrix._echelon(entries[:, column_sets].transpose(1, 0, 2), M.field.p)[1]
 
     lines = [[i, n, n + 1 + i] for i in range(n)]
     # a pair has rank 2 iff its points are nonzero and not parallel
