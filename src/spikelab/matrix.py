@@ -8,8 +8,8 @@ pass int64.  Every value it yields is an integer, and ``rref`` has one scale
 in both fields: it returns d times the reduced form, with d its last pivot,
 so over Q each entry is a minor of the input, and mod q the same rows
 reduced mod q whenever q divides no pivot.  Callers with many small
-matrices, the determinant check and ``spikes.check_axioms``, hand over
-stacks.
+matrices hand over stacks: the determinant check, ``spikes.check_axioms``,
+and the threshold experiment's levels through ``_rref``.
 """
 
 from __future__ import annotations
@@ -144,6 +144,39 @@ def _bareiss_step(rows, pivot_row, pv, prev, col: int, q: Optional[int]) -> None
         rows %= q
 
 
+def _single_steps(m, q: Optional[int], lo: int, col: int, prev: int, cols, pivots) -> tuple[int, int]:
+    """Carry one matrix's elimination on from rank lo at column col, prev its
+    last pivot (1 before the first), with Python-int pivots on row slices.
+
+    Writes each new pivot's column and value into cols and pivots, and
+    returns the rank and the sign of the swaps it made.
+    """
+    r, c = m.shape
+    sign = 1
+    for col in range(col, c):
+        if lo == r:
+            break
+        hits = m[lo:, col].nonzero()[0]
+        if not len(hits):
+            continue
+        if hits[0]:
+            at = lo + int(hits[0])
+            m[[lo, at]] = m[[at, lo]]
+            sign = -sign
+        pv = int(m[lo, col])
+        if lo + 1 < r:
+            _bareiss_step(m[lo + 1 :], m[lo], pv, prev if prev != 1 else None, col, q)
+        cols[lo], pivots[lo], prev = col, pv, pv
+        lo += 1
+    return lo, sign
+
+
+# below this many matrices, a stack whose ranks have parted, and its
+# back-substitution, go one matrix at a time: a masked step costs about as
+# many numpy calls as six single ones
+_MASKED_MIN = 8
+
+
 def _echelon(
     stack, q: Optional[int] = None
 ) -> tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]:
@@ -164,8 +197,10 @@ def _echelon(
     sign * det.  ``_check_entry_bound`` refuses the stack first if a value
     could pass int64.  While all the matrices share one rank a step updates
     the slice of rows below it; from the first column where their ranks
-    part, it masks the rows at or above each matrix's own.  A single matrix
-    keeps its pivots as Python ints, which small matrices notice.
+    part, it masks the rows at or above each matrix's own, or, with fewer
+    than _MASKED_MIN matrices, carries each on alone.  A single matrix runs
+    alone from the start: ``_single_steps`` keeps its pivots as Python ints,
+    which small matrices notice.
     """
     a = _int64(stack)
     B, r, c = a.shape
@@ -176,25 +211,10 @@ def _echelon(
     cols = np.zeros((B, k), dtype=np.int64)
     pivots = np.zeros((B, k), dtype=np.int64)
     sign = np.ones(B, dtype=np.int64)
-    lo = col = 0
     if B == 1:
-        m, prev = a[0], 1
-        for col in range(c):
-            if lo == r:
-                break
-            hits = m[lo:, col].nonzero()[0]
-            if not len(hits):
-                continue
-            if hits[0]:
-                at = lo + int(hits[0])
-                m[[lo, at]] = m[[at, lo]]
-                sign = -sign
-            pv = int(m[lo, col])
-            if lo + 1 < r:
-                _bareiss_step(m[lo + 1 :], m[lo], pv, prev if prev != 1 else None, col, q)
-            cols[0, lo], pivots[0, lo], prev = col, pv, pv
-            lo += 1
-        return a, np.array([lo]), cols, pivots, sign
+        rank, sign[0] = _single_steps(a[0], q, 0, 0, 1, cols[0], pivots[0])
+        return a, np.array([rank]), cols, pivots, sign
+    lo = col = 0
     prev = None
     every = np.arange(B)
     while col < c and lo < r:
@@ -222,6 +242,11 @@ def _echelon(
     rank = np.full(B, lo, dtype=np.int64)
     if not lo:
         prev = np.ones((B, 1, 1), dtype=np.int64)
+    if B < _MASKED_MIN and col < c and lo < r:
+        for b, last in enumerate(prev.ravel().tolist()):
+            rank[b], turn = _single_steps(a[b], q, lo, col, last, cols[b], pivots[b])
+            sign[b] *= turn
+        return a, rank, cols, pivots, sign
     below = np.arange(r)
     for col in range(col, c if lo < r else 0):
         nonzero = (a[:, :, col] != 0) & (below >= rank[:, None])
@@ -254,6 +279,51 @@ def _dets(stack, p: int) -> "np.ndarray":
     return np.where(rank == pivots.shape[1], sign * pivots[:, -1] % p, 0)
 
 
+def _rref(stack, q: Optional[int] = None):
+    """``rref`` of each matrix of a (B, r, c) stack: (rows, rank, cols, pivots),
+    with matrix b's rank[b] reduced rows on top and its cols and pivots as
+    ``_echelon`` returns them.
+
+    Back-substitution takes one later row j at a time, for the rows above
+    it in every matrix that has a row j.  Fewer than _MASKED_MIN matrices
+    take it one at a time, with Python-int pivots on row slices.
+    """
+    a, rank, cols, pivots, _ = _echelon(stack, q)
+    B = len(a)
+    k = int(rank.max()) if B else 0
+    if k < 2:
+        return a, rank, cols, pivots
+    echelon = a[:, :k].copy()
+    if B < _MASKED_MIN:
+        for m, lead, kb, cb, pv in zip(a, echelon, rank.tolist(), cols.tolist(), pivots.tolist()):
+            if kb > 1:
+                acc = pv[kb - 1] * lead[: kb - 1]
+                for j in range(kb - 1, 0, -1):
+                    acc[:j] -= lead[:j, cb[j], None] * m[j]
+                    if q is None:
+                        m[j - 1] = acc[j - 1] // pv[j - 1]
+                    else:
+                        acc[:j] %= q
+                        m[j - 1] = acc[j - 1] * pow(pv[j - 1], -1, q) % q
+        return a, rank, cols, pivots
+    # lead[b, i, j]: row i's entry in matrix b's pivot column j
+    lead = np.take_along_axis(echelon, np.broadcast_to(cols[:, None, :k], (B, k, k)), axis=2)
+    last = pivots[np.arange(B), np.maximum(rank - 1, 0)]
+    acc = last[:, None, None] * echelon[:, :-1]
+    for j in range(k - 1, 0, -1):
+        sel = np.flatnonzero(rank > j)
+        part = acc[sel, :j] - lead[sel, :j, j, None] * a[sel, j, None, :]
+        pv = pivots[sel, j - 1]
+        if q is None:
+            a[sel, j - 1] = part[:, j - 1] // pv[:, None]
+        else:
+            part %= q
+            inv = np.array([pow(v, -1, q) for v in pv.tolist()], dtype=np.int64)
+            a[sel, j - 1] = part[:, j - 1] * inv[:, None] % q
+        acc[sel, :j] = part
+    return a, rank, cols, pivots
+
+
 def rref(
     rows, q: Optional[int] = None
 ) -> tuple[list[list[int]], list[int], list[int]]:
@@ -265,29 +335,16 @@ def rref(
     rows integral: from the last pivot row up, row k becomes (d*row_k - sum
     of row_k[c_j] * row_j over the later pivot rows) / pv_k, with d the last
     pivot and the later rows already in this form, so every pivot entry
-    becomes d and every other pivot column entry 0.  The sums are built one
-    later row at a time, for every earlier row at once.  Over Q, by
-    Cramer's rule, each entry is, up to sign, a minor of the input; over
-    GF(q) the division is by the inverse, so the rows are those over Q
-    reduced mod q if q divides no pivot.
+    becomes d and every other pivot column entry 0.  Over Q, by Cramer's
+    rule, each entry is, up to sign, a minor of the input; over GF(q) the
+    division is by the inverse, so the rows are those over Q reduced mod q
+    if q divides no pivot.
     """
     if not len(rows):
         return [], [], []
-    a, rank, cols, pivots, _ = _echelon([rows], q)
+    a, rank, cols, pivots = _rref([rows], q)
     k = int(rank[0])
-    echelon = a[0, :k]
-    cols, pivots = cols[0, :k].tolist(), pivots[0, :k].tolist()
-    reduced = echelon.copy()
-    if k > 1:
-        acc = pivots[-1] * echelon[:-1]
-        for j in range(k - 1, 0, -1):
-            acc[:j] -= echelon[:j, cols[j], None] * reduced[j]
-            if q is None:
-                reduced[j - 1] = acc[j - 1] // pivots[j - 1]
-            else:
-                acc[:j] %= q
-                reduced[j - 1] = acc[j - 1] * pow(pivots[j - 1], -1, q) % q
-    return reduced.tolist(), cols, pivots
+    return a[0, :k].tolist(), cols[0, :k].tolist(), pivots[0, :k].tolist()
 
 
 def spike_det(field: PrimeField, x: Sequence[int]) -> int:

@@ -26,7 +26,7 @@ from .errors import (
     ZeroEntryError,
 )
 from .field import PrimeField
-from .matrix import rref
+from .matrix import _rref
 from .spikes import (
     CANONICAL_MAX_N,
     ENUMERATE_MAX_P,
@@ -280,31 +280,44 @@ def _prime_factors(v: int) -> list[int]:
     return out
 
 
-def _solution_space(
-    sig: Signature, q: Optional[int] = None
-) -> tuple[Optional["np.ndarray"], int, list[int]]:
-    """The z with sum(z_i, i in I) = -1 for every member I, over Q (q None) or GF(q).
+def _solution_spaces(
+    sigs: Sequence[Signature], q: Optional[int] = None
+) -> list[tuple[Optional["np.ndarray"], int, list[int]]]:
+    """The z with sum(z_i, i in I) = -1 for every member I, over Q (q None) or
+    GF(q), for each of several signatures of one n: one stacked ``_rref``.
 
-    Returns (F, one, pivots).  F is an int64 matrix scaled so that 1 reads
-    ``one``: row 0 is a particular solution, and each later row a direction,
-    one per free coordinate, which holds ``one`` there and 0 at the other
-    free coordinates; the solutions are row 0 plus any combination of the
-    directions, all over ``one``.  In both fields ``one`` is the
+    Returns (F, one, pivots) per signature.  F is an int64 matrix scaled so
+    that 1 reads ``one``: row 0 is a particular solution, and each later row
+    a direction, one per free coordinate, which holds ``one`` there and 0 at
+    the other free coordinates; the solutions are row 0 plus any combination
+    of the directions, all over ``one``.  In both fields ``one`` is the
     elimination's last pivot d (1 with no pivots) and F's entries are those
     of ``rref``'s rows, d times the reduced form: over Q minors of [A | -1],
     mod q residues or their negatives, left unreduced.  F is None when
     there is no solution.  pivots are the elimination's, as ``rref`` met
     them.  The columns are eliminated in reverse, so a pivot coordinate
     depends only on free coordinates of smaller index: ordered by their
-    free coordinates, the solutions are in lex order.
+    free coordinates, the solutions are in lex order.  Each member system
+    is padded with zero rows to the longest, which changes no pivot.
     """
-    n = sig.n
-    members = np.flatnonzero(sig.flags())
+    if not sigs:
+        return []
+    n = sigs[0].n
+    members = [np.flatnonzero(sig.flags()) for sig in sigs]
     # column j holds coordinate n - 1 - j, and the last column the constant -1
-    rows = np.empty((len(members), n + 1), dtype=np.int64)
-    rows[:, :n] = members[:, None] >> np.arange(n - 1, -1, -1) & 1
-    rows[:, n] = -1
-    reduced, cols, pivots = rref(rows, q)
+    stack = np.zeros((len(sigs), max(map(len, members)), n + 1), dtype=np.int64)
+    for rows, masks in zip(stack, members):
+        rows[: len(masks), :n] = masks[:, None] >> np.arange(n - 1, -1, -1) & 1
+        rows[: len(masks), n] = -1
+    reduced, rank, cols, pivots = _rref(stack, q)
+    spaces = []
+    for rows, k, c, pv in zip(reduced, rank.tolist(), cols.tolist(), pivots.tolist()):
+        spaces.append(_space(n, rows[:k].tolist(), c[:k], pv[:k]))
+    return spaces
+
+
+def _space(n: int, reduced: list[list[int]], cols: list[int], pivots: list[int]):
+    """``_solution_spaces``' (F, one, pivots) from one system's reduced rows."""
     one = pivots[-1] if pivots else 1
     if cols and cols[-1] == n:
         return None, one, pivots
@@ -323,7 +336,7 @@ def _solution_space(
 def _forms(sig: Signature, F: "np.ndarray", one: int) -> "np.ndarray":
     """Coefficients of the forbidden affine forms on the solution space.
 
-    F and ``one`` are ``_solution_space``'s: the particular solution and
+    F and ``one`` are ``_solution_spaces``': the particular solution and
     the directions as integers, scaled so that 1 reads ``one``.  The
     columns are sum(z_i, i in J) + 1 for each nonempty non-member J, then
     z_i for each i: row 0 the constant, row j the coefficient on direction
@@ -343,14 +356,14 @@ def _admissible_point(
     None; plus form values spent.
 
     Takes the solution space of the member equations over GF(q) and the
-    forms on it at ``_solution_space``'s scale ``one``, as the certificate
+    forms on it at ``_solution_spaces``' scale ``one``, as the certificate
     does over Q; a nonzero scale leaves each form's zeros in place.  Given
-    ``rational``, ``_solution_space(sig)`` over Q, and q dividing none of
-    its pivots, the space is its F and ``one`` reduced mod q: the
-    elimination mod q is the one over Q reduced.  Otherwise the member
-    equations are row-reduced mod q.  It then searches depth-first over nonzero free coordinates in
-    ascending order, so by ``_solution_space``'s order it meets the
-    lex-least point first, and divides that point by ``one``.  A
+    ``rational``, the space over Q, and q dividing none of its pivots, the
+    space is its F and ``one`` reduced mod q, since there the elimination
+    mod q is the one over Q reduced; otherwise the member equations are
+    row-reduced mod q.  It then searches depth-first over nonzero free
+    coordinates in ascending order, so by ``_solution_spaces``' order it
+    meets the lex-least point first, and divides that point by ``one``.  A
     forbidden form is checked as soon as its last free coordinate with a
     nonzero coefficient is set, where it rules out one value, so a level
     with fewer forms to check than q - 1 values never dead-ends.  A
@@ -363,7 +376,7 @@ def _admissible_point(
         F, one, _ = rational
         F, one = None if F is None else F % q, one % q
     else:
-        F, one, _ = _solution_space(sig, q)
+        F, one, _ = _solution_spaces([sig], q)[0]
     if F is None:
         return None, 0
     forms = _forms(sig, F, one) % q
@@ -433,10 +446,11 @@ class CharCertificate:
 
 
 def _rational_part(
-    sig: Signature,
+    sig: Signature, space: Optional[tuple] = None
 ) -> tuple[bool, list[int], int, Optional[tuple[int, ...]], tuple]:
     """The certificate's elimination over Q: (generic, special primes, h, m,
-    space), with space ``_solution_space(sig)``.
+    space), with space the signature's ``_solution_spaces`` entry over Q,
+    computed here unless given.
 
     Let V be the rational solutions of the member equations, k its
     dimension, and h the number of forbidden hyperplanes (one per nonempty
@@ -454,7 +468,7 @@ def _rational_part(
     n = sig.n
     if n > SEARCH_MAX_N:
         raise TooLargeError(f"characteristic decision capped at n={SEARCH_MAX_N}")
-    F, one, pivots = _solution_space(sig)
+    F, one, pivots = _solution_spaces([sig])[0] if space is None else space
     special = {f for pv in pivots for f in _prime_factors(pv)}
     generic = False
     h = 0
@@ -643,7 +657,9 @@ def threshold_interval(p: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _only_in_characteristic(sig: Signature, p: int) -> Optional[CharCertificate]:
+def _only_in_characteristic(
+    sig: Signature, p: int, space: Optional[tuple] = None
+) -> Optional[CharCertificate]:
     """``build_certificate(sig)`` if its exact set is {p}, else None.
 
     A cofinite class, or a finite one whose special primes leave out p, is
@@ -651,8 +667,10 @@ def _only_in_characteristic(sig: Signature, p: int) -> Optional[CharCertificate]
     and then the other special primes, up to the first answer that rules
     out {p}; a class that passes has had every special prime decided.  Only
     a generic class has a bound h, so no prime up to h is ever built here.
+    space is the class's rational solution space when a caller eliminated
+    its level at once.
     """
-    generic, special, _, m, rational = _rational_part(sig)
+    generic, special, _, m, rational = _rational_part(sig, space)
     if generic or p not in special:
         return None
     order = [p] + [q for q in special if q != p]
@@ -681,7 +699,10 @@ def estimate_L(p: int, primes: Sequence[int], n_max: int) -> dict:
     certified: list[tuple[Diagonal, CharCertificate]] = []
     for n in range(3, n_max + 1):
         reps = enumerate_spikes(p, n)
-        certs = [(d, _only_in_characteristic(signature(d), p)) for d in reps]
+        sigs = [signature(d) for d in reps]
+        # one elimination over Q for the whole level
+        spaces = _solution_spaces(sigs)
+        certs = [(d, _only_in_characteristic(s, p, v)) for d, s, v in zip(reps, sigs, spaces)]
         certified = [(d, c) for d, c in certs if c is not None]
         levels.append({"n": n, "classes": len(reps), "certified": len(certified)})
         if certified:

@@ -241,7 +241,7 @@ def test_refused_sizes_exit_2_with_message(capsys, monkeypatch, argv, message):
         raise AssertionError("a refused call must not eliminate or swap")
 
     monkeypatch.setattr(MatrixGF, "det", refused)
-    monkeypatch.setattr(represent, "rref", refused)
+    monkeypatch.setattr(represent, "_rref", refused)
     monkeypatch.setattr(spikes, "swap", refused)
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -351,8 +351,8 @@ def test_budget_exhaustion_exits_3(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "diag, q, witness",
     [
-        # sixteen members at n = 8; the lex-least point lies past the cap
-        ("p=17;x=11,1,1,1,1,13,7,14", "167", [111, 1, 1, 1, 1, 42, 67, 139]),
+        # eleven members at n = 8; the lex-least point lies past the cap
+        ("p=13;x=8,8,9,4,6,4,11,4", "251", [126, 126, 168, 83, 249, 83, 188, 83]),
         # seven members at n = 10 leave no point over GF(19)
         ("p=97;x=17,69,11,61,32,90,11,55,74,86", "19", None),
     ],

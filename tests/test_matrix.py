@@ -229,26 +229,28 @@ def _per_matrix(out, b: int):
     return rows[b, :k].tolist(), cols[b, :k].tolist(), pivots[b, :k].tolist(), int(sign[b])
 
 
-def test_stacked_echelon_matches_the_row_oracle_matrix_by_matrix():
+def test_stacked_echelon_and_rref_match_the_row_oracle_matrix_by_matrix():
     rng = random.Random(401)
-    ranks_seen = set()
+    seen = set()
     for _ in range(300):
         q = rng.choice(_MODULI)
-        r, c, B = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 6)
+        r, c, B = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 12)
         stack = [_drawn_matrix(rng, r, c) for _ in range(B)]
         out = matrix._echelon(stack, q)
-        ranks_seen.add(len(set(out[1].tolist())))
+        reduced = matrix._rref(stack, q)
+        seen.add((B >= matrix._MASKED_MIN, len(set(out[1].tolist())) > 1))
         for b, rows in enumerate(stack):
             assert _per_matrix(out, b) == echelon_by_rows(rows, q), (q, rows)
-    # stacks whose ranks part, and stacks that share one
-    assert {1, 2, 3} <= ranks_seen
+            assert _per_matrix((*reduced, out[4]), b)[:3] == rref_by_rows(rows, q), (q, rows)
+    # small and large stacks, each with ranks that part and with one shared rank
+    assert len(seen) == 4
 
 
 def test_zero_rows_below_the_real_ones_change_nothing():
     rng = random.Random(409)
     for _ in range(150):
         q = rng.choice(_MODULI)
-        r, c, B = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 5)
+        r, c, B = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 12)
         stack = [_drawn_matrix(rng, r, c) for _ in range(B)]
         pad = rng.randint(1, 4)
         padded = [rows + [[0] * c for _ in range(pad)] for rows in stack]

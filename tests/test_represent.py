@@ -592,6 +592,17 @@ def test_special_primes_reuse_the_rational_space_where_no_pivot_vanishes(p, size
     assert reused
 
 
+def test_a_level_eliminated_at_once_gives_each_class_its_own_space():
+    # the threshold scan stacks a level's member systems, padded with zero rows
+    for p, n in ((3, 5), (5, 5), (7, 6)):
+        sigs = [signature(d) for d in enumerate_spikes(p, n)]
+        for q in (None, 2, 3, 7):
+            for sig, (F, one, pivots) in zip(sigs, represent._solution_spaces(sigs, q)):
+                alone, one_alone, pivots_alone = represent._solution_spaces([sig], q)[0]
+                assert (one, pivots) == (one_alone, pivots_alone)
+                assert (F is None and alone is None) or F.tolist() == alone.tolist()
+
+
 def test_prime_sieve_matches_trial_division():
     for h in (0, 1, 2, 3, 4, 97, 4108):
         assert represent._primes_upto(h) == [v for v in range(2, h + 1) if is_prime(v)]
@@ -717,9 +728,9 @@ def test_estimate_eliminates_once_per_class_and_skips_cofinite_searches(monkeypa
     searched = represent._admissible_point
     eliminated, cofinite, decided = [], set(), []
 
-    def eliminate(sig):
+    def eliminate(sig, space=None):
         eliminated.append(sig.bits)
-        generic, special, h, m, space = rational(sig)
+        generic, special, h, m, space = rational(sig, space)
         if generic:
             cofinite.add(sig.bits)
         return generic, special, h, m, space
