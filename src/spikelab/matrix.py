@@ -144,7 +144,9 @@ def _bareiss_step(rows, pivot_row, pv, prev, col: int, q: Optional[int]) -> None
         rows %= q
 
 
-def _single_steps(m, q: Optional[int], lo: int, col: int, prev: int, cols, pivots) -> tuple[int, int]:
+def _single_steps(
+    m, q: Optional[int], lo: int, col: int, prev: int, cols, pivots
+) -> tuple[int, int]:
     """Carry one matrix's elimination on from rank lo at column col, prev its
     last pivot (1 before the first), with Python-int pivots on row slices.
 
@@ -233,7 +235,8 @@ def _echelon(
             a[moved, lo], a[moved, at] = a[moved, at], a[moved, lo]
             sign[moved] *= -1
         if lo + 1 < r:
-            _bareiss_step(a[:, lo + 1 :], a[:, lo], pv[:, None, None], prev if lo else None, col, q)
+            last = prev if lo else None
+            _bareiss_step(a[:, lo + 1 :], a[:, lo], pv[:, None, None], last, col, q)
         cols[:, lo] = col
         pivots[:, lo] = pv
         prev = pv[:, None, None]

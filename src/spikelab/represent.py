@@ -316,7 +316,9 @@ def _solution_spaces(
     return spaces
 
 
-def _space(n: int, reduced: list[list[int]], cols: list[int], pivots: list[int]):
+def _space(
+    n: int, reduced: list[list[int]], cols: list[int], pivots: list[int]
+) -> tuple[Optional["np.ndarray"], int, list[int]]:
     """``_solution_spaces``' (F, one, pivots) from one system's reduced rows."""
     one = pivots[-1] if pivots else 1
     if cols and cols[-1] == n:
@@ -489,7 +491,9 @@ def _rational_part(
     return generic, sorted(special), h, m, (F, one, pivots)
 
 
-def _decisions(sig: Signature, primes: Sequence[int], rational: tuple) -> Iterator[tuple[int, bool]]:
+def _decisions(
+    sig: Signature, primes: Sequence[int], rational: tuple
+) -> Iterator[tuple[int, bool]]:
     """Yield (q, representable over GF(q)) for each prime in the given order.
 
     One ``_admissible_point`` search each, on the rational solution space
