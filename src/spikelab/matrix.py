@@ -88,13 +88,6 @@ class MatrixGF:
 _MODULUS_LIMIT = 1 << 31
 
 
-def _int64(rows) -> "np.ndarray":
-    try:
-        return np.array(rows, dtype=np.int64)
-    except OverflowError:
-        raise TooLargeError("matrix entries exceed int64") from None
-
-
 def _check_entry_bound(a: "np.ndarray", q: Optional[int]) -> None:
     """Refuse a stack whose elimination could pass int64, before any of it runs.
 
@@ -204,7 +197,10 @@ def _echelon(
     alone from the start: ``_single_steps`` keeps its pivots as Python ints,
     which small matrices notice.
     """
-    a = _int64(stack)
+    try:
+        a = np.array(stack, dtype=np.int64)
+    except OverflowError:
+        raise TooLargeError("matrix entries exceed int64") from None
     B, r, c = a.shape
     _check_entry_bound(a, q)
     if q is not None:
@@ -282,7 +278,9 @@ def _dets(stack, p: int) -> "np.ndarray":
     return np.where(rank == pivots.shape[1], sign * pivots[:, -1] % p, 0)
 
 
-def _rref(stack, q: Optional[int] = None):
+def _rref(
+    stack, q: Optional[int] = None
+) -> tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]:
     """``rref`` of each matrix of a (B, r, c) stack: (rows, rank, cols, pivots),
     with matrix b's rank[b] reduced rows on top and its cols and pivots as
     ``_echelon`` returns them.

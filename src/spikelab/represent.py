@@ -46,6 +46,10 @@ MAX_TEST_PRIME = 97
 # diagonals summed at once by an audit at n <= 3
 _LOW_CHUNK = 1 << 14
 
+# int64 entries in one stack of member systems (2 MB); the elimination holds
+# a few arrays of its size, so a level of thousands of classes stays small
+_STACK_ENTRIES = 1 << 18
+
 
 # ---------------------------------------------------------------------------
 # exhaustive representability search
@@ -298,21 +302,26 @@ def _solution_spaces(
     them.  The columns are eliminated in reverse, so a pivot coordinate
     depends only on free coordinates of smaller index: ordered by their
     free coordinates, the solutions are in lex order.  Each member system
-    is padded with zero rows to the longest, which changes no pivot.
+    is padded with zero rows to the longest, which changes no pivot, and a
+    stack holds at most _STACK_ENTRIES entries.
     """
     if not sigs:
         return []
     n = sigs[0].n
     members = [np.flatnonzero(sig.flags()) for sig in sigs]
-    # column j holds coordinate n - 1 - j, and the last column the constant -1
-    stack = np.zeros((len(sigs), max(map(len, members)), n + 1), dtype=np.int64)
-    for rows, masks in zip(stack, members):
-        rows[: len(masks), :n] = masks[:, None] >> np.arange(n - 1, -1, -1) & 1
-        rows[: len(masks), n] = -1
-    reduced, rank, cols, pivots = _rref(stack, q)
+    longest = max(map(len, members))
+    per = max(1, _STACK_ENTRIES // max(1, longest * (n + 1)))
     spaces = []
-    for rows, k, c, pv in zip(reduced, rank.tolist(), cols.tolist(), pivots.tolist()):
-        spaces.append(_space(n, rows[:k].tolist(), c[:k], pv[:k]))
+    for start in range(0, len(sigs), per):
+        part = members[start : start + per]
+        # column j holds coordinate n - 1 - j, and the last column the constant -1
+        stack = np.zeros((len(part), longest, n + 1), dtype=np.int64)
+        for rows, masks in zip(stack, part):
+            rows[: len(masks), :n] = masks[:, None] >> np.arange(n - 1, -1, -1) & 1
+            rows[: len(masks), n] = -1
+        reduced, rank, cols, pivots = _rref(stack, q)
+        for rows, k, c, pv in zip(reduced, rank.tolist(), cols.tolist(), pivots.tolist()):
+            spaces.append(_space(n, rows[:k].tolist(), c[:k], pv[:k]))
     return spaces
 
 

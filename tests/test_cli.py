@@ -22,7 +22,6 @@ import spikelab
 from spikelab import (
     CharCertificate,
     Diagonal,
-    MatrixGF,
     PrimeField,
     Signature,
     represent,
@@ -240,8 +239,8 @@ def test_refused_sizes_exit_2_with_message(capsys, monkeypatch, argv, message):
     def refused(*args):
         raise AssertionError("a refused call must not eliminate or swap")
 
-    monkeypatch.setattr(MatrixGF, "det", refused)
-    monkeypatch.setattr(represent, "_rref", refused)
+    # every rank, determinant and reduction runs through the one kernel
+    monkeypatch.setattr(spikelab.matrix, "_echelon", refused)
     monkeypatch.setattr(spikes, "swap", refused)
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -307,10 +306,10 @@ def test_missing_required_argument_exits_2(capsys):
 
 
 def test_axioms_refused_past_cap_before_rank_work(capsys, monkeypatch):
-    def no_rank(self):
+    def no_rank(*args):
         raise AssertionError("rank work ran past the axioms cap")
 
-    monkeypatch.setattr(MatrixGF, "rank", no_rank)
+    monkeypatch.setattr(spikelab.matrix, "_echelon", no_rank)
     assert main(["axioms", "--diag", "p=3;x=" + ",".join(["1"] * 25)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -383,9 +383,9 @@ def test_verify_det_identity_rejects_bad_sizes(n_max, samples):
     [(DETCHECK_MAX_N + 1, 1), (DETCHECK_MAX_N, DETCHECK_MAX_SAMPLES + 1)],
 )
 def test_verify_det_identity_refuses_past_its_caps(monkeypatch, n_max, samples):
-    def no_elimination(self):
+    def no_elimination(*args):
         raise AssertionError("a refused check must not eliminate")
 
-    monkeypatch.setattr(MatrixGF, "det", no_elimination)
+    monkeypatch.setattr(matrix, "_echelon", no_elimination)
     with pytest.raises(TooLargeError):
         verify_det_identity(5, n_max=n_max, samples=samples)

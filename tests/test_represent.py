@@ -592,8 +592,11 @@ def test_special_primes_reuse_the_rational_space_where_no_pivot_vanishes(p, size
     assert reused
 
 
-def test_a_level_eliminated_at_once_gives_each_class_its_own_space():
-    # the threshold scan stacks a level's member systems, padded with zero rows
+@pytest.mark.parametrize("entries", [represent._STACK_ENTRIES, 200])
+def test_a_level_eliminated_at_once_gives_each_class_its_own_space(monkeypatch, entries):
+    # the threshold scan stacks a level's member systems, padded with zero
+    # rows, in stacks of bounded size: here one stack, or several
+    monkeypatch.setattr(represent, "_STACK_ENTRIES", entries)
     for p, n in ((3, 5), (5, 5), (7, 6)):
         sigs = [signature(d) for d in enumerate_spikes(p, n)]
         for q in (None, 2, 3, 7):
