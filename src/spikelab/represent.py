@@ -9,6 +9,7 @@ pruned search over GF(q) for the finitely many primes it leaves open.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import islice
 from math import isqrt
@@ -33,9 +34,9 @@ from .spikes import (
     SIGNATURE_MAX_N,
     Diagonal,
     Signature,
+    _enumerate_orbits,
     _signature_rows,
     _standard_rows,
-    enumerate_spikes,
     signature,
 )
 
@@ -285,10 +286,11 @@ def _prime_factors(v: int) -> list[int]:
 
 
 def _solution_spaces(
-    sigs: Sequence[Signature], q: Optional[int] = None
+    flags: "np.ndarray", q: Optional[int] = None
 ) -> list[tuple[Optional["np.ndarray"], int, list[int]]]:
     """The z with sum(z_i, i in I) = -1 for every member I, over Q (q None) or
-    GF(q), for each of several signatures of one n: one stacked ``_rref``.
+    GF(q), for each signature of a (B, 2^n) stack of membership flags
+    (``Signature.flags``): one stacked ``_rref``.
 
     Returns (F, one, pivots) per signature.  F is an int64 matrix scaled so
     that 1 reads ``one``: row 0 is a particular solution, and each later row
@@ -305,24 +307,36 @@ def _solution_spaces(
     is padded with zero rows to the longest, which changes no pivot, and a
     stack holds at most _STACK_ENTRIES entries.
     """
-    if not sigs:
+    B, size = flags.shape
+    if not B:
         return []
-    n = sigs[0].n
-    members = [np.flatnonzero(sig.flags()) for sig in sigs]
-    longest = max(map(len, members))
+    n = size.bit_length() - 1
+    counts = flags.sum(axis=1)
+    longest = int(counts.max())
+    # each signature's members first, ascending by mask, by a stable sort on non-membership
+    members = np.argsort(flags == 0, axis=1, kind="stable")[:, :longest]
+    padding = np.arange(longest) >= counts[:, None]
+    equations = _member_equations(n)
     per = max(1, _STACK_ENTRIES // max(1, longest * (n + 1)))
     spaces = []
-    for start in range(0, len(sigs), per):
-        part = members[start : start + per]
-        # column j holds coordinate n - 1 - j, and the last column the constant -1
-        stack = np.zeros((len(part), longest, n + 1), dtype=np.int64)
-        for rows, masks in zip(stack, part):
-            rows[: len(masks), :n] = masks[:, None] >> np.arange(n - 1, -1, -1) & 1
-            rows[: len(masks), n] = -1
+    for start in range(0, B, per):
+        stack = equations[members[start : start + per]]
+        stack[padding[start : start + per]] = 0
         reduced, rank, cols, pivots = _rref(stack, q)
         for rows, k, c, pv in zip(reduced, rank.tolist(), cols.tolist(), pivots.tolist()):
             spaces.append(_space(n, rows[:k].tolist(), c[:k], pv[:k]))
     return spaces
+
+
+@functools.cache
+def _member_equations(n: int) -> "np.ndarray":
+    """Row I of this read-only (2^n, n + 1) table is the equation sum(z_i, i in I)
+    = -1: column j holds coordinate n - 1 - j, and the last column the constant -1."""
+    rows = np.empty((1 << n, n + 1), dtype=np.int64)
+    rows[:, :n] = np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1) & 1
+    rows[:, n] = -1
+    rows.setflags(write=False)
+    return rows
 
 
 def _space(
@@ -344,20 +358,29 @@ def _space(
     return np.array(F, dtype=np.int64), one, pivots
 
 
-def _forms(sig: Signature, F: "np.ndarray", one: int) -> "np.ndarray":
-    """Coefficients of the forbidden affine forms on the solution space.
+def _forms(F: "np.ndarray", one) -> "np.ndarray":
+    """Coefficients of every subset's affine form on a solution space, for one
+    space or a stack of them.
 
     F and ``one`` are ``_solution_spaces``': the particular solution and
-    the directions as integers, scaled so that 1 reads ``one``.  The
-    columns are sum(z_i, i in J) + 1 for each nonempty non-member J, then
-    z_i for each i: row 0 the constant, row j the coefficient on direction
-    j.  A point is admissible iff no form vanishes.
+    the directions as integers, scaled so that 1 reads ``one``.  Column J <
+    2^n is sum(z_i, i in J) + 1, then column 2^n + i is z_i: row 0 the
+    constant, row j the coefficient on direction j.  The forbidden forms
+    are those ``_is_form`` marks, and a point is admissible iff none of them
+    vanishes.  Zero rows padded below F add nothing.
     """
     sums = subset_sums(F)
-    sums[0] += one
-    # mask 0, the empty set, is never a member and never a form
-    nonmember = np.flatnonzero(sig.flags() == 0)[1:]
-    return np.concatenate([sums[:, nonmember], F], axis=1)
+    sums[..., 0, :] += np.asarray(one)[..., None]
+    return np.concatenate([sums, F], axis=-1)
+
+
+def _is_form(flags: "np.ndarray") -> "np.ndarray":
+    """Which of ``_forms``' columns are forbidden: each nonempty non-member and
+    each coordinate.  Mask 0, the empty set, is never a member and never a form."""
+    n = flags.shape[-1].bit_length() - 1
+    form = np.concatenate([flags == 0, np.ones(flags.shape[:-1] + (n,), dtype=bool)], axis=-1)
+    form[..., 0] = False
+    return form
 
 
 def _admissible_point(
@@ -383,14 +406,15 @@ def _admissible_point(
     """
     # q < 2^29 (a special prime divides a form coefficient or a pivot), so
     # sums of a dozen products of residues fit in int64
+    flags = sig.flags()
     if rational is not None and all(pv % q for pv in rational[2]):
         F, one, _ = rational
         F, one = None if F is None else F % q, one % q
     else:
-        F, one, _ = _solution_spaces([sig], q)[0]
+        F, one, _ = _solution_spaces(flags[None], q)[0]
     if F is None:
         return None, 0
-    forms = _forms(sig, F, one) % q
+    forms = _forms(F, one)[:, _is_form(flags)] % q
     spent = forms.size
     k = len(F) - 1
     # the level of each form's last nonzero direction, 0 for a constant form
@@ -457,11 +481,12 @@ class CharCertificate:
 
 
 def _rational_part(
-    sig: Signature, space: Optional[tuple] = None
-) -> tuple[bool, list[int], int, Optional[tuple[int, ...]], tuple]:
-    """The certificate's elimination over Q: (generic, special primes, h, m,
-    space), with space the signature's ``_solution_spaces`` entry over Q,
-    computed here unless given.
+    flags: "np.ndarray", spaces: Optional[list] = None
+) -> list[tuple[bool, list[int], int, Optional[tuple[int, ...]], tuple]]:
+    """The certificate's elimination over Q for each signature of a (B, 2^n)
+    stack of membership flags: (generic, special primes, h, m, space) each,
+    with space the signature's ``_solution_spaces`` entry over Q.  spaces
+    are those entries, computed here unless given.
 
     Let V be the rational solutions of the member equations, k its
     dimension, and h the number of forbidden hyperplanes (one per nonempty
@@ -475,29 +500,63 @@ def _rational_part(
     special primes returned, ascending.  The primes up to h are special only
     in a generic class with k >= 1; they are left to the caller through h,
     which is 0 otherwise.  generic says whether the other primes get a yes.
+    Each form's content, the gcd of its coefficients, comes from one
+    ``gcd.reduce`` over a stack of spaces padded with zero rows, at most
+    _STACK_ENTRIES form coefficients a stack.
     """
-    n = sig.n
+    B, size = flags.shape
+    n = size.bit_length() - 1
     if n > SEARCH_MAX_N:
         raise TooLargeError(f"characteristic decision capped at n={SEARCH_MAX_N}")
-    F, one, pivots = _solution_spaces([sig])[0] if space is None else space
-    special = {f for pv in pivots for f in _prime_factors(pv)}
-    generic = False
-    h = 0
-    m = None
-    if F is not None:
-        # F's entries and one are k x k minors of the 0/+-1 matrix [A | -1],
-        # k <= n + 1, so at most k^(k/2) (Hadamard): below 13^6.5 < 2^25 at
-        # n <= 12 and 14^7 < 2^27 at n = 13.  A form coefficient sums at most
-        # n + 1 of them, so it stays below 2^29 (2^31 at n = 13) in int64
-        content = np.gcd.reduce(np.abs(_forms(sig, F, one)), axis=0)
-        generic = bool(content.all())
+    if spaces is None:
+        spaces = _solution_spaces(flags)
+    solved = [b for b, space in enumerate(spaces) if space[0] is not None]
+    # each generic class's distinct form contents
+    contents = {}
+    if solved:
+        longest = max(len(spaces[b][0]) for b in solved)
+        per = max(1, _STACK_ENTRIES // (longest * (size + n)))
+        for start in range(0, len(solved), per):
+            part = solved[start : start + per]
+            F = np.zeros((len(part), longest, n), dtype=np.int64)
+            for rows, b in zip(F, part):
+                rows[: len(spaces[b][0])] = spaces[b][0]
+            one = np.array([spaces[b][1] for b in part], dtype=np.int64)
+            # F's entries and one are k x k minors of the 0/+-1 matrix [A | -1],
+            # k <= n + 1, so at most k^(k/2) (Hadamard): below 13^6.5 < 2^25 at
+            # n <= 12 and 14^7 < 2^27 at n = 13.  A form coefficient sums at most
+            # n + 1 of them, so it stays below 2^29 (2^31 at n = 13) in int64
+            gcds = np.gcd.reduce(np.abs(_forms(F, one)), axis=1)
+            # a column that is no form reads 1, which no prime divides
+            content = np.where(_is_form(flags[part]), gcds, 1)
+            generic = content.all(axis=1)
+            for b, row in zip(np.array(part)[generic].tolist(), content[generic].tolist()):
+                contents[b] = set(row)
+    sizes = flags.sum(axis=1).tolist()
+    factors: dict[int, list[int]] = {}
+
+    def primes_of(values) -> set[int]:
+        for v in values:
+            if v not in factors:
+                factors[v] = _prime_factors(v)
+        return {f for v in values for f in factors[v]}
+
+    parts = []
+    for b, (F, one, pivots) in enumerate(spaces):
+        special = primes_of(pivots)
+        generic = b in contents
+        h = 0
+        m = None
         if generic:
-            special.update(f for v in set(content.tolist()) for f in _prime_factors(v))
+            special |= primes_of(contents[b])
             if len(F) > 1:
-                h = (1 << n) - 1 - sig.size + n
-        if len(F) == 1 and not (F[0] % one).any():
-            m = tuple((F[0] // one).tolist())
-    return generic, sorted(special), h, m, (F, one, pivots)
+                h = (1 << n) - 1 - sizes[b] + n
+        if F is not None and len(F) == 1:
+            row = F[0].tolist()
+            if all(v % one == 0 for v in row):
+                m = tuple(v // one for v in row)
+        parts.append((generic, sorted(special), h, m, (F, one, pivots)))
+    return parts
 
 
 def _decisions(
@@ -536,7 +595,7 @@ def build_certificate(sig: Signature) -> CharCertificate:
     Each special prime is then decided by ``_admissible_point``, on the
     rational solution space wherever q divides none of its pivots.
     """
-    generic, special, h, m, rational = _rational_part(sig)
+    generic, special, h, m, rational = _rational_part(sig.flags()[None])[0]
     special = sorted(set(special).union(_primes_upto(h)))
     # a cofinite set lists the special primes that fail, a finite one those that pass
     listed = tuple(q for q, ok in _decisions(sig, special, rational) if ok != generic)
@@ -671,7 +730,7 @@ def threshold_interval(p: int) -> tuple[int, int]:
 
 
 def _only_in_characteristic(
-    sig: Signature, p: int, space: Optional[tuple] = None
+    sig: Signature, p: int, part: Optional[tuple] = None
 ) -> Optional[CharCertificate]:
     """``build_certificate(sig)`` if its exact set is {p}, else None.
 
@@ -680,10 +739,12 @@ def _only_in_characteristic(
     and then the other special primes, up to the first answer that rules
     out {p}; a class that passes has had every special prime decided.  Only
     a generic class has a bound h, so no prime up to h is ever built here.
-    space is the class's rational solution space when a caller eliminated
-    its level at once.
+    part is the class's ``_rational_part`` when a caller eliminated its
+    level at once.
     """
-    generic, special, _, m, rational = _rational_part(sig, space)
+    if part is None:
+        part = _rational_part(sig.flags()[None])[0]
+    generic, special, _, m, rational = part
     if generic or p not in special:
         return None
     order = [p] + [q for q in special if q != p]
@@ -700,7 +761,7 @@ def estimate_L(p: int, primes: Sequence[int], n_max: int) -> dict:
     winning class is confirmed by a search over every given prime against
     its certificate, which raises VerdictMismatchError where they disagree.
     """
-    PrimeField(p)
+    field = PrimeField(p)
     if p > ENUMERATE_MAX_P:
         raise OutOfRangeError(f"experiment capped at p={ENUMERATE_MAX_P}")
     if n_max > CANONICAL_MAX_N:
@@ -708,22 +769,28 @@ def estimate_L(p: int, primes: Sequence[int], n_max: int) -> dict:
     if n_max < 3:
         raise TooSmallError("spikes need n >= 3")
     _check_test_primes(primes)
+    inv = np.array(field.inverse_table())
     levels = []
-    certified: list[tuple[Diagonal, CharCertificate]] = []
+    certified: list[tuple[Diagonal, Signature, CharCertificate]] = []
     for n in range(3, n_max + 1):
-        reps = enumerate_spikes(p, n)
-        sigs = [signature(d) for d in reps]
-        # one elimination over Q for the whole level
-        spaces = _solution_spaces(sigs)
-        certs = [(d, _only_in_characteristic(s, p, v)) for d, s, v in zip(reps, sigs, spaces)]
-        certified = [(d, c) for d, c in certs if c is not None]
+        multisets, closures = _enumerate_orbits(p, n)
+        reps = multisets[closures[:, 0]]
+        # the level's signatures at once, and one elimination over Q for them all
+        packed = _signature_rows(p, inv[reps])
+        parts = _rational_part(np.unpackbits(packed, axis=-1, count=1 << n, bitorder="little"))
+        certified = []
+        for x, row, part in zip(reps.tolist(), packed, parts):
+            sig = Signature(n, int.from_bytes(row.tobytes(), "little"))
+            cert = _only_in_characteristic(sig, p, part)
+            if cert is not None:
+                certified.append((Diagonal(field, tuple(x)), sig, cert))
         levels.append({"n": n, "classes": len(reps), "certified": len(certified)})
         if certified:
             break
-    found, cert = certified[0] if certified else (None, None)
+    found, sig, cert = certified[0] if certified else (None, None, None)
     lo, hi = threshold_interval(p)
     if found is not None:
-        _verdicts(found, signature(found), cert, primes)
+        _verdicts(found, sig, cert, primes)
     found_n = found.n if found else None
     return {
         "p": p,

@@ -6,11 +6,20 @@ n x (2n+1) special standard matrix [I | tip | tip + x_i e_i].  The
 combinatorial fingerprint is the signature: the family of index sets I
 with sum of inverse entries equal to -1, which are exactly the dependent
 transversals (circuit-hyperplanes).
+
+Swaps and relabelings generate weak equivalence.  One int64 kernel gives
+every swap of a stack of diagonals at once.  The census scans the sorted
+diagonals of one n in lex order, each known by its rank in that order,
+with one entry per rank for the class that met it; the unmet ones are
+closed in chunks, and a diagonal starts a class iff its rank is the least
+in its closure.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -317,19 +326,35 @@ def _refuse_past_closure_cap(n: int) -> None:
         raise TooLargeError(f"swap closure capped at n={CANONICAL_MAX_N}, got {n}")
 
 
-def _closure_rows(x: Diagonal) -> "np.ndarray":
-    """swap(x, S) for every valid swap set S, one row each by ascending mask (x at mask 0).
+def _closure_rows(p: int, x: "np.ndarray", z: "np.ndarray") -> tuple["np.ndarray", "np.ndarray"]:
+    """swap(x, S) for each diagonal x of a (B, n) stack over GF(p) and every mask S.
 
-    S is valid iff fac = 1 + (sum over S of x_i^-1) is nonzero mod p; its row
-    is x * fac with the sign flipped on S.
+    z holds the stack's inverse entries, in int64.  Returns the (B, 2^n, n) rows, by
+    ascending mask (x itself at mask 0), and a (B, 2^n) flag that is False
+    at the invalid masks.  S is valid iff fac = 1 + (sum over S of x_i^-1) is
+    nonzero mod p; its row is x * fac with the sign flipped on S, and an
+    invalid mask's row is 0.
     """
-    n, p = x.n, x.p
+    n = x.shape[-1]
     _refuse_past_closure_cap(n)
-    # int64 is exact: at p <= 65521 and n <= 7 the sums stay below 2^19, x * fac below 2^32
-    fac = (1 + subset_sums(np.array(x.inverses(), dtype=np.int64))) % p
-    masks = np.flatnonzero(fac)
-    signs = 1 - 2 * (masks[:, None] >> np.arange(n) & 1)
-    return np.array(x.x, dtype=np.int64) * signs * fac[masks, None] % p
+    # int64 is exact: at p <= 65521 and n <= 7 the sums stay below 2^19, and x * fac < p^2 < 2^32
+    fac = (1 + subset_sums(z)) % p
+    rows = x[:, None, :] * _swap_signs(n) * fac[..., None] % p
+    return rows, fac != 0
+
+
+@functools.cache
+def _swap_signs(n: int) -> "np.ndarray":
+    """-1 where mask S holds index i, else 1: a read-only (2^n, n) table."""
+    signs = 1 - 2 * (np.arange(1 << n)[:, None] >> np.arange(n) & 1)
+    signs.setflags(write=False)
+    return signs
+
+
+def _closure_of(x: Diagonal) -> "np.ndarray":
+    """x's valid closure rows by ascending mask: the kernel on a stack of one."""
+    rows, valid = _closure_rows(x.p, np.array([x.x]), np.array([x.inverses()]))
+    return rows[valid]
 
 
 def swap_closure(x: Diagonal) -> list[Diagonal]:
@@ -344,13 +369,13 @@ def swap_closure(x: Diagonal) -> list[Diagonal]:
     computation built on that kernel: the closure costs 2^n subset sums, and
     ``orbit`` n! permutations of each distinct multiset.
     """
-    rows = dict.fromkeys(map(tuple, _closure_rows(x).tolist()))
+    rows = dict.fromkeys(map(tuple, _closure_of(x).tolist()))
     return [Diagonal(x.field, y) for y in rows]
 
 
 def _closure_multisets(x: Diagonal) -> list[tuple[int, ...]]:
     """Distinct sorted swap-closure members, ascending: the orbit's multisets."""
-    return sorted(set(map(tuple, np.sort(_closure_rows(x), axis=1).tolist())))
+    return sorted(set(map(tuple, np.sort(_closure_of(x), axis=1).tolist())))
 
 
 def _arrangements(m: tuple[int, ...]) -> int:
@@ -398,28 +423,103 @@ def orbit_size(x: Diagonal) -> int:
 
 def enumerate_spikes(p: int, n: int) -> list[Diagonal]:
     """One canonical representative per weak-equivalence class, lex order."""
-    return [d for d, _ in _enumerate_orbits(p, n)]
+    multisets, closures = _enumerate_orbits(p, n)
+    field = PrimeField(p)
+    return [Diagonal(field, tuple(m)) for m in multisets[closures[:, 0]].tolist()]
+
+
+@functools.cache
+def _arrangements_by_ties(n: int) -> tuple["np.ndarray", "np.ndarray"]:
+    """``_arrangements`` of a sorted n-tuple indexed by its ties, and the weights
+    that index them: bit i is set iff entries i and i + 1 are equal, which
+    fixes every run length.  Both are read-only."""
+    counts = []
+    for ties in range(1 << (n - 1)):
+        # a sorted tuple with exactly these ties: step up wherever bit i is clear
+        steps = (1 - (ties >> i & 1) for i in range(n - 1))
+        counts.append(_arrangements(tuple(itertools.accumulate(steps, initial=0))))
+    table, weights = np.array(counts), 1 << np.arange(n - 1)
+    for a in (table, weights):
+        a.setflags(write=False)
+    return table, weights
+
+
+def _arrangement_counts(multisets: "np.ndarray") -> "np.ndarray":
+    """``_arrangements`` of every sorted row of a (M, n) array at once."""
+    table, weights = _arrangements_by_ties(multisets.shape[1])
+    return table[(multisets[:, 1:] == multisets[:, :-1]) @ weights]
 
 
 def spike_census(p: int, n: int) -> dict:
-    """Class census with orbit sizes; orbit sizes must add up to (p-1)^n."""
-    classes = [(d, sum(map(_arrangements, ms))) for d, ms in _enumerate_orbits(p, n)]
-    total = sum(size for _, size in classes)
+    """Class census with orbit sizes; orbit sizes must add up to (p-1)^n.
+
+    A class's orbit size sums the arrangements of its distinct closure multisets.
+    """
+    multisets, closures = _enumerate_orbits(p, n)
+    distinct = np.ones(closures.shape, dtype=bool)
+    np.not_equal(closures[:, 1:], closures[:, :-1], out=distinct[:, 1:])
+    sizes = np.where(distinct, _arrangement_counts(multisets)[closures], 0).sum(axis=1).tolist()
+    total = sum(sizes)
     if total != (p - 1) ** n:
         raise VerdictMismatchError(f"orbit sizes add up to {total}, not {(p - 1) ** n}")
+    reps = multisets[closures[:, 0]].tolist()
     return {
         "p": p,
         "n": n,
-        "class_count": len(classes),
-        "classes": [
-            {"diagonal": list(d.x), "orbit_size": size} for d, size in classes
-        ],
+        "class_count": len(reps),
+        "classes": [{"diagonal": d, "orbit_size": size} for d, size in zip(reps, sizes)],
         "total_diagonals": total,
     }
 
 
-def _enumerate_orbits(p: int, n: int) -> list[tuple[Diagonal, list[tuple[int, ...]]]]:
-    """Each class's lex-least member with its distinct closure multisets, lex order."""
+# diagonals the lex scan closes at once (4096 closure rows at n = 7): fewer
+# pay numpy's fixed cost more often, more close diagonals that an earlier
+# one's closure would have met
+_CHUNK = 32
+
+
+def _level(p: int, n: int) -> "np.ndarray":
+    """The multisets of n entries from [1, p), as uint8 rows in lex order."""
+    count = math.comb(p + n - 2, n)
+    tuples = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(1, p), n))
+    return np.fromiter(tuples, dtype=np.uint8, count=count * n).reshape(count, n)
+
+
+@functools.cache
+def _rank_table(p: int, n: int) -> tuple["np.ndarray", "np.ndarray"]:
+    """The flat rank table of ``_level(p, n)`` and its row offsets: a sorted row
+    a is row sum(table[offsets + a]) of the level.  Both are read-only.
+
+    N(k, v) = C(p - v + k - 1, k) sorted k-tuples have every entry >= v.
+    The rows before a are those that agree with a before some j and hold a
+    value in [a_(j-1), a_j) at j (a_(-1) = 1), so there are the sum over j of
+    N(n - j, a_(j-1)) - N(n - j, a_j) of them.  Collected by a_j, with N(0, v)
+    = 1 and the constant N(n, 1) - 1 put in row 0, that is the table.
+    """
+    N = np.array([[math.comb(p - v + k - 1, k) for v in range(p)] for k in range(n + 1)])
+    # row j is N(n - j - 1, .) - N(n - j, .); column 0 is never read
+    table = N[n - 1 :: -1] - N[n:0:-1]
+    table[0] += N[n, 1] - 1
+    offsets = p * np.arange(n)
+    for a in (table, offsets):
+        a.setflags(write=False)
+    return table.ravel(), offsets
+
+
+def _enumerate_orbits(p: int, n: int) -> tuple["np.ndarray", "np.ndarray"]:
+    """The level's multisets in lex order, and each class's closure ranks.
+
+    A multiset's rank is its row in the level.  Each class gets one row of
+    closures, in lex order of its least member: the ranks of its 2^n closure
+    rows sorted, repeats kept and an invalid mask reading the member's own
+    rank, so column 0 is the representative's rank.  ``owner`` holds, per
+    rank, the representative whose closure met it, or -1 while unseen.  The
+    unseen ranks are closed in chunks, in ascending order; a candidate is
+    its class's representative iff its rank is the least in its closure,
+    and each representative then owns its closure.  So every candidate must
+    end its chunk owned by the least rank of its own closure; one that is
+    not raises VerdictMismatchError.
+    """
     field = PrimeField(p)
     if n < 1:
         raise TooSmallError(f"enumeration needs n >= 1, got {n}")
@@ -427,15 +527,35 @@ def _enumerate_orbits(p: int, n: int) -> list[tuple[Diagonal, list[tuple[int, ..
     _refuse_past_closure_cap(n)
     if p > ENUMERATE_MAX_P:
         raise TooLargeError(f"enumeration capped at p={ENUMERATE_MAX_P}")
-    seen: set[tuple[int, ...]] = set()
-    classes: list[tuple[Diagonal, list[tuple[int, ...]]]] = []
-    for vec in itertools.combinations_with_replacement(range(1, p), n):
-        if vec in seen:
+    multisets = _level(p, n)
+    table, offsets = _rank_table(p, n)
+    inv = np.array(field.inverse_table())
+    owner = np.full(len(multisets), -1)
+    # unmet ranks are looked for in windows of as many ranks as a chunk has rows
+    span = _CHUNK << n
+    classes = []
+    start = 0
+    while start < len(owner):
+        window = (owner[start : start + span] < 0).nonzero()[0]
+        if not len(window):
+            start += span
             continue
-        d = Diagonal(field, vec)
-        multisets = _closure_multisets(d)
-        if vec != multisets[0]:
-            raise VerdictMismatchError(f"lex scan met the orbit of {multisets[0]} at {vec}")
-        seen.update(multisets)
-        classes.append((d, multisets))
-    return classes
+        cand = start + window[:_CHUNK]
+        start = int(cand[-1]) + 1
+        x = multisets[cand]
+        rows, valid = _closure_rows(p, x, inv[x])
+        ranks = table.take(np.sort(rows, axis=-1) + offsets).sum(axis=-1)
+        ranks = np.where(valid, ranks, cand[:, None])
+        ranks.sort(axis=1)
+        least = ranks[:, 0]
+        closure = ranks[least == cand]
+        owner[closure] = closure[:, :1]
+        stray = owner[cand] != least
+        if stray.any():
+            i = stray.argmax()
+            raise VerdictMismatchError(
+                f"lex scan met the orbit of {tuple(multisets[least[i]].tolist())}"
+                f" at {tuple(multisets[cand[i]].tolist())}"
+            )
+        classes.append(closure)
+    return multisets, np.concatenate(classes)

@@ -31,7 +31,7 @@ from spikelab import (
     signature,
     swap,
 )
-from spikelab.spikes import _signature_rows
+from spikelab.spikes import _closure_multisets, _signature_rows
 
 
 def det_cofactor(p: int, rows: list[list[int]]) -> int:
@@ -515,6 +515,42 @@ def swap_closure_by_swaps(x: Diagonal) -> list[Diagonal]:
             w = swap(x, smask)
             members.setdefault(w.x, w)
     return list(members.values())
+
+
+def closure_rows_by_swaps(p: int, x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``spikes._closure_rows`` by one scalar swap call per valid mask: each
+    diagonal's 2^n rows by ascending mask, 0 at a mask in its signature, and
+    which masks are valid.  The inverse entries z are not read."""
+    B, n = x.shape
+    rows = np.zeros((B, 1 << n, n), dtype=np.int64)
+    valid = np.zeros((B, 1 << n), dtype=bool)
+    field = PrimeField(p)
+    for b, entries in enumerate(x.tolist()):
+        d = Diagonal(field, tuple(entries))
+        sig = signature(d)
+        for smask in range(1 << n):
+            if not sig.bits >> smask & 1:
+                rows[b, smask] = swap(d, smask).x
+                valid[b, smask] = True
+    return rows, valid
+
+
+def enumerate_orbits_by_tuples(p: int, n: int) -> list[tuple[Diagonal, list[tuple[int, ...]]]]:
+    """Each class's lex-least member with its distinct closure multisets, in
+    lex order, by the lex scan that keeps every closure multiset met as a tuple
+    in one set: a multiset not yet met starts a new class."""
+    field = PrimeField(p)
+    seen: set[tuple[int, ...]] = set()
+    classes = []
+    for vec in itertools.combinations_with_replacement(range(1, p), n):
+        if vec in seen:
+            continue
+        d = Diagonal(field, vec)
+        multisets = _closure_multisets(d)
+        assert vec == multisets[0], f"lex scan met the orbit of {multisets[0]} at {vec}"
+        seen.update(multisets)
+        classes.append((d, multisets))
+    return classes
 
 
 def orbit_materialized(x: Diagonal) -> set[tuple[int, ...]]:

@@ -13,7 +13,6 @@ import sys
 import textwrap
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +29,7 @@ from spikelab import (
 )
 from spikelab.cli import build_parser, main
 
-from oracles import random_diagonal, swap_closure_by_swaps
+from oracles import closure_rows_by_swaps, random_diagonal
 from test_acceptance import CLI_RUNS
 
 
@@ -262,7 +261,7 @@ def test_negative_node_budget_refused_before_any_certificate(capsys, monkeypatch
         raise AssertionError("a refused call must not enumerate or certify")
 
     monkeypatch.setattr(represent, "build_certificate", refused)
-    monkeypatch.setattr(represent, "enumerate_spikes", refused)
+    monkeypatch.setattr(represent, "_enumerate_orbits", refused)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -273,7 +272,7 @@ def test_lbound_past_prime_cap_refused_before_any_work(capsys, monkeypatch):
     def refused(*args):
         raise AssertionError("a refused call must not enumerate or eliminate")
 
-    monkeypatch.setattr(represent, "enumerate_spikes", refused)
+    monkeypatch.setattr(represent, "_enumerate_orbits", refused)
     monkeypatch.setattr(represent, "_rational_part", refused)
     assert main(["lbound", "--p", "19", "--primes", "2,3", "--n-max", "7"]) == 2
     captured = capsys.readouterr()
@@ -430,13 +429,20 @@ def test_lbound_confirming_run_disagreement_exits_1(capsys, monkeypatch):
 
 
 def _drop_last_row(monkeypatch):
+    # every closure loses its last mask, the full swap
     kernel = spikes._closure_rows
-    monkeypatch.setattr(spikes, "_closure_rows", lambda x: kernel(x)[:-1])
+
+    def dropped(p, x, z):
+        rows, valid = kernel(p, x, z)
+        valid[:, -1] = False
+        return rows, valid
+
+    monkeypatch.setattr(spikes, "_closure_rows", dropped)
 
 
 def _overcount(monkeypatch):
-    count = spikes._arrangements
-    monkeypatch.setattr(spikes, "_arrangements", lambda multiset: count(multiset) + 1)
+    count = spikes._arrangement_counts
+    monkeypatch.setattr(spikes, "_arrangement_counts", lambda multisets: count(multisets) + 1)
 
 
 def _swap_to_ones(monkeypatch):
@@ -468,7 +474,13 @@ def test_census_self_check_survives_optimized_python():
         from spikelab import cli, spikes
 
         kernel = spikes._closure_rows
-        spikes._closure_rows = lambda x: kernel(x)[:-1]
+
+        def dropped(p, x, z):
+            rows, valid = kernel(p, x, z)
+            valid[:, -1] = False
+            return rows, valid
+
+        spikes._closure_rows = dropped
         sys.exit(cli.main(["enumerate", "--p", "3", "--n", "3"]))
     """)
     src = str(Path(spikelab.__file__).resolve().parents[1])
@@ -517,14 +529,14 @@ def test_canonical_builds_one_closure(monkeypatch, capsys):
     built = []
     kernel = spikes._closure_rows
 
-    def counting(x):
+    def counting(p, x, z):
         built.append(x)
-        return kernel(x)
+        return kernel(p, x, z)
 
     monkeypatch.setattr(spikes, "_closure_rows", counting)
     code, doc = run_cli(capsys, "canonical", "--diag", "p=7;x=1,2,3,4,5")
     assert code == 0 and doc["result"]["orbit_size"] > 0
-    assert len(built) == 1
+    assert [len(x) for x in built] == [1]
 
 
 def test_closure_users_match_the_per_swap_route(tmp_path, monkeypatch):
@@ -538,9 +550,7 @@ def test_closure_users_match_the_per_swap_route(tmp_path, monkeypatch):
     ]
     argvs = [*CLI_RUNS, *canonical]
     by_kernel = [_echo(tmp_path, argv)[1] for argv in argvs]
-    monkeypatch.setattr(
-        spikes, "_closure_rows", lambda x: np.array([z.x for z in swap_closure_by_swaps(x)])
-    )
+    monkeypatch.setattr(spikes, "_closure_rows", closure_rows_by_swaps)
     for argv, payload in zip(argvs, by_kernel):
         assert _echo(tmp_path, argv)[1] == payload, argv
 

@@ -584,7 +584,7 @@ def test_special_primes_reuse_the_rational_space_where_no_pivot_vanishes(p, size
     for n in sizes:
         for d in enumerate_spikes(p, n):
             sig = signature(d)
-            generic, special, h, _, rational = represent._rational_part(sig)
+            generic, special, h, _, rational = represent._rational_part(sig.flags()[None])[0]
             for q in sorted(set(special).union(represent._primes_upto(h))):
                 got = represent._admissible_point(sig, q, represent.AUDIT_BUDGET, rational)
                 assert got == represent._admissible_point(sig, q, represent.AUDIT_BUDGET), (d, q)
@@ -598,10 +598,10 @@ def test_a_level_eliminated_at_once_gives_each_class_its_own_space(monkeypatch, 
     # rows, in stacks of bounded size: here one stack, or several
     monkeypatch.setattr(represent, "_STACK_ENTRIES", entries)
     for p, n in ((3, 5), (5, 5), (7, 6)):
-        sigs = [signature(d) for d in enumerate_spikes(p, n)]
+        flags = np.stack([signature(d).flags() for d in enumerate_spikes(p, n)])
         for q in (None, 2, 3, 7):
-            for sig, (F, one, pivots) in zip(sigs, represent._solution_spaces(sigs, q)):
-                alone, one_alone, pivots_alone = represent._solution_spaces([sig], q)[0]
+            for row, (F, one, pivots) in zip(flags, represent._solution_spaces(flags, q)):
+                alone, one_alone, pivots_alone = represent._solution_spaces(row[None], q)[0]
                 assert (one, pivots) == (one_alone, pivots_alone)
                 assert (F is None and alone is None) or F.tolist() == alone.tolist()
 
@@ -731,12 +731,14 @@ def test_estimate_eliminates_once_per_class_and_skips_cofinite_searches(monkeypa
     searched = represent._admissible_point
     eliminated, cofinite, decided = [], set(), []
 
-    def eliminate(sig, space=None):
-        eliminated.append(sig.bits)
-        generic, special, h, m, space = rational(sig, space)
-        if generic:
-            cofinite.add(sig.bits)
-        return generic, special, h, m, space
+    def eliminate(flags, spaces=None):
+        parts = rational(flags, spaces)
+        for row, (generic, *_) in zip(flags, parts):
+            bits = int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+            eliminated.append(bits)
+            if generic:
+                cofinite.add(bits)
+        return parts
 
     def search(sig, q, budget, space):
         decided.append(sig.bits)

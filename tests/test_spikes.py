@@ -4,6 +4,7 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 
 from spikelab import matrix, spikes
@@ -42,6 +43,7 @@ from oracles import (
     axioms_by_definition,
     change_basis_standardize,
     default_labels,
+    enumerate_orbits_by_tuples,
     is_circuit,
     members_by_peeling,
     orbit_materialized,
@@ -674,3 +676,51 @@ def test_census_caps():
         spike_census(19, 3)
     with pytest.raises(TooLargeError):
         enumerate_spikes(19, 3)
+
+
+# the chunked lex scan over the rank bitmap, against the scan over tuples
+
+ORACLE_GRID = [
+    (p, n) for p in (2, 3, 5, 7, 11, 13) for n in range(1, 6)
+] + [(7, 6), (11, 4), (13, 6), (17, 5)]
+
+
+@pytest.mark.parametrize("p, n", ORACLE_GRID)
+def test_lex_scan_matches_the_tuple_set_scan(p, n):
+    # representatives, orbit sizes and each class's distinct closure multisets
+    want = enumerate_orbits_by_tuples(p, n)
+    multisets, closures = spikes._enumerate_orbits(p, n)
+    got = [[tuple(m) for m in multisets[np.unique(row)].tolist()] for row in closures]
+    assert got == [ms for _, ms in want]
+    assert [d.x for d in enumerate_spikes(p, n)] == [d.x for d, _ in want]
+    sizes = [c["orbit_size"] for c in spike_census(p, n)["classes"]]
+    assert sizes == [sum(map(spikes._arrangements, ms)) for _, ms in want]
+
+
+@pytest.mark.parametrize("chunk", [1, 5, spikes._CHUNK])
+def test_lex_scan_is_the_same_whatever_the_chunk(monkeypatch, chunk):
+    # one candidate a chunk, a few, or the default: chunks only batch the scan
+    monkeypatch.setattr(spikes, "_CHUNK", chunk)
+    for p, n in ((3, 4), (5, 5), (7, 4)):
+        assert [d.x for d in enumerate_spikes(p, n)] == [
+            d.x for d, _ in enumerate_orbits_by_tuples(p, n)
+        ]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17])
+def test_rank_order_is_the_combinations_order(p):
+    for n in range(1, 7 if p < 17 else 6):
+        multisets = spikes._level(p, n)
+        want = list(itertools.combinations_with_replacement(range(1, p), n))
+        assert list(map(tuple, multisets.tolist())) == want
+        table, offsets = spikes._rank_table(p, n)
+        ranks = table.take(multisets + offsets).sum(axis=-1)
+        assert ranks.tolist() == list(range(len(want)))
+
+
+def test_level_counts_are_the_run_length_counts():
+    # the count for every multiset at once, against the scalar count
+    for p, n in ((2, 1), (3, 4), (5, 6), (7, 7)):
+        multisets = spikes._level(p, n)
+        want = [spikes._arrangements(m) for m in map(tuple, multisets.tolist())]
+        assert spikes._arrangement_counts(multisets).tolist() == want
