@@ -47,6 +47,11 @@ MAX_TEST_PRIME = 97
 # diagonals summed at once by an audit at n <= 3
 _LOW_CHUNK = 1 << 14
 
+# row bytes an audit at n >= 4 gathers and keys at once: a block stays in
+# cache between its gather and its key (2^18 beat 2^14 and 2^16 at (7,7)
+# and (5,8) on a 2-core VM)
+_BLOCK_BYTES = 1 << 18
+
 # int64 entries in one stack of member systems (2 MB); the elimination holds
 # a few arrays of its size, so a level of thousands of classes stays small
 _STACK_ENTRIES = 1 << 18
@@ -139,40 +144,67 @@ def _decode_diagonals(p: int, n: int, ts: "np.ndarray") -> "np.ndarray":
     return (ts[:, None] // radix[None, :]) % (p - 1) + 1
 
 
-def _audit_rows(p: int, n: int) -> "np.ndarray":
-    """Every diagonal's signature row (little-endian packed bytes), in decode order.
+def _row_block(table: "np.ndarray", need: "np.ndarray") -> "np.ndarray":
+    """The signature rows of a run of high blocks, one row per diagonal in decode order.
 
-    Diagonal t = l + L*h splits into its first k = min(n, 3) coordinates,
-    the low block l (L = (p-1)^k of them), and the other n - k, the high
-    block h.  Mask mL | mH << 3 is a member iff low-sum(mL) = -1 -
-    high-sum(mH), so the members of one low block at one residue fill
-    exactly one byte, table[l, r], and byte mH of row (l, h) is
-    table[l, need[h, mH]] with need = (-1 - high sums) mod p.  At p >= 3
-    neither table nor need outgrows the rows.  With n <= 3 there is no high
-    block and only residue -1 is read: those rows are summed chunk by chunk.
+    Row byte mH of diagonal (l, h) is table[need[h, mH], l], so one take
+    copies whole L-byte residue rows into a (b, W, L) block, W the row width
+    in bytes; its transpose is copied into (b * L, W) row bytes.
     """
+    block = np.take(table, need, axis=0)
+    return np.ascontiguousarray(block.transpose(0, 2, 1)).reshape(-1, need.shape[1])
+
+
+def _audit_keys(p: int, n: int) -> "np.ndarray":
+    """One key per diagonal, in decode order; diagonals with equal rows get equal keys.
+
+    A row is the diagonal's signature, packed little-endian.  Diagonal
+    t = l + L*h splits into its first k = min(n, 3) coordinates, the low
+    block l (L = (p-1)^k of them), and the other n - k, the high block h.
+    Mask mL | mH << 3 is a member iff low-sum(mL) = -1 - high-sum(mH), so
+    the members of one low block at one residue fill exactly one byte,
+    table[r, l], and byte mH of row (l, h) is table[need[h, mH], l] with
+    need = (-1 - high sums) mod p.  At p >= 3 neither table nor need
+    outgrows the rows.  With n <= 3 there is no high block and only residue
+    -1 is read: those rows are summed chunk by chunk, and a key is the
+    row's one byte.  Otherwise rows are gathered a run of high blocks at a
+    time, within _BLOCK_BYTES or one high block, and keyed while in cache,
+    so the rows of all diagonals are never held.  A row of at most 8 bytes
+    is its key, read bytewise, so key order is row order; a wider row's key
+    is a mix of its native-order words.
+    """
+    if p == 2:
+        # the one diagonal (1, ..., 1) has no copies: its key, never compared, stays 0
+        return np.zeros(1, dtype=np.uint8)
     inv = np.array(PrimeField(p).inverse_table(), dtype=np.int32)
     k = min(n, 3)
     L = (p - 1) ** k
     if n == k:
-        rows = np.empty((L, 1), dtype=np.uint8)
+        keys = np.empty(L, dtype=np.uint8)
         for start in range(0, L, _LOW_CHUNK):
             ls = np.arange(start, min(start + _LOW_CHUNK, L))
-            rows[start : start + len(ls)] = _signature_rows(p, inv[_decode_diagonals(p, n, ls)])
-        return rows
+            rows = _signature_rows(p, inv[_decode_diagonals(p, n, ls)])
+            keys[start : start + len(ls)] = rows[:, 0]
+        return keys
     # residues are below 2^16 and n <= 24, so every sum fits int32
-    low = subset_sums(inv[_decode_diagonals(p, k, np.arange(L))]) % p
-    table = np.zeros((L, p), dtype=np.uint8)
+    ls = np.arange(L)
+    low = subset_sums(inv[_decode_diagonals(p, k, ls)]) % p
+    table = np.zeros((p, L), dtype=np.uint8)
     for mL in range(1 << k):
-        table[np.arange(L), low[:, mL]] |= 1 << mL
+        table[low[:, mL], ls] |= 1 << mL
     H = (p - 1) ** (n - k)
     need = subset_sums(inv[_decode_diagonals(p, n - k, np.arange(H))])
     np.subtract(-1, need, out=need)
     np.remainder(need, p, out=need)
-    rows = np.empty((H, L, need.shape[1]), dtype=np.uint8)
-    for h in range(H):
-        rows[h] = table[:, need[h]]
-    return rows.reshape(H * L, -1)
+    width = need.shape[1]
+    exact = width <= 8
+    keys = np.empty(H * L, dtype=f"u{width}" if exact else np.uint64)
+    step = max(1, _BLOCK_BYTES // (L * width))
+    for h in range(0, H, step):
+        rows = _row_block(table, need[h : h + step])
+        at = slice(h * L, h * L + len(rows))
+        keys[at] = rows.view(f">u{width}")[:, 0] if exact else _mix_words(rows.view(np.uint64))
+    return keys
 
 
 # odd multiplier of the row-key mix: the fraction bits of the golden ratio
@@ -189,51 +221,48 @@ def _mix_words(words: "np.ndarray") -> "np.ndarray":
     return key
 
 
-def _row_groups(rows: "np.ndarray") -> tuple[int, Iterator["np.ndarray"]]:
-    """The number of distinct rows, and the groups of rows that have copies.
+def _key_groups(p: int, n: int, keys: "np.ndarray") -> tuple[int, Iterator["np.ndarray"]]:
+    """The number of distinct rows, and the groups of diagonals whose rows have copies.
 
-    Each row gets one integer key: the row itself when it fits one word,
-    else a mix of its words.  Only the keys are sorted.  A row whose key
-    no other row has is distinct; the rows that share a key are sorted
-    bytewise, which compares them exactly and splits any run of distinct
-    rows.  Groups come in bytewise order of their row, each as its row
-    indices ascending.  The rows are overwritten: they are read in place as
-    big-endian unsigned words, one per row up to 8 bytes, so word order is
-    bytewise order.
+    Only the keys are sorted.  A diagonal whose key no other has has a
+    distinct row.  Up to n = 6 a key is its row; past that, the rows of the
+    diagonals that share a key are summed again and sorted bytewise, which
+    compares them exactly and splits any run of distinct rows.  Groups come
+    in bytewise order of their row, each as its diagonals ascending.
     """
-    if len(rows) < 2:
-        # a lone row has no copies, and its key would cost a pass over its words
-        return len(rows), iter(())
-    words = rows.view(f">u{min(rows.shape[1], 8)}")
-    if not words.dtype.isnative:
-        words = words.byteswap(inplace=True).view(words.dtype.newbyteorder())
-    exact = words.shape[1] == 1
-    key = words[:, 0] if exact else _mix_words(words)
+    if len(keys) < 2:
+        return len(keys), iter(())
     # numpy's radix sort beats its quicksort on bytes, and only there
-    ranked = np.sort(key, kind="stable" if key.itemsize == 1 else None)
+    ranked = np.sort(keys, kind="stable" if keys.itemsize == 1 else None)
     # one entry per copy of a key past its first
     repeats = ranked[1:][ranked[1:] == ranked[:-1]]
     del ranked
-    if exact:
+    if n <= 6:
         # key order is bytewise order, and a key is its row
         new = np.ones(len(repeats), dtype=bool)
         np.not_equal(repeats[1:], repeats[:-1], out=new[1:])
-        return len(key) - len(repeats), (np.flatnonzero(key == k) for k in repeats[new])
+        return len(keys) - len(repeats), (np.flatnonzero(keys == k) for k in repeats[new])
     if not len(repeats):
-        return len(key), iter(())
-    at = np.searchsorted(repeats, key)
+        return len(keys), iter(())
+    at = np.searchsorted(repeats, keys)
     np.minimum(at, len(repeats) - 1, out=at)
-    shared = np.flatnonzero(repeats[at] == key)
-    del at, key
-    # stable, so each group keeps its indices ascending
-    shared = shared[np.lexsort(words[shared].T[::-1])]
-    ranked = words[shared]
+    shared = np.flatnonzero(repeats[at] == keys)
+    del at
+    inv = np.array(PrimeField(p).inverse_table(), dtype=np.int32)
+    # read as big-endian words, so word order is bytewise order
+    words = _signature_rows(p, inv[_decode_diagonals(p, n, shared)]).view(">u8")
+    if not words.dtype.isnative:
+        words = words.byteswap(inplace=True).view(words.dtype.newbyteorder())
+    # stable, so each group keeps its diagonals ascending
+    order = np.lexsort(words.T[::-1])
+    shared = shared[order]
+    ranked = words[order]
     new = np.ones(len(shared), dtype=bool)
     np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
     starts = np.flatnonzero(new).tolist()
     bounds = zip(starts, starts[1:] + [len(shared)])
     groups = (shared[a:b] for a, b in bounds if b - a > 1)
-    return len(words) - len(shared) + len(starts), groups
+    return len(keys) - len(shared) + len(starts), groups
 
 
 def uniqueness_audit(p: int, n: int) -> dict:
@@ -244,14 +273,16 @@ def uniqueness_audit(p: int, n: int) -> dict:
     if n > SIGNATURE_MAX_N:
         raise TooLargeError(f"audit capped at n={SIGNATURE_MAX_N}")
     total = (p - 1) ** n
-    # each diagonal is counted its 2^n-bit row and a 64-bit key; past n = 6 the
-    # keys' sorted copy is a second word, at most half a row
+    # each diagonal is counted its 2^n-bit row and 64 bits.  The row bounds the
+    # time: it is gathered and keyed once, never held.  Both bound the memory:
+    # an audit holds the keys and their sorted copy, two rows a diagonal up to
+    # n = 6 and two 64-bit words past it
     cost = total * ((1 << n) + 64)
     if cost > AUDIT_BUDGET:
         raise BudgetExceededError(
             f"{cost} bits of signature rows and row keys exceed budget {AUDIT_BUDGET}"
         )
-    distinct, groups = _row_groups(_audit_rows(p, n))
+    distinct, groups = _key_groups(p, n, _audit_keys(p, n))
     examples = []
     for ts in islice(groups, 5):
         diags = _decode_diagonals(p, n, ts[:4])

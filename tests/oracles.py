@@ -31,6 +31,8 @@ from spikelab import (
     signature,
     swap,
 )
+from spikelab.bitsets import subset_sums
+from spikelab.represent import _decode_diagonals, _mix_words
 from spikelab.spikes import _closure_multisets, _signature_rows
 
 
@@ -262,6 +264,87 @@ def audit_rows_per_diagonal(p: int, n: int) -> np.ndarray:
         for t in itertools.product(range(1, p), repeat=n)
     ]
     return np.array(rows, dtype=np.uint8)
+
+
+def audit_rows_by_table(p: int, n: int) -> np.ndarray:
+    """Every diagonal's signature row (little-endian packed bytes), in decode order.
+
+    The audit's rows held whole: with k = min(n, 3), the low block of the
+    first k coordinates picks a (p-1)^k x p byte table of members by
+    residue, and row (l, h) is table[l, need[h]] with need = (-1 - high
+    sums) mod p, gathered one high block at a time.  With n <= 3 the rows
+    are summed 2^14 diagonals at a time.
+    """
+    inv = np.array(PrimeField(p).inverse_table(), dtype=np.int32)
+    k = min(n, 3)
+    L = (p - 1) ** k
+    if n == k:
+        rows = np.empty((L, 1), dtype=np.uint8)
+        for start in range(0, L, 1 << 14):
+            ls = np.arange(start, min(start + (1 << 14), L))
+            rows[start : start + len(ls)] = _signature_rows(p, inv[_decode_diagonals(p, n, ls)])
+        return rows
+    low = subset_sums(inv[_decode_diagonals(p, k, np.arange(L))]) % p
+    table = np.zeros((L, p), dtype=np.uint8)
+    for mL in range(1 << k):
+        table[np.arange(L), low[:, mL]] |= 1 << mL
+    H = (p - 1) ** (n - k)
+    need = subset_sums(inv[_decode_diagonals(p, n - k, np.arange(H))])
+    need = (-1 - need) % p
+    rows = np.empty((H, L, need.shape[1]), dtype=np.uint8)
+    for h in range(H):
+        rows[h] = table[:, need[h]]
+    return rows.reshape(H * L, -1)
+
+
+def row_groups_by_keys(rows: np.ndarray) -> tuple[int, list[np.ndarray]]:
+    """The number of distinct rows, and the groups of rows that have copies.
+
+    Each row is read as big-endian words, so word order is bytewise order,
+    and gets one key: its one word, or a mix of its words.  Rows that share
+    a key are sorted bytewise, which splits any run of distinct rows.
+    Groups come in bytewise order of their row, each as its row indices
+    ascending.  The rows are overwritten.
+    """
+    if len(rows) < 2:
+        return len(rows), []
+    words = rows.view(f">u{min(rows.shape[1], 8)}")
+    if not words.dtype.isnative:
+        words = words.byteswap(inplace=True).view(words.dtype.newbyteorder())
+    exact = words.shape[1] == 1
+    key = words[:, 0] if exact else _mix_words(words)
+    ranked = np.sort(key)
+    repeats = np.unique(ranked[1:][ranked[1:] == ranked[:-1]])
+    if exact:
+        return len(key) - int(np.isin(key, repeats).sum()) + len(repeats), [
+            np.flatnonzero(key == k) for k in repeats
+        ]
+    shared = np.flatnonzero(np.isin(key, repeats))
+    shared = shared[np.lexsort(words[shared].T[::-1])]
+    ranked = words[shared]
+    new = np.ones(len(shared), dtype=bool)
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    starts = np.flatnonzero(new).tolist()
+    bounds = zip(starts, starts[1:] + [len(shared)])
+    groups = [shared[a:b] for a, b in bounds if b - a > 1]
+    return len(words) - len(shared) + len(starts), groups
+
+
+def audit_by_table(p: int, n: int) -> dict:
+    """uniqueness_audit's report from the rows held whole and grouped by their keys."""
+    distinct, groups = row_groups_by_keys(audit_rows_by_table(p, n))
+    total = (p - 1) ** n
+    return {
+        "p": p,
+        "n": n,
+        "diagonals": total,
+        "distinct_signatures": distinct,
+        "collisions": total - distinct,
+        "collision_examples": [
+            [[int(v) for v in row] for row in _decode_diagonals(p, n, group[:4])]
+            for group in groups[:5]
+        ],
+    }
 
 
 def members_by_peeling(bits: int) -> tuple[int, ...]:

@@ -37,6 +37,8 @@ from spikelab.bitsets import subset_sums
 
 from oracles import (
     LinearFact,
+    audit_by_table,
+    audit_rows_by_table,
     audit_rows_per_diagonal,
     bases_bruteforce,
     certificate_admits_by_sums,
@@ -45,6 +47,7 @@ from oracles import (
     propagate_facts,
     random_diagonal,
     search_by_values,
+    row_groups_by_keys,
     signature_by_sums,
 )
 from spikelab.field import is_prime
@@ -328,15 +331,15 @@ def test_audit_groups_follow_bytewise_order(width):
     rows[1::9, : width // 2] = rows[2, : width // 2]
     expect = sorted(range(len(rows)), key=lambda i: rows[i].tobytes())
     groups = [list(g) for _, g in itertools.groupby(expect, key=lambda i: rows[i].tobytes())]
-    distinct, got = represent._row_groups(rows.copy())
+    distinct, got = row_groups_by_keys(rows.copy())
     assert distinct == len(groups)
     assert [g.tolist() for g in got] == [g for g in groups if len(g) > 1]
 
 
 def _audit_by_bytes(p: int, n: int) -> dict:
-    """uniqueness_audit's report from its rows grouped by their bytes in a dict."""
+    """uniqueness_audit's report from the oracle's rows grouped by their bytes in a dict."""
     groups: dict[bytes, list[int]] = {}
-    for t, row in enumerate(represent._audit_rows(p, n)):
+    for t, row in enumerate(audit_rows_by_table(p, n)):
         groups.setdefault(row.tobytes(), []).append(t)
     dups = [groups[key] for key in sorted(groups) if len(groups[key]) > 1]
     total = (p - 1) ** n
@@ -398,11 +401,120 @@ def test_audit_refuses_past_signature_cap_before_summing(monkeypatch):
     (p, n) for p in (2, 3, 5, 7, 13) for n in range(1, 21)
     if n <= 4 or (p - 1) ** n << n <= 1 << 19
 ])
-def test_audit_rows_match_per_diagonal_rows(p, n):
-    # n = 3 has no high block and n = 4 the first; the bytes must not move
-    got = represent._audit_rows(p, n)
-    assert got.dtype == np.uint8
-    assert got.tobytes() == audit_rows_per_diagonal(p, n).tobytes()
+def test_audit_rows_match_per_diagonal_rows(monkeypatch, p, n):
+    # n = 3 has no high block and n = 4 the first; the bytes must not move,
+    # in the oracle's whole table nor in the audit's blocks
+    expect = audit_rows_per_diagonal(p, n).tobytes()
+    table = audit_rows_by_table(p, n)
+    assert table.dtype == np.uint8 and table.tobytes() == expect
+    blocks = []
+
+    def recording(table, need):
+        rows = row_block(table, need)
+        blocks.append(rows.copy())
+        return rows
+
+    row_block = represent._row_block
+    monkeypatch.setattr(represent, "_row_block", recording)
+    keys = represent._audit_keys(p, n)
+    if p == 2:
+        # the lone diagonal is never gathered
+        assert not blocks and len(keys) == 1
+    elif n <= 3:
+        assert not blocks and keys.tobytes() == expect
+    else:
+        assert b"".join(rows.tobytes() for rows in blocks) == expect
+
+
+def _oracle_keys(p: int, n: int) -> np.ndarray:
+    """The audit's keys from the oracle's rows: the row read bytewise, or its mix."""
+    rows = audit_rows_by_table(p, n)
+    if rows.shape[1] <= 8:
+        return rows.view(f">u{rows.shape[1]}")[:, 0].astype(f"u{rows.shape[1]}")
+    return represent._mix_words(rows.view(np.uint64))
+
+
+@pytest.mark.parametrize("shape", ["under-one-high-block", "ragged", "past-the-table"])
+@pytest.mark.parametrize("p,n", [
+    (3, 5), (5, 4), (7, 4), (5, 6), (13, 5), (7, 6), (3, 7), (5, 7), (3, 9), (7, 7), (5, 8)
+])
+def test_audit_keys_and_report_match_the_oracle(monkeypatch, shape, p, n):
+    # exact keys up to n = 6, mixed past it; collision-rich (13, 5) and (7, 6)
+    # have thousands of groups, the rest of the grid few or none
+    L, H, width = (p - 1) ** 3, (p - 1) ** (n - 3), 1 << (n - 3)
+    # a block of one high block, a last block shorter than the others, one block
+    block_bytes = {
+        "under-one-high-block": 1,
+        "ragged": next(s for s in range(2, H) if H % s) * L * width + width - 1,
+        "past-the-table": 2 * H * L * width,
+    }
+    monkeypatch.setattr(represent, "_BLOCK_BYTES", block_bytes[shape])
+    keys = represent._audit_keys(p, n)
+    expect = _oracle_keys(p, n)
+    assert keys.dtype == expect.dtype and np.array_equal(keys, expect)
+    assert uniqueness_audit(p, n) == audit_by_table(p, n)
+
+
+@pytest.mark.parametrize("p,n,block_bytes", [
+    (7, 7, None), (5, 8, None), (3, 12, None), (59, 4, None), (13, 6, 10**4), (5, 7, 1000),
+])
+def test_audit_gathers_within_the_block_bytes(monkeypatch, p, n, block_bytes):
+    # a block holds at most _BLOCK_BYTES of rows, or one high block past it
+    if block_bytes is not None:
+        monkeypatch.setattr(represent, "_BLOCK_BYTES", block_bytes)
+    limit = max(represent._BLOCK_BYTES, (p - 1) ** 3 << (n - 3))
+    sizes = []
+
+    def recording(table, need):
+        rows = row_block(table, need)
+        sizes.append(rows.nbytes)
+        return rows
+
+    row_block = represent._row_block
+    monkeypatch.setattr(represent, "_row_block", recording)
+    report = uniqueness_audit(p, n)
+    assert sum(sizes) == report["diagonals"] << (n - 3) and max(sizes) <= limit
+
+
+def _recomputed(monkeypatch, p: int, n: int) -> list[np.ndarray]:
+    """The diagonals whose rows uniqueness_audit(p, n) sums again, per call."""
+    calls = []
+
+    def recording(p_, k, ts):
+        if k == n:
+            calls.append(ts.copy())
+        return decode(p_, k, ts)
+
+    decode = represent._decode_diagonals
+    monkeypatch.setattr(represent, "_decode_diagonals", recording)
+    uniqueness_audit(p, n)
+    return calls
+
+
+@pytest.mark.parametrize("p,n", [(7, 7), (5, 9), (3, 7)])
+def test_audit_without_repeated_keys_sums_no_row_again(monkeypatch, p, n):
+    # injective audits past n = 6: every key is unique, so no row is summed twice
+    assert _recomputed(monkeypatch, p, n) == []
+
+
+@pytest.mark.parametrize("p,n", [(3, 7), (5, 7), (7, 7), (5, 8)])
+def test_audit_sums_again_only_the_rows_whose_keys_repeat(monkeypatch, p, n):
+    # the mix cut to 2 (p-1)^n values repeats for some rows and not others:
+    # exactly the rows that share a key are summed again, in one call, and
+    # the audit has no collisions to decode after it
+    total = (p - 1) ** n
+    mix = represent._mix_words
+
+    def weak(words):
+        return mix(words) % np.uint64(2 * total)
+
+    keys = weak(audit_rows_by_table(p, n).view(np.uint64))
+    values, counts = np.unique(keys, return_counts=True)
+    expect = np.flatnonzero(np.isin(keys, values[counts > 1]))
+    assert 0 < len(expect) < total
+    monkeypatch.setattr(represent, "_mix_words", weak)
+    calls = _recomputed(monkeypatch, p, n)
+    assert len(calls) == 1 and np.array_equal(calls[0], expect)
 
 
 @pytest.mark.parametrize("p,n", [(3, 13), (7, 7), (1009, 2)])
@@ -453,7 +565,7 @@ def test_audit_budget_counts_rows_and_keys(monkeypatch):
     def admitted(p, n):
         raise _Admitted
 
-    monkeypatch.setattr(represent, "_audit_rows", admitted)
+    monkeypatch.setattr(represent, "_audit_keys", admitted)
     # (p-1)^n diagonals, each a 2^n-bit row and a 64-bit key
     for p, n in [(241, 3), (3833, 2), (59, 4), (23, 5), (13, 6), (7, 8), (5, 9), (3, 14)]:
         assert (p - 1) ** n * ((1 << n) + 64) <= represent.AUDIT_BUDGET

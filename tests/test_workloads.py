@@ -105,7 +105,7 @@ def test_bench_audit_jobs_fit_the_budget(monkeypatch):
     def admitted(p, n):
         raise _Admitted
 
-    monkeypatch.setattr(represent, "_audit_rows", admitted)
+    monkeypatch.setattr(represent, "_audit_keys", admitted)
     audits = 0
     for argv in _bench_argvs(runpy.run_path(str(WORKLOADS))):
         if argv[0] == "unique":
