@@ -46,8 +46,8 @@ from oracles import (
     certificate_from_integers,
     propagate_facts,
     random_diagonal,
-    search_by_values,
     row_groups_by_keys,
+    search_by_values,
     signature_by_sums,
 )
 from spikelab.field import is_prime
@@ -322,18 +322,27 @@ def test_audit_collision_examples_are_real():
 
 
 @pytest.mark.parametrize("width", [1, 2, 4, 8, 16, 32])
-def test_audit_groups_follow_bytewise_order(width):
-    # collisions past 8 bytes a row need audits too large to run here, so the
-    # groups are checked on drawn rows against a stable sort by bytes
+def test_audit_groups_follow_bytewise_order(monkeypatch, width):
+    # no admitted audit past 8 bytes a row has a collision, so the groups are
+    # checked on drawn rows against a stable sort by bytes: the oracle's at
+    # every width, and past 8 bytes the audit's own, with every key shared and
+    # the drawn rows standing in for the rows it sums again
     rng = np.random.default_rng(width)
     rows = rng.integers(0, 3, size=(400, width), dtype=np.uint8)
     rows[::5] = rows[3]
     rows[1::9, : width // 2] = rows[2, : width // 2]
     expect = sorted(range(len(rows)), key=lambda i: rows[i].tobytes())
     groups = [list(g) for _, g in itertools.groupby(expect, key=lambda i: rows[i].tobytes())]
+    copies = [g for g in groups if len(g) > 1]
     distinct, got = row_groups_by_keys(rows.copy())
     assert distinct == len(groups)
-    assert [g.tolist() for g in got] == [g for g in groups if len(g) > 1]
+    assert [g.tolist() for g in got] == copies
+    if width > 8:
+        monkeypatch.setattr(represent, "_signature_rows", lambda p, z: rows.copy())
+        n = width.bit_length() + 2  # 2^n bits a row
+        distinct, got = represent._key_groups(3, n, np.zeros(len(rows), dtype=np.uint64))
+        assert distinct == len(groups)
+        assert [g.tolist() for g in got] == copies
 
 
 def _audit_by_bytes(p: int, n: int) -> dict:
@@ -476,25 +485,16 @@ def test_audit_gathers_within_the_block_bytes(monkeypatch, p, n, block_bytes):
     assert sum(sizes) == report["diagonals"] << (n - 3) and max(sizes) <= limit
 
 
-def _recomputed(monkeypatch, p: int, n: int) -> list[np.ndarray]:
-    """The diagonals whose rows uniqueness_audit(p, n) sums again, per call."""
-    calls = []
+@pytest.mark.parametrize("p,n", [(7, 7), (5, 9), (3, 7), (7, 6), (13, 5)])
+def test_audit_sums_no_row_again_where_keys_decide(monkeypatch, p, n):
+    # the injective audits past n = 6 repeat no key, and up to n = 6 a key is
+    # its row, collisions or not: past n = 3 no row is summed but by its blocks
+    def no_rows(p, z):
+        raise AssertionError(f"{len(z)} rows summed again")
 
-    def recording(p_, k, ts):
-        if k == n:
-            calls.append(ts.copy())
-        return decode(p_, k, ts)
-
-    decode = represent._decode_diagonals
-    monkeypatch.setattr(represent, "_decode_diagonals", recording)
-    uniqueness_audit(p, n)
-    return calls
-
-
-@pytest.mark.parametrize("p,n", [(7, 7), (5, 9), (3, 7)])
-def test_audit_without_repeated_keys_sums_no_row_again(monkeypatch, p, n):
-    # injective audits past n = 6: every key is unique, so no row is summed twice
-    assert _recomputed(monkeypatch, p, n) == []
+    monkeypatch.setattr(represent, "_signature_rows", no_rows)
+    report = uniqueness_audit(p, n)
+    assert (report["collisions"] > 0) == (n <= 6)
 
 
 @pytest.mark.parametrize("p,n", [(3, 7), (5, 7), (7, 7), (5, 8)])
@@ -512,8 +512,17 @@ def test_audit_sums_again_only_the_rows_whose_keys_repeat(monkeypatch, p, n):
     values, counts = np.unique(keys, return_counts=True)
     expect = np.flatnonzero(np.isin(keys, values[counts > 1]))
     assert 0 < len(expect) < total
+    calls = []
+
+    def recording(p_, k, ts):
+        if k == n:
+            calls.append(ts.copy())
+        return decode(p_, k, ts)
+
+    decode = represent._decode_diagonals
+    monkeypatch.setattr(represent, "_decode_diagonals", recording)
     monkeypatch.setattr(represent, "_mix_words", weak)
-    calls = _recomputed(monkeypatch, p, n)
+    uniqueness_audit(p, n)
     assert len(calls) == 1 and np.array_equal(calls[0], expect)
 
 
