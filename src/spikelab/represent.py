@@ -234,16 +234,18 @@ def _key_groups(p: int, n: int, keys: "np.ndarray") -> tuple[int, Iterator["np.n
         return len(keys), iter(())
     # numpy's radix sort beats its quicksort on bytes, and only there
     ranked = np.sort(keys, kind="stable" if keys.itemsize == 1 else None)
-    # one entry per copy of a key past its first
-    repeats = ranked[1:][ranked[1:] == ranked[:-1]]
-    del ranked
+    # copy[i]: ranked key i + 1 repeats the one before it
+    copy = ranked[1:] == ranked[:-1]
+    copies = int(np.count_nonzero(copy))
+    if not copies:
+        return len(keys), iter(())
+    # each repeated key once, at its first copy
+    np.greater(copy[1:], copy[:-1], out=copy[1:])
+    repeats = ranked[1:][copy]
+    del ranked, copy
     if n <= 6:
         # key order is bytewise order, and a key is its row
-        new = np.ones(len(repeats), dtype=bool)
-        np.not_equal(repeats[1:], repeats[:-1], out=new[1:])
-        return len(keys) - len(repeats), (np.flatnonzero(keys == k) for k in repeats[new])
-    if not len(repeats):
-        return len(keys), iter(())
+        return len(keys) - copies, (np.flatnonzero(keys == k) for k in repeats)
     at = np.searchsorted(repeats, keys)
     np.minimum(at, len(repeats) - 1, out=at)
     shared = np.flatnonzero(repeats[at] == keys)
@@ -276,7 +278,9 @@ def uniqueness_audit(p: int, n: int) -> dict:
     # each diagonal is counted its 2^n-bit row and 64 bits.  The row bounds the
     # time: it is gathered and keyed once, never held.  Both bound the memory:
     # an audit holds the keys and their sorted copy, two rows a diagonal up to
-    # n = 6 and two 64-bit words past it
+    # n = 6 and two 64-bit words past it, plus two bytes a diagonal while it
+    # marks first copies, which the 64 bits cover except at n = 6 (144 bits
+    # held against 128 counted)
     cost = total * ((1 << n) + 64)
     if cost > AUDIT_BUDGET:
         raise BudgetExceededError(
@@ -520,8 +524,9 @@ def _rational_part(
     are those entries, computed here unless given.
 
     Let V be the rational solutions of the member equations, k its
-    dimension, and h the number of forbidden hyperplanes (one per nonempty
-    non-member, one per coordinate).  Outside the primes B that divide a
+    dimension, and h the number of forbidden forms (one per nonempty
+    non-member, one per coordinate), a bound on the hyperplanes they cut on
+    V.  Outside the primes B that divide a
     pivot of the elimination, reduction mod q commutes with it, so V mod q
     is the solution space over GF(q).  There a prime q gets the generic
     answer: no if V is empty or a forbidden hyperplane contains V, yes
@@ -618,15 +623,41 @@ def _primes_upto(h: int) -> list[int]:
     return np.flatnonzero(sieve).tolist()
 
 
+def _hyperplanes(flags: "np.ndarray", F: "np.ndarray", one: int) -> int:
+    """The number of distinct hyperplanes the forbidden forms cut on a
+    generic class's rational space.
+
+    A form with no direction part is a constant, which cuts nothing outside
+    the primes dividing it.  Two forms cut the same hyperplane mod every
+    other prime iff they are proportional over Q, that is, equal once each
+    is divided by its content and signed so that its first nonzero
+    direction coefficient is positive.
+    """
+    forms = _forms(F, one)[:, _is_form(flags)]
+    forms = forms[:, (forms[1:] != 0).any(axis=0)]
+    if not forms.size:
+        return 0
+    forms //= np.gcd.reduce(np.abs(forms), axis=0)
+    lead = forms[1:][np.argmax(forms[1:] != 0, axis=0), np.arange(forms.shape[1])]
+    forms *= np.sign(lead)
+    return len(set(map(tuple, forms.T.tolist())))
+
+
 def build_certificate(sig: Signature) -> CharCertificate:
     """Decide every characteristic at once from one elimination over Q.
 
-    ``_rational_part`` gives the generic answer, the special primes it
-    leaves open and its bound h; the primes up to h come from one sieve.
-    Each special prime is then decided by ``_admissible_point``, on the
-    rational solution space wherever q divides none of its pivots.
+    ``_rational_part`` gives the generic answer and the special primes it
+    leaves open.  A generic class with k >= 1 free coordinates also leaves
+    open the primes q <= h, for h distinct hyperplanes on its space: they
+    cover at most h q^(k-1) of its q^k points, so every larger q has a point.
+    Those primes come from one sieve.  Each special prime is then decided
+    by ``_admissible_point``, on the rational solution space wherever q
+    divides none of its pivots.
     """
-    generic, special, h, m, rational = _rational_part(sig.flags()[None])[0]
+    flags = sig.flags()
+    generic, special, h, m, rational = _rational_part(flags[None])[0]
+    if h:
+        h = _hyperplanes(flags, *rational[:2])
     special = sorted(set(special).union(_primes_upto(h)))
     # a cofinite set lists the special primes that fail, a finite one those that pass
     listed = tuple(q for q, ok in _decisions(sig, special, rational) if ok != generic)

@@ -428,26 +428,51 @@ def enumerate_spikes(p: int, n: int) -> list[Diagonal]:
     return [Diagonal(field, tuple(m)) for m in multisets[closures[:, 0]].tolist()]
 
 
-@functools.cache
-def _arrangements_by_ties(n: int) -> tuple["np.ndarray", "np.ndarray"]:
-    """``_arrangements`` of a sorted n-tuple indexed by its ties, and the weights
-    that index them: bit i is set iff entries i and i + 1 are equal, which
-    fixes every run length.  Both are read-only."""
-    counts = []
-    for ties in range(1 << (n - 1)):
-        # a sorted tuple with exactly these ties: step up wherever bit i is clear
-        steps = (1 - (ties >> i & 1) for i in range(n - 1))
-        counts.append(_arrangements(tuple(itertools.accumulate(steps, initial=0))))
-    table, weights = np.array(counts), 1 << np.arange(n - 1)
-    for a in (table, weights):
-        a.setflags(write=False)
-    return table, weights
+def _multinomial(parts: list[int]) -> int:
+    """sum(parts)! / prod(part!), as a product of binomials."""
+    count, total = 1, 0
+    for m in parts:
+        total += m
+        count *= math.comb(total, m)
+    return count
 
 
-def _arrangement_counts(multisets: "np.ndarray") -> "np.ndarray":
-    """``_arrangements`` of every sorted row of a (M, n) array at once."""
-    table, weights = _arrangements_by_ties(multisets.shape[1])
-    return table[(multisets[:, 1:] == multisets[:, :-1]) @ weights]
+def _arrangement_counts(
+    multisets: "np.ndarray", low: int, high: int
+) -> tuple[list[int], "np.ndarray"]:
+    """``_arrangements`` of every sorted row of a (M, n) array of entries in
+    [low, high), once per pattern.
+
+    A row's arrangements are n! / prod(m!) over its values' multiplicities
+    m, so they depend only on its pattern, the multiplicities sorted.
+    Returns each distinct pattern's count, exact, and each row's pattern.
+    """
+    M, n = multisets.shape
+    width = high - low
+    # row r holds value low + v mult[r, v] times: one bincount over the level
+    slots = np.add(multisets, np.arange(-low, M * width - low, width)[:, None], dtype=np.int64)
+    mult = np.bincount(slots.ravel(), minlength=M * width).reshape(M, width)
+    del slots
+    mult.sort(axis=1)
+    # a pattern is its largest min(n, width) multiplicities, read base n + 1;
+    # where that could pass int64, the key read so far is first ranked (< M)
+    key = mult[:, -1]
+    bound = n + 1
+    for col in mult.T[-2 : -min(n, width) - 1 : -1]:
+        if bound > (1 << 62) // (n + 1):
+            key = np.unique(key, return_inverse=True)[1]
+            bound = M
+        key = key * (n + 1) + col
+        bound *= n + 1
+    # one row a pattern and each row's pattern, as np.unique's index and
+    # inverse would give them, for a fraction of its fixed cost
+    order = key.argsort()
+    ranked = key[order]
+    first = np.empty(M, dtype=bool)
+    first[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    patterns = ranked[first].searchsorted(key)
+    return [_multinomial(row) for row in mult[order[first]].tolist()], patterns
 
 
 def spike_census(p: int, n: int) -> dict:
@@ -458,7 +483,9 @@ def spike_census(p: int, n: int) -> dict:
     multisets, closures = _enumerate_orbits(p, n)
     distinct = np.ones(closures.shape, dtype=bool)
     np.not_equal(closures[:, 1:], closures[:, :-1], out=distinct[:, 1:])
-    sizes = np.where(distinct, _arrangement_counts(multisets)[closures], 0).sum(axis=1).tolist()
+    counts, patterns = _arrangement_counts(multisets, 1, p)
+    arrangements = np.array(counts)[patterns]
+    sizes = np.where(distinct, arrangements[closures], 0).sum(axis=1).tolist()
     total = sum(sizes)
     if total != (p - 1) ** n:
         raise VerdictMismatchError(f"orbit sizes add up to {total}, not {(p - 1) ** n}")

@@ -1,19 +1,24 @@
 """Subset-sum witnesses over GF(p) and the exhaustive lemma verifiers.
 
-Reachable sums are tracked as a p-bit register, one Python int: adding a_i
-maps bit s to bit (s + a_i) mod p, a left rotation, and the register stops
-once it is full.  The residues each step first reaches are kept, and a
-witness is rebuilt by walking first-reach steps backwards, which lands on
-the least-bitmask witness by construction; every witness is re-summed
-before it counts.  A register is a set, so a sweep runs this kernel once per
-sorted tuple and counts the tuple's arrangements; only a failing sorted
-tuple is expanded into its arrangements, each run on its own.
+Reachable sums are tracked as a p-bit register: adding a_i maps bit s to bit
+(s + a_i) mod p, a left rotation.  One kernel steps a (T, n) array of tuples
+at once, one register a row: uint64 below p = 64, a Python int in an object
+array from there.  It stops once every register is full, and keeps the
+residues each step first reaches.  A witness is rebuilt by walking
+first-reach steps backwards, which lands on the least-bitmask witness by
+construction, and every witness is re-summed from its recorded steps before
+it counts.  A register is a set, so a sweep runs the kernel once over the
+level's sorted tuples and counts each tuple's arrangements; a failing sorted
+tuple is expanded into its arrangements, which run the kernel once more.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from functools import lru_cache
+from operator import mul
 from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     BudgetExceededError,
@@ -24,88 +29,136 @@ from .errors import (
     ZeroEntryError,
 )
 from .field import PrimeField
-from .spikes import _arrangements
+from .spikes import _arrangement_counts, _level
 
 # register steps: a sweep over [low, p)^n with T targets counts n * (1 + T)
-# for each of its C(p - low + n - 1, n) sorted tuples; the largest admitted
-# sweeps take 0.3-1.2 s on a 2-core VM, and the n-entry tuple bounds memory
-# (87 MB peak at lemma21 --p 2 --n 2500000)
+# for each of its S = C(p - low + n - 1, n) sorted tuples, the kernel's n
+# steps and the witness walk's n layers a target, each step one numpy pass
+# over the level.  Memory: 8 bytes a kernel step (the uint64 layers, or the
+# int64 entries the arrangement count reads first), two bytes a walk step
+# (the steps each witness takes, and their entries while they are re-summed)
+# and a byte a level entry, about 30 MB at most; a level of one 2.5M-entry
+# tuple is built through Python tuples (40 MB traced).  The largest admitted sweeps take 0.03-0.12 s and 39-70 MB with
+# the interpreter on a 2-core VM
 VERIFY_BUDGET = 5 * 10**6
 
+# tuple entries the kernel widens to registers at a time
+_WIDEN = 1 << 16
 
-def _reach_history(p: int, a: Sequence[int]) -> tuple[list[int], int]:
-    """The residues each step of a first reaches, and the final register.
 
-    Returns (layers, R): R is the p-bit mask of sums of nonempty subsets of
-    a, and layers[i] the mask of residues that enter it at step i, from 0.
-    The register stops once it is full, so there is one layer per step
-    taken, and the layers are disjoint.
+def _reach_history(p: int, a: "np.ndarray") -> tuple["np.ndarray", "np.ndarray"]:
+    """Each step's first-reach layers over a (T, n) array of tuples, and the
+    final registers.
+
+    Returns (layers, R): R[t] is the p-bit mask of sums of nonempty subsets
+    of row t, and layers[i, t] the mask of residues that enter it at step i,
+    from 0.  The kernel stops once every register is full, so there is one
+    layer per step taken; a row's layers are disjoint, and zero once its own
+    register is full.
     """
     # a reachability register over residues, not a per-mask table: no subset_sums
-    full = (1 << p) - 1
-    layers = []
-    R = 0
-    for v in a:
-        new = ((R << v | R >> (p - v)) & full | 1 << v) & ~R
-        R |= new
-        layers.append(new)
-        if R == full:
-            break
-    return layers, R
+    dtype = np.dtype(np.uint64 if p < 64 else object)
+    full = dtype.type((1 << p) - 1)
+    # the residues each register lacks, and Z = R | 1: adding v to the sums
+    # and to 0 rotates Z left by v
+    lacks = np.empty(len(a), dtype=dtype)
+    lacks.fill(full)
+    Z = np.empty(len(a), dtype=dtype)
+    Z.fill(1)
+    layers = np.empty(a.shape[::-1], dtype=dtype)
+    width = max(1, _WIDEN // max(1, len(a)))
+    for start in range(0, a.shape[1], width):
+        v = a[:, start : start + width].T.astype(dtype, order="C")
+        w = p - v
+        for i in range(len(v)):
+            new = layers[start + i]
+            np.bitwise_and(Z << v[i] | Z >> w[i], lacks, out=new)
+            Z |= new
+            lacks ^= new
+            if not np.count_nonzero(lacks):
+                return layers[: start + i + 1], full ^ lacks
+    return layers, full ^ lacks
 
 
-def _witness(p: int, a: Sequence[int], layers: list[int], target: int) -> list[int]:
-    """The least-bitmask witness of a target the register holds, as steps from 0.
+def _witnesses(p: int, a: "np.ndarray", layers: "np.ndarray", targets: Sequence[int]) -> "np.ndarray":
+    """The least-bitmask witness of every target for every row of a, as a
+    (steps, rows, targets) bool array of the steps each takes.
 
-    The registers are monotone, so the walk goes down the layers from the
-    last to the one where the target was first reached, subtracts that
-    step's entry, and goes on down for the rest until it is zero.  Each layer
-    is read at most once, so a corrupt history gives a witness that fails
-    its re-sum instead of a loop.
+    The registers are monotone, so each walk goes down the layers from the
+    last to the one where its target was first reached, takes that step,
+    subtracts its entry, and goes on down for the rest until it is zero.
+    No walk takes a step above the last layer that holds a target, so the
+    walks start there.  Each layer is read once, so a corrupt history gives
+    a witness that fails its re-sum instead of a loop.
     """
-    steps = []
-    k, i = target, len(layers)
-    while i:
-        i -= 1
-        if layers[i] >> k & 1:
-            steps.append(i)
-            k = (k - a[i]) % p
-            if not k:
-                break
-    steps.reverse()
+    wanted = layers.dtype.type(sum(1 << int(t) for t in set(targets)))
+    held = (np.bitwise_or.reduce(layers, axis=1) & wanted).nonzero()[0]
+    top = int(held[-1]) + 1 if len(held) else 0
+    # k: the residue each walk has left to reach, or p once it is done
+    after = _after(p)
+    back = p - 1 - a[:, :top]
+    k = np.empty((len(a), len(targets)), dtype=after.dtype)
+    k[:] = targets
+    one = layers.dtype.type(1)
+    steps = np.zeros((top,) + k.shape, dtype=bool)
+    for i in range(top - 1, -1, -1):
+        hit = steps[i]
+        np.bitwise_and(layers[i][:, None] >> k, one, out=hit, casting="unsafe")
+        k = np.where(hit, after[k + back[:, i : i + 1]], k)
     return steps
 
 
-def _resums(p: int, a: Sequence[int], steps: list[int], target: int) -> bool:
-    # a plain loop: on a witness of a few steps, sum(map(...)) costs twice as much
-    total = 0
-    for i in steps:
-        total += a[i]
-    return bool(steps) and total % p == target
+# a sweep reads a few primes; the solvers any, with a table of 2p entries each
+@lru_cache(maxsize=8)
+def _after(p: int) -> "np.ndarray":
+    """The witness walk's step table, read-only: k is the residue left, or p
+    once it is zero, which no layer holds, and a step of entry a takes k to
+    after[k + p - 1 - a], that is (k - a) % p, or p for 0."""
+    after = (np.arange(2 * p) % p + 1).astype(np.min_scalar_type(2 * p))
+    after.setflags(write=False)
+    return after
 
 
-def _failures(p: int, a: tuple[int, ...], targets: Sequence[int]) -> list[dict]:
-    """a's failures in target order: a target its register lacks, or one
-    whose witness does not re-sum, named with that witness."""
+def _resums(p: int, a: "np.ndarray", steps: "np.ndarray", targets: "np.ndarray") -> "np.ndarray":
+    """(rows, targets) bool: a witness counts iff it is nonempty and its
+    recorded steps sum to its target mod p."""
+    taken = steps * a.T[: len(steps), :, None]
+    total = np.add.reduce(taken, axis=0, dtype=np.int64)
+    return np.logical_or.reduce(steps, axis=0) & (total % p == targets)
+
+
+def _failures(p: int, a: "np.ndarray", targets: Sequence[int]) -> list[list[dict]]:
+    """The failures of each row of a (T, n) array that has any, in row order,
+    each row's in target order: a target its register lacks, or one whose
+    witness does not re-sum, named with that witness."""
     layers, R = _reach_history(p, a)
+    targets = np.array(targets)
+    steps = _witnesses(p, a, layers, targets)
+    reached = (R[:, None] >> targets.astype(R.dtype) & 1).astype(bool)
+    good = reached & _resums(p, a, steps, targets)
+    if good.all():
+        return []
     out = []
-    for k in targets:
-        if not R >> k & 1:
-            out.append({"a": list(a), "k": k})
-            continue
-        steps = _witness(p, a, layers, k)
-        if not _resums(p, a, steps, k):
-            out.append({"a": list(a), "k": k, "witness": [i + 1 for i in steps]})
+    for t in (~good).any(axis=1).nonzero()[0].tolist():
+        row = a[t].tolist()
+        fs = []
+        for j in (~good[t]).nonzero()[0].tolist():
+            f = {"a": list(row), "k": int(targets[j])}
+            if reached[t, j]:
+                f["witness"] = (steps[:, t, j].nonzero()[0] + 1).tolist()
+            fs.append(f)
+        out.append(fs)
     return out
 
 
 def _solve(p: int, a: tuple[int, ...], target: int) -> tuple[int, ...]:
-    layers, R = _reach_history(p, a)
-    if not R >> target & 1:
+    row = np.array([a], dtype=np.int64).reshape(1, len(a))
+    layers, R = _reach_history(p, row)
+    if not int(R[0]) >> target & 1:
         raise NoWitnessError(f"no nonempty subset of {a} sums to {target} mod {p}")
-    steps = _witness(p, a, layers, target)
-    witness = tuple(i + 1 for i in steps)
-    if not _resums(p, a, steps, target):
+    steps = _witnesses(p, row, layers, (target,))
+    witness = tuple((np.flatnonzero(steps[:, 0, 0]) + 1).tolist())
+    if not _resums(p, row, steps, np.array([target]))[0, 0]:
         raise VerdictMismatchError(f"witness {witness} of {a} does not re-sum to {target} mod {p}")
     return witness
 
@@ -163,21 +216,25 @@ def _distinct_arrangements(s: tuple[int, ...]):
 def _sweep(lemma: str, p: int, n: int, low: int, targets: Sequence[int]) -> dict:
     """Rebuild and re-sum a witness for every target of every tuple in [low, p)^n.
 
-    The kernel runs once per sorted tuple, which stands for all of its
-    arrangements; their counts must add up to (p - low)^n.  A failing
-    (sorted tuple, target) is expanded into those of its arrangements that
-    fail on their own run.  A failure names the tuple and target, plus the
-    witness when one was rebuilt but did not re-sum; failures come in
-    product order, then target order.
+    The kernel runs once over the level's sorted tuples, each of which
+    stands for all of its arrangements; their counts must add up to
+    (p - low)^n.  A failing (sorted tuple, target) is expanded into those of
+    its arrangements that fail on their own run, one kernel run a sorted
+    tuple.  A failure names the tuple and target, plus the witness when one
+    was rebuilt but did not re-sum; failures come in product order, then
+    target order.
     """
-    total = 0
+    # the sorted n-tuples of [low, p): those of [1, p + 1 - low), shifted
+    level = _level(p + 1 - low, n)
+    if not low:
+        level -= 1
+    counts, patterns = _arrangement_counts(level, low, p)
+    total = sum(map(mul, counts, np.bincount(patterns).tolist()))
     failing = []
-    for s in combinations_with_replacement(range(low, p), n):
-        total += _arrangements(s)
-        bad = _failures(p, s, targets)
-        if bad:
-            ks = [f["k"] for f in bad]
-            failing.extend(filter(None, (_failures(p, a, ks) for a in _distinct_arrangements(s))))
+    for bad in _failures(p, level, targets):
+        ks = [f["k"] for f in bad]
+        arrangements = np.array(list(_distinct_arrangements(tuple(bad[0]["a"]))), dtype=level.dtype)
+        failing.extend(_failures(p, arrangements, ks))
     if total != (p - low) ** n:
         raise VerdictMismatchError(f"arrangement counts add up to {total}, not {p - low}^{n}")
     failing.sort(key=lambda fs: fs[0]["a"])

@@ -442,7 +442,12 @@ def _drop_last_row(monkeypatch):
 
 def _overcount(monkeypatch):
     count = spikes._arrangement_counts
-    monkeypatch.setattr(spikes, "_arrangement_counts", lambda multisets: count(multisets) + 1)
+
+    def over(*args):
+        counts, patterns = count(*args)
+        return [c + 1 for c in counts], patterns
+
+    monkeypatch.setattr(spikes, "_arrangement_counts", over)
 
 
 def _swap_to_ones(monkeypatch):

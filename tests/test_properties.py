@@ -1,7 +1,7 @@
 """Property tests: the swap laws, the closure kernel, orbit sizes and the characteristic
 decision on random diagonals, the two routes of the per-prime search, the threshold
 experiment's independence of its test primes, and the zero-sum register kernel on
-random tuples."""
+random batches of tuples."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from collections import Counter
 from functools import cache
 from unittest import mock
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +29,13 @@ from spikelab import (
     zerosum,
 )
 
-from oracles import least_mask_subset_sum, orbit_materialized, swap_closure_by_swaps
+from oracles import (
+    least_mask_subset_sum,
+    orbit_materialized,
+    reach_history_by_rotation,
+    reconstruct_by_first_reach,
+    swap_closure_by_swaps,
+)
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -125,12 +132,13 @@ def test_solution_space_search_meets_the_lattice_witness(d, q):
 
 
 @st.composite
-def kernel_tuples(draw) -> tuple[int, tuple[int, ...]]:
-    """A prime and a tuple of 1 to 10 residues, zero allowed."""
-    # 67 takes the register past a machine word
+def kernel_batches(draw) -> tuple[int, list[tuple[int, ...]]]:
+    """A prime and 1 to 12 tuples of the same 1 to 10 residues, zero allowed."""
+    # 67 takes the registers past a machine word, into Python ints
     p = draw(st.sampled_from((2, 3, 5, 7, 67)))
-    a = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=10))
-    return p, tuple(a)
+    n = draw(st.integers(1, 10))
+    row = st.lists(st.integers(0, p - 1), min_size=n, max_size=n).map(tuple)
+    return p, draw(st.lists(row, min_size=1, max_size=12))
 
 
 @cache
@@ -154,14 +162,29 @@ def test_threshold_experiment_does_not_depend_on_its_test_primes(p, n_max, prime
 
 
 @settings(max_examples=150, deadline=None)
-@given(drawn=kernel_tuples())
+@given(drawn=kernel_batches())
 def test_register_kernel_rows_match_least_mask_oracle(drawn):
-    # one register per tuple: every target's verdict and walked witness
-    p, a = drawn
+    # one kernel run over the batch: each row's layers, register, verdicts and
+    # walked witnesses against the scalar register walk and the bitmask scan
+    p, rows = drawn
+    a = np.array(rows, dtype=np.uint8 if p < 64 else np.int64)
     layers, final = zerosum._reach_history(p, a)
-    for target in range(p):
-        want = least_mask_subset_sum(p, a, target)
-        got = 0
-        if final >> target & 1:
-            got = sum(1 << i for i in zerosum._witness(p, a, layers, target))
-        assert (bool(final >> target & 1), got) == (want is not None, want or 0), (p, a, target)
+    targets = np.arange(p)
+    steps = zerosum._witnesses(p, a, layers, targets)
+    resums = zerosum._resums(p, a, steps, targets)
+    hists = [reach_history_by_rotation(p, row) for row in rows]
+    # the run stops once every register is full
+    assert len(layers) == max(map(len, hists)), (p, rows)
+    for t, (row, hist) in enumerate(zip(rows, hists)):
+        first = [h & ~g for g, h in zip([0] + hist, hist)]
+        assert layers[:, t].tolist() == first + [0] * (len(layers) - len(hist)), (p, row)
+        assert final[t] == hist[-1], (p, row)
+        for target in range(p):
+            want = least_mask_subset_sum(p, row, target)
+            reached = bool(int(final[t]) >> target & 1)
+            assert reached == (want is not None), (p, row, target)
+            if reached:
+                walked = tuple(np.flatnonzero(steps[:, t, target]) + 1)
+                assert walked == reconstruct_by_first_reach(p, row, hist, target), (p, row, target)
+                assert sum(1 << (i - 1) for i in walked) == want, (p, row, target)
+                assert resums[t, target], (p, row, target)

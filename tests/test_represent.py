@@ -3,6 +3,8 @@ from __future__ import annotations
 import itertools
 import random
 import time
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -343,6 +345,22 @@ def test_audit_groups_follow_bytewise_order(monkeypatch, width):
         distinct, got = represent._key_groups(3, n, np.zeros(len(rows), dtype=np.uint64))
         assert distinct == len(groups)
         assert [g.tolist() for g in got] == copies
+
+
+def test_key_groups_hold_the_keys_and_one_sorted_copy():
+    # (23, 5) has 8811 distinct rows among 5.15M diagonals, so nearly every
+    # key repeats: past the keys, the grouping holds their sorted copy, a
+    # byte a key for the equal-neighbour mask and one more while it is turned
+    # into first copies, and each repeated key once
+    keys = represent._audit_keys(23, 5)
+    tracemalloc.start()
+    try:
+        distinct, groups = represent._key_groups(23, 5, keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert distinct == 8811
+    assert peak <= keys.nbytes + 2 * len(keys) + (1 << 20)
 
 
 def _audit_by_bytes(p: int, n: int) -> dict:
@@ -725,6 +743,59 @@ def test_a_level_eliminated_at_once_gives_each_class_its_own_space(monkeypatch, 
                 alone, one_alone, pivots_alone = represent._solution_spaces(row[None], q)[0]
                 assert (one, pivots) == (one_alone, pivots_alone)
                 assert (F is None and alone is None) or F.tolist() == alone.tolist()
+
+
+def _hyperplanes_by_fractions(flags, F, one) -> int:
+    """Distinct forms with a direction part, each scaled by Fractions so its
+    first nonzero direction coefficient reads 1."""
+    forms = represent._forms(F, one)[:, represent._is_form(flags)].T.tolist()
+    seen = set()
+    for form in forms:
+        lead = next((v for v in form[1:] if v), 0)
+        if lead:
+            seen.add(tuple(Fraction(v, lead) for v in form))
+    return len(seen)
+
+
+def _generic_spaces(diagonals):
+    for d in diagonals:
+        flags = signature(d).flags()
+        _, _, h, _, (F, one, _) = represent._rational_part(flags[None])[0]
+        if h:
+            yield d, flags, h, F, one
+
+
+def _drawn_diagonals(seed: int, count: int):
+    rng = random.Random(seed)
+    primes = [q for q in range(2, 32) if is_prime(q)]
+    for _ in range(count):
+        yield random_diagonal(rng, rng.choice(primes), rng.randrange(3, 9))
+
+
+def test_hyperplanes_count_forms_up_to_scale():
+    # the generic class with h = 1024 forms: 11 are constants, and the other
+    # 1013 cut 382 distinct hyperplanes
+    x = Diagonal(PrimeField(97), (17, 9, 96, 18, 14, 9, 70, 69, 36, 80))
+    [(_, flags, h, F, one)] = _generic_spaces([x])
+    assert (h, represent._hyperplanes(flags, F, one)) == (1024, 382)
+    census = [d for p, n in ((3, 5), (5, 5), (7, 4)) for d in enumerate_spikes(p, n)]
+    checked = 0
+    for d, flags, h, F, one in _generic_spaces(census + list(_drawn_diagonals(7, 150))):
+        got = represent._hyperplanes(flags, F, one)
+        assert got == _hyperplanes_by_fractions(flags, F, one) <= h, d
+        checked += 1
+    assert checked > 50
+
+
+def test_distinct_hyperplanes_leave_every_certificate_as_it_was(monkeypatch):
+    # a prime above the distinct count has a point, so no listed prime moves
+    census = [d for p, n in ((3, 6), (5, 5), (7, 5)) for d in enumerate_spikes(p, n)]
+    sigs = [signature(d) for d in census + list(_drawn_diagonals(11, 150))]
+    narrowed = [build_certificate(sig) for sig in sigs]
+    monkeypatch.setattr(
+        represent, "_hyperplanes", lambda flags, F, one: int(represent._is_form(flags).sum())
+    )
+    assert narrowed == [build_certificate(sig) for sig in sigs]
 
 
 def test_prime_sieve_matches_trial_division():

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -718,9 +720,29 @@ def test_rank_order_is_the_combinations_order(p):
         assert ranks.tolist() == list(range(len(want)))
 
 
+def _counts_by_row(multisets, low, high):
+    counts, patterns = spikes._arrangement_counts(multisets, low, high)
+    return [counts[i] for i in patterns.tolist()]
+
+
 def test_level_counts_are_the_run_length_counts():
     # the count for every multiset at once, against the scalar count
-    for p, n in ((2, 1), (3, 4), (5, 6), (7, 7)):
+    for p, n in ((2, 1), (3, 4), (5, 6), (7, 7), (17, 4)):
         multisets = spikes._level(p, n)
         want = [spikes._arrangements(m) for m in map(tuple, multisets.tolist())]
-        assert spikes._arrangement_counts(multisets).tolist() == want
+        assert _counts_by_row(multisets, 1, p) == want
+        # one count a multiplicity pattern, the multiplicities sorted
+        patterns = {tuple(sorted(Counter(m).values())) for m in multisets.tolist()}
+        assert len(spikes._arrangement_counts(multisets, 1, p)[0]) == len(patterns)
+
+
+def test_level_counts_rank_keys_that_would_pass_int64():
+    # 40 distinct entries read base 41 would pass 2^62 after 11 of them, so
+    # the key is ranked on the way; the counts stay exact past int64
+    rng = random.Random(40)
+    rows = [sorted(rng.choice(range(40)) for _ in range(40)) for _ in range(30)]
+    rows += [list(range(40)), [0] * 40, [0] * 20 + [1] * 20]
+    multisets = np.array(rows, dtype=np.uint8)
+    want = [spikes._arrangements(tuple(m)) for m in rows]
+    assert _counts_by_row(multisets, 0, 40) == want
+    assert want[-3] == math.factorial(40) > 1 << 63

@@ -9,6 +9,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spikelab import (
@@ -19,6 +20,7 @@ from spikelab import (
     TooSmallError,
     VerdictMismatchError,
     ZeroEntryError,
+    spikes,
     subset_with_sum,
     verify_lemma_2_1,
     verify_lemma_2_2,
@@ -156,7 +158,7 @@ def test_verify_budget(monkeypatch, capsys):
 
 # per (lemma, p < 7): the largest admitted n, and the first refused one, at 5 * 10^6
 # register steps, C(p - low + n - 1, n) sorted tuples times n * (1 + T); the admitted
-# sizes take 0.3-1.2 s on a 2-core VM, and 87 MB at most (the one 2.5M-entry tuple)
+# sizes take 0.03-0.12 s on a 2-core VM, and 70 MB at most (the one 2.5M-entry tuple)
 BUDGET_EDGES = [
     ("2.1", 2, 2500000, 2500001),  # one sorted tuple, n * 2 steps
     ("2.1", 3, 1290, 1291), ("2.1", 5, 48, 49),
@@ -271,18 +273,35 @@ def test_sweep_matches_scalar_loop(lemma, p, n):
     _same_json(zerosum._sweep(*args), sweep_by_product(*args))
 
 
-def test_sweep_runs_the_kernel_once_per_sorted_tuple(monkeypatch):
+def _counted_kernel_runs(monkeypatch) -> list:
     runs = []
     real = zerosum._reach_history
 
     def counted(p, a):
-        runs.append(a)
+        runs.append(list(map(tuple, a.tolist())))
         return real(p, a)
 
     monkeypatch.setattr(zerosum, "_reach_history", counted)
+    return runs
+
+
+def test_sweep_runs_the_kernel_once_per_level(monkeypatch):
+    runs = _counted_kernel_runs(monkeypatch)
     report = verify_lemma_2_2(5, 8)
     assert report["checked"] == 5**8 and report["failures"] == []
-    assert runs == list(itertools.combinations_with_replacement(range(5), 8))  # C(12, 8) = 495
+    # one run over all C(12, 8) = 495 sorted tuples
+    assert runs == [list(itertools.combinations_with_replacement(range(5), 8))]
+
+
+def test_sweep_runs_the_kernel_once_more_per_failing_tuple(monkeypatch):
+    # below the hypothesis: each failing sorted tuple runs its distinct
+    # arrangements at once, after the one run over the level
+    runs = _counted_kernel_runs(monkeypatch)
+    report = zerosum._sweep(*_sweep_args("2.1", 5, 3))
+    level = list(itertools.combinations_with_replacement(range(1, 5), 3))
+    failing = sorted({tuple(sorted(f["a"])) for f in report["failures"]})
+    assert runs == [level] + [list(zerosum._distinct_arrangements(s)) for s in failing]
+    assert len(failing) == 8 and len(runs) == 9
 
 
 def test_failing_tuples_expand_into_their_distinct_arrangements():
@@ -292,13 +311,20 @@ def test_failing_tuples_expand_into_their_distinct_arrangements():
         for s in itertools.combinations_with_replacement(range(3), n):
             got = list(zerosum._distinct_arrangements(s))
             assert got == sorted(set(itertools.permutations(s))), s
-            assert len(got) == zerosum._arrangements(s)
+            assert len(got) == spikes._arrangements(s)
 
 
 def test_arrangement_counts_that_miss_the_product_exit_1(monkeypatch, capsys):
     # the counts must add up to (p - low)^n, or the sweep checked other tuples
-    real = zerosum._arrangements
-    monkeypatch.setattr(zerosum, "_arrangements", lambda s: real(s) + (s == (0, 1, 2)))
+    real = zerosum._arrangement_counts
+
+    def overcount(multisets, *bounds):
+        # (0, 1, 2) is the one sorted tuple with three distinct entries
+        counts, patterns = real(multisets, *bounds)
+        counts[patterns[multisets.tolist().index([0, 1, 2])]] += 1
+        return counts, patterns
+
+    monkeypatch.setattr(zerosum, "_arrangement_counts", overcount)
     with pytest.raises(VerdictMismatchError, match=r"arrangement counts add up to 28, not 3\^3"):
         verify_lemma_2_2(3, 3)
     assert main(["lemma22", "--p", "3", "--n", "3"]) == 1
@@ -330,7 +356,8 @@ def test_one_row_sweep_runs_on_its_head(capsys):
     result = json.loads(capsys.readouterr().out)["result"]
     assert result["checked"] == 1 and result["failures"] == []
     # the register stops once it is full, two steps in
-    assert zerosum._reach_history(2, (1,) * 300) == ([0b10, 0b01], 0b11)
+    layers, final = zerosum._reach_history(2, np.ones((1, 300), dtype=np.uint8))
+    assert (layers.tolist(), final.tolist()) == ([[0b10], [0b01]], [0b11])
     # 299 is first reached at step 299, and the walk takes all 299 steps
     assert subset_with_sum(PrimeField(1009), (1,) * 300, 299) == tuple(range(1, 300))
 
@@ -341,8 +368,11 @@ def test_solvers_reduce_inputs_mod_p():
     assert zero_sum_subset(f, (7, -1, 13)) == zero_sum_subset(f, (2, 4, 3)) == (1, 3)
 
 
-def _wrong_witness(p, a, layers, target):
-    return [0]  # every witness is step 1, which sums to a[0] whatever the target
+def _wrong_witness(p, a, layers, targets):
+    # every witness is step 1, which sums to a[0] whatever the target
+    steps = np.zeros((len(layers), len(a), len(targets)), dtype=bool)
+    steps[0] = True
+    return steps
 
 
 def _drop_final_bits(mask):
@@ -350,7 +380,7 @@ def _drop_final_bits(mask):
 
     def dropped(*args):
         layers, final = real(*args)
-        return layers, final & ~mask
+        return layers, final & ~np.uint64(mask)
 
     return dropped
 
@@ -358,7 +388,7 @@ def _drop_final_bits(mask):
 def test_sweep_reports_witness_that_fails_to_resum(monkeypatch):
     # the fault acts on sorted tuples: a failing (sorted tuple, target) lists
     # those of its arrangements that fail on their own run
-    monkeypatch.setattr(zerosum, "_witness", _wrong_witness)
+    monkeypatch.setattr(zerosum, "_witnesses", _wrong_witness)
     report = verify_lemma_2_1(3, 2)
     assert report["checked"] == 8
     assert report["failures"] == [
@@ -377,19 +407,21 @@ def test_sweep_reports_witness_that_fails_to_resum(monkeypatch):
 def test_corrupt_history_fails_the_resum_instead_of_looping(monkeypatch):
     # 4 enters at step 3, but the residue left after it, 1, is in no layer
     # below: each layer is read once, and the part witness does not re-sum
-    layers = [0b00001, 0b00100, 0b00000, 0b10000]
-    monkeypatch.setattr(zerosum, "_reach_history", lambda p, a: (layers, 0b11111))
+    layers = np.array([[0b00001], [0b00100], [0b00000], [0b10000]], dtype=np.uint64)
+    history = (layers, np.array([0b11111], dtype=np.uint64))
+    monkeypatch.setattr(zerosum, "_reach_history", lambda p, a: history)
     with pytest.raises(VerdictMismatchError, match=r"witness \(4,\) of \(1, 2, 3, 3\) does not"):
         subset_with_sum(PrimeField(5), (1, 2, 3, 3), 4)
     # a register that claims zero with no layer holding it walks to no step at
     # all, and the empty set is no witness, though it sums to zero
-    monkeypatch.setattr(zerosum, "_reach_history", lambda p, a: ([0b110], 0b111))
+    history = (np.array([[0b110]], dtype=np.uint64), np.array([0b111], dtype=np.uint64))
+    monkeypatch.setattr(zerosum, "_reach_history", lambda p, a: history)
     with pytest.raises(VerdictMismatchError, match=r"witness \(\) of \(1,\) does not re-sum to 0"):
         zero_sum_subset(PrimeField(3), (1,))
 
 
 def test_solver_witness_that_fails_to_resum_raises(monkeypatch):
-    monkeypatch.setattr(zerosum, "_witness", _wrong_witness)
+    monkeypatch.setattr(zerosum, "_witnesses", _wrong_witness)
     with pytest.raises(VerdictMismatchError, match=r"witness \(1,\) of \(1, 2, 3\) does not re-sum"):
         subset_with_sum(PrimeField(5), (1, 2, 3), 4)
     with pytest.raises(VerdictMismatchError):
@@ -402,7 +434,7 @@ def test_solver_resum_check_survives_optimized_python():
         from spikelab import PrimeField, VerdictMismatchError, subset_with_sum, zerosum
         from test_zerosum import _wrong_witness
 
-        zerosum._witness = _wrong_witness
+        zerosum._witnesses = _wrong_witness
         try:
             subset_with_sum(PrimeField(5), (1, 2, 3), 4)
         except VerdictMismatchError as exc:
@@ -432,7 +464,7 @@ def test_sweep_reports_unreached_target(monkeypatch):
 
 @pytest.mark.parametrize(
     "attr, fault",
-    [("_witness", _wrong_witness), ("_reach_history", _drop_final_bits(0b101))],
+    [("_witnesses", _wrong_witness), ("_reach_history", _drop_final_bits(0b101))],
 )
 def test_lemma_failures_exit_1(monkeypatch, capsys, attr, fault):
     monkeypatch.setattr(zerosum, attr, fault)
