@@ -516,36 +516,32 @@ class CharCertificate:
 
 
 def _rational_part(
-    flags: "np.ndarray", spaces: Optional[list] = None
-) -> list[tuple[bool, list[int], int, Optional[tuple[int, ...]], tuple]]:
+    flags: "np.ndarray",
+) -> list[tuple[bool, list[int], Optional[tuple[int, ...]], tuple]]:
     """The certificate's elimination over Q for each signature of a (B, 2^n)
-    stack of membership flags: (generic, special primes, h, m, space) each,
-    with space the signature's ``_solution_spaces`` entry over Q.  spaces
-    are those entries, computed here unless given.
+    stack of membership flags: (generic, special primes, m, space) each,
+    with space the signature's ``_solution_spaces`` entry over Q.
 
-    Let V be the rational solutions of the member equations, k its
-    dimension, and h the number of forbidden forms (one per nonempty
-    non-member, one per coordinate), a bound on the hyperplanes they cut on
-    V.  Outside the primes B that divide a
-    pivot of the elimination, reduction mod q commutes with it, so V mod q
-    is the solution space over GF(q).  There a prime q gets the generic
-    answer: no if V is empty or a forbidden hyperplane contains V, yes
-    otherwise, unless q divides every coefficient of some forbidden form
-    on V, or k >= 1 and q <= h (h hyperplanes cover at most h q^(k-1) < q^k
-    points only when q > h).  The primes of the first kind and B are the
-    special primes returned, ascending.  The primes up to h are special only
-    in a generic class with k >= 1; they are left to the caller through h,
-    which is 0 otherwise.  generic says whether the other primes get a yes.
-    Each form's content, the gcd of its coefficients, comes from one
-    ``gcd.reduce`` over a stack of spaces padded with zero rows, at most
-    _STACK_ENTRIES form coefficients a stack.
+    Let V be the rational solutions of the member equations.  Outside the
+    primes B that divide a pivot of the elimination, reduction mod q
+    commutes with it, so V mod q is the solution space over GF(q).  There a
+    prime q gets the generic answer: no if V is empty or a forbidden
+    hyperplane (one per nonempty non-member, one per coordinate) contains
+    V, yes otherwise, unless q divides every coefficient of some forbidden
+    form on V, or V has free coordinates and q is too small for its
+    hyperplanes to leave a point (``_certificate`` adds those primes).  The
+    primes of the first kind and B are the special primes returned,
+    ascending.  generic says whether the other primes get a yes.  m is the
+    unique rational solution when it is integral, else None.  Each form's
+    content, the gcd of its coefficients, comes from one ``gcd.reduce`` over
+    a stack of spaces padded with zero rows, at most _STACK_ENTRIES form
+    coefficients a stack.
     """
     B, size = flags.shape
     n = size.bit_length() - 1
     if n > SEARCH_MAX_N:
         raise TooLargeError(f"characteristic decision capped at n={SEARCH_MAX_N}")
-    if spaces is None:
-        spaces = _solution_spaces(flags)
+    spaces = _solution_spaces(flags)
     solved = [b for b, space in enumerate(spaces) if space[0] is not None]
     # each generic class's distinct form contents
     contents = {}
@@ -568,7 +564,6 @@ def _rational_part(
             generic = content.all(axis=1)
             for b, row in zip(np.array(part)[generic].tolist(), content[generic].tolist()):
                 contents[b] = set(row)
-    sizes = flags.sum(axis=1).tolist()
     factors: dict[int, list[int]] = {}
 
     def primes_of(values) -> set[int]:
@@ -581,34 +576,15 @@ def _rational_part(
     for b, (F, one, pivots) in enumerate(spaces):
         special = primes_of(pivots)
         generic = b in contents
-        h = 0
         m = None
         if generic:
             special |= primes_of(contents[b])
-            if len(F) > 1:
-                h = (1 << n) - 1 - sizes[b] + n
         if F is not None and len(F) == 1:
             row = F[0].tolist()
             if all(v % one == 0 for v in row):
                 m = tuple(v // one for v in row)
-        parts.append((generic, sorted(special), h, m, (F, one, pivots)))
+        parts.append((generic, sorted(special), m, (F, one, pivots)))
     return parts
-
-
-def _decisions(
-    sig: Signature, primes: Sequence[int], rational: tuple
-) -> Iterator[tuple[int, bool]]:
-    """Yield (q, representable over GF(q)) for each prime in the given order.
-
-    One ``_admissible_point`` search each, on the rational solution space
-    ``rational`` wherever it reduces mod q, lazily, so a caller that stops
-    consuming stops the searches; the primes share one AUDIT_BUDGET.
-    """
-    spent = 0
-    for q in primes:
-        point, cost = _admissible_point(sig, q, AUDIT_BUDGET - spent, rational)
-        spent += cost
-        yield q, point is not None
 
 
 def _primes_upto(h: int) -> list[int]:
@@ -646,24 +622,39 @@ def _hyperplanes(flags: "np.ndarray", F: "np.ndarray", one: int) -> int:
 def build_certificate(sig: Signature) -> CharCertificate:
     """Decide every characteristic at once from one elimination over Q.
 
-    ``_rational_part`` gives the generic answer and the special primes it
-    leaves open.  A generic class with k >= 1 free coordinates also leaves
-    open the primes q <= h, for h distinct hyperplanes on its space: they
-    cover at most h q^(k-1) of its q^k points, so every larger q has a point.
-    Those primes come from one sieve.  Each special prime is then decided
-    by ``_admissible_point``, on the rational solution space wherever q
-    divides none of its pivots.
+    The signature's exact set of characteristics, finite or cofinite, by
+    ``_certificate`` on its ``_rational_part``.
     """
-    flags = sig.flags()
-    generic, special, h, m, rational = _rational_part(flags[None])[0]
-    if h:
-        h = _hyperplanes(flags, *rational[:2])
-    special = sorted(set(special).union(_primes_upto(h)))
+    return _certificate(sig, _rational_part(sig.flags()[None])[0])
+
+
+def _certificate(sig: Signature, part: tuple) -> CharCertificate:
+    """The certificate of a signature whose ``_rational_part`` entry is part.
+
+    The entry gives the generic answer and the special primes it leaves
+    open.  A generic class with k >= 1 free coordinates also leaves open
+    the primes q <= h, for h distinct hyperplanes on its space: they cover
+    at most h q^(k-1) of its q^k points, so every larger q has a point.
+    Those primes come from one sieve.  Each special prime is then decided,
+    ascending, by ``_admissible_point``, on the rational solution space
+    wherever q divides none of its pivots; the primes share one
+    AUDIT_BUDGET.
+    """
+    generic, special, m, rational = part
+    if generic and len(rational[0]) > 1:
+        h = _hyperplanes(sig.flags(), *rational[:2])
+        special = sorted(set(special).union(_primes_upto(h)))
     # a cofinite set lists the special primes that fail, a finite one those that pass
-    listed = tuple(q for q, ok in _decisions(sig, special, rational) if ok != generic)
+    listed = []
+    spent = 0
+    for q in special:
+        point, cost = _admissible_point(sig, q, AUDIT_BUDGET - spent, rational)
+        spent += cost
+        if (point is not None) != generic:
+            listed.append(q)
     if generic:
-        return CharCertificate(sig.n, sig.bits, m, "cofinite", excluded=listed)
-    return CharCertificate(sig.n, sig.bits, m, "finite", primes=listed)
+        return CharCertificate(sig.n, sig.bits, m, "cofinite", excluded=tuple(listed))
+    return CharCertificate(sig.n, sig.bits, m, "finite", primes=tuple(listed))
 
 
 # ---------------------------------------------------------------------------
@@ -791,30 +782,6 @@ def threshold_interval(p: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _only_in_characteristic(
-    sig: Signature, p: int, part: Optional[tuple] = None
-) -> Optional[CharCertificate]:
-    """``build_certificate(sig)`` if its exact set is {p}, else None.
-
-    A cofinite class, or a finite one whose special primes leave out p, is
-    rejected after the elimination over Q.  Otherwise p is decided first
-    and then the other special primes, up to the first answer that rules
-    out {p}; a class that passes has had every special prime decided.  Only
-    a generic class has a bound h, so no prime up to h is ever built here.
-    part is the class's ``_rational_part`` when a caller eliminated its
-    level at once.
-    """
-    if part is None:
-        part = _rational_part(sig.flags()[None])[0]
-    generic, special, _, m, rational = part
-    if generic or p not in special:
-        return None
-    order = [p] + [q for q in special if q != p]
-    if all(ok == (q == p) for q, ok in _decisions(sig, order, rational)):
-        return CharCertificate(sig.n, sig.bits, m, "finite", primes=(p,))
-    return None
-
-
 def estimate_L(p: int, primes: Sequence[int], n_max: int) -> dict:
     """Least n in [3, n_max] with a spike over GF(p) in no other characteristic.
 
@@ -842,9 +809,14 @@ def estimate_L(p: int, primes: Sequence[int], n_max: int) -> dict:
         parts = _rational_part(np.unpackbits(packed, axis=-1, count=1 << n, bitorder="little"))
         certified = []
         for x, row, part in zip(reps.tolist(), packed, parts):
+            # a cofinite class, or a finite one whose special primes leave out
+            # p, is rejected after its elimination over Q
+            generic, special, _, _ = part
+            if generic or p not in special:
+                continue
             sig = Signature(n, int.from_bytes(row.tobytes(), "little"))
-            cert = _only_in_characteristic(sig, p, part)
-            if cert is not None:
+            cert = _certificate(sig, part)
+            if cert.primes == (p,):
                 certified.append((Diagonal(field, tuple(x)), sig, cert))
         levels.append({"n": n, "classes": len(reps), "certified": len(certified)})
         if certified:

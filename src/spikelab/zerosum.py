@@ -3,8 +3,8 @@
 Reachable sums are tracked as a p-bit register: adding a_i maps bit s to bit
 (s + a_i) mod p, a left rotation.  One kernel steps a (T, n) array of tuples
 at once, one register a row: uint64 below p = 64, a Python int in an object
-array from there.  It stops once every register is full, and keeps the
-residues each step first reaches.  A witness is rebuilt by walking
+array from there.  It stops once every register holds every target, and
+keeps the residues each step first reaches.  A witness is rebuilt by walking
 first-reach steps backwards, which lands on the least-bitmask witness by
 construction, and every witness is re-summed from its recorded steps before
 it counts.  A register is a set, so a sweep runs the kernel once over the
@@ -46,19 +46,23 @@ VERIFY_BUDGET = 5 * 10**6
 _WIDEN = 1 << 16
 
 
-def _reach_history(p: int, a: "np.ndarray") -> tuple["np.ndarray", "np.ndarray"]:
+def _reach_history(
+    p: int, a: "np.ndarray", targets: Sequence[int]
+) -> tuple["np.ndarray", "np.ndarray"]:
     """Each step's first-reach layers over a (T, n) array of tuples, and the
     final registers.
 
     Returns (layers, R): R[t] is the p-bit mask of sums of nonempty subsets
     of row t, and layers[i, t] the mask of residues that enter it at step i,
-    from 0.  The kernel stops once every register is full, so there is one
-    layer per step taken; a row's layers are disjoint, and zero once its own
-    register is full.
+    from 0.  The kernel stops once every register holds every target, so
+    there is one layer per step taken, and R holds each target a row
+    reaches; a row's layers are disjoint, and zero once its own register is
+    full.
     """
     # a reachability register over residues, not a per-mask table: no subset_sums
     dtype = np.dtype(np.uint64 if p < 64 else object)
     full = dtype.type((1 << p) - 1)
+    wanted = dtype.type(sum(1 << int(t) for t in set(targets)))
     # the residues each register lacks, and Z = R | 1: adding v to the sums
     # and to 0 rotates Z left by v
     lacks = np.empty(len(a), dtype=dtype)
@@ -75,7 +79,7 @@ def _reach_history(p: int, a: "np.ndarray") -> tuple["np.ndarray", "np.ndarray"]
             np.bitwise_and(Z << v[i] | Z >> w[i], lacks, out=new)
             Z |= new
             lacks ^= new
-            if not np.count_nonzero(lacks):
+            if not np.count_nonzero(lacks & wanted):
                 return layers[: start + i + 1], full ^ lacks
     return layers, full ^ lacks
 
@@ -131,7 +135,7 @@ def _failures(p: int, a: "np.ndarray", targets: Sequence[int]) -> list[list[dict
     """The failures of each row of a (T, n) array that has any, in row order,
     each row's in target order: a target its register lacks, or one whose
     witness does not re-sum, named with that witness."""
-    layers, R = _reach_history(p, a)
+    layers, R = _reach_history(p, a, targets)
     targets = np.array(targets)
     steps = _witnesses(p, a, layers, targets)
     reached = (R[:, None] >> targets.astype(R.dtype) & 1).astype(bool)
@@ -153,7 +157,7 @@ def _failures(p: int, a: "np.ndarray", targets: Sequence[int]) -> list[list[dict
 
 def _solve(p: int, a: tuple[int, ...], target: int) -> tuple[int, ...]:
     row = np.array([a], dtype=np.int64).reshape(1, len(a))
-    layers, R = _reach_history(p, row)
+    layers, R = _reach_history(p, row, (target,))
     if not int(R[0]) >> target & 1:
         raise NoWitnessError(f"no nonempty subset of {a} sums to {target} mod {p}")
     steps = _witnesses(p, row, layers, (target,))

@@ -168,12 +168,12 @@ def test_register_kernel_rows_match_least_mask_oracle(drawn):
     # walked witnesses against the scalar register walk and the bitmask scan
     p, rows = drawn
     a = np.array(rows, dtype=np.uint8 if p < 64 else np.int64)
-    layers, final = zerosum._reach_history(p, a)
     targets = np.arange(p)
+    layers, final = zerosum._reach_history(p, a, targets)
     steps = zerosum._witnesses(p, a, layers, targets)
     resums = zerosum._resums(p, a, steps, targets)
     hists = [reach_history_by_rotation(p, row) for row in rows]
-    # the run stops once every register is full
+    # every residue is a target, so the run stops once every register is full
     assert len(layers) == max(map(len, hists)), (p, rows)
     for t, (row, hist) in enumerate(zip(rows, hists)):
         first = [h & ~g for g, h in zip([0] + hist, hist)]

@@ -723,7 +723,10 @@ def test_special_primes_reuse_the_rational_space_where_no_pivot_vanishes(p, size
     for n in sizes:
         for d in enumerate_spikes(p, n):
             sig = signature(d)
-            generic, special, h, _, rational = represent._rational_part(sig.flags()[None])[0]
+            flags = sig.flags()
+            generic, special, _, rational = represent._rational_part(flags[None])[0]
+            # every prime up to the form count, a bound on the certificate's own
+            h = int(represent._is_form(flags).sum()) if generic and len(rational[0]) > 1 else 0
             for q in sorted(set(special).union(represent._primes_upto(h))):
                 got = represent._admissible_point(sig, q, represent.AUDIT_BUDGET, rational)
                 assert got == represent._admissible_point(sig, q, represent.AUDIT_BUDGET), (d, q)
@@ -760,9 +763,9 @@ def _hyperplanes_by_fractions(flags, F, one) -> int:
 def _generic_spaces(diagonals):
     for d in diagonals:
         flags = signature(d).flags()
-        _, _, h, _, (F, one, _) = represent._rational_part(flags[None])[0]
-        if h:
-            yield d, flags, h, F, one
+        generic, _, _, (F, one, _) = represent._rational_part(flags[None])[0]
+        if generic and len(F) > 1:
+            yield d, flags, int(represent._is_form(flags).sum()), F, one
 
 
 def _drawn_diagonals(seed: int, count: int):
@@ -904,18 +907,26 @@ def test_estimate_frozen_gf11_gf13_gf17(p, found_n, witness, interval, classes, 
 @pytest.mark.parametrize("admit_all", [False, True], ids=["searched", "admit-all"])
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_estimate_class_decision_matches_the_full_certificate(monkeypatch, p, admit_all):
-    # the short-circuit counts a class iff its full certificate is finite
-    # with exactly {p}, and then returns that very certificate.  Every finite
-    # class at these sizes has the set {p}, so a forged search that admits
-    # every prime also checks that the other special primes are decided
+    # the scan counts a class iff its full certificate is finite with exactly
+    # {p}, level by level up to the first level that has one, and reports
+    # that level's first such class with its certificate.  Every finite class
+    # at these sizes has the set {p}, so a forged search that admits every
+    # prime also checks that the other special primes are decided
     if admit_all:
         monkeypatch.setattr(represent, "_admissible_point", lambda *args: ([1], 1))
+    report = estimate_L(p, [p], 6)
+    certified, winner = [], None
     for n in range(3, 7):
-        for d in enumerate_spikes(p, n):
-            sig = signature(d)
-            cert = build_certificate(sig)
-            want = cert if cert.kind == "finite" and cert.primes == (p,) else None
-            assert represent._only_in_characteristic(sig, p) == want, d
+        certs = [(d, build_certificate(signature(d))) for d in enumerate_spikes(p, n)]
+        hits = [(d, c) for d, c in certs if c.kind == "finite" and c.primes == (p,)]
+        certified.append(len(hits))
+        if hits:
+            winner = hits[0]
+            break
+    assert winner is not None
+    assert [level["certified"] for level in report["levels"]] == certified
+    assert report["witness"] == list(winner[0].x)
+    assert report["certificate"] == winner[1].to_report()
 
 
 def test_estimate_eliminates_once_per_class_and_skips_cofinite_searches(monkeypatch):
@@ -923,8 +934,8 @@ def test_estimate_eliminates_once_per_class_and_skips_cofinite_searches(monkeypa
     searched = represent._admissible_point
     eliminated, cofinite, decided = [], set(), []
 
-    def eliminate(flags, spaces=None):
-        parts = rational(flags, spaces)
+    def eliminate(flags):
+        parts = rational(flags)
         for row, (generic, *_) in zip(flags, parts):
             bits = int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
             eliminated.append(bits)

@@ -277,9 +277,9 @@ def _counted_kernel_runs(monkeypatch) -> list:
     runs = []
     real = zerosum._reach_history
 
-    def counted(p, a):
+    def counted(p, a, targets):
         runs.append(list(map(tuple, a.tolist())))
-        return real(p, a)
+        return real(p, a, targets)
 
     monkeypatch.setattr(zerosum, "_reach_history", counted)
     return runs
@@ -291,6 +291,24 @@ def test_sweep_runs_the_kernel_once_per_level(monkeypatch):
     assert report["checked"] == 5**8 and report["failures"] == []
     # one run over all C(12, 8) = 495 sorted tuples
     assert runs == [list(itertools.combinations_with_replacement(range(5), 8))]
+
+
+@pytest.mark.parametrize("p, n", [(2, 6), (3, 5), (5, 8), (7, 9)])
+def test_lemma22_kernel_stops_once_every_register_holds_zero(monkeypatch, p, n):
+    # any p entries have a zero-sum subset, so the level's one run stops at
+    # step p though the all-zero tuple's register never fills; the all-ones
+    # tuple first reaches zero there
+    steps = []
+    real = zerosum._reach_history
+
+    def counted(p, a, targets):
+        layers, final = real(p, a, targets)
+        steps.append(len(layers))
+        return layers, final
+
+    monkeypatch.setattr(zerosum, "_reach_history", counted)
+    assert verify_lemma_2_2(p, n)["failures"] == []
+    assert steps == [p]
 
 
 def test_sweep_runs_the_kernel_once_more_per_failing_tuple(monkeypatch):
@@ -355,8 +373,12 @@ def test_one_row_sweep_runs_on_its_head(capsys):
     assert main(["lemma21", "--p", "2", "--n", "300"]) == 0
     result = json.loads(capsys.readouterr().out)["result"]
     assert result["checked"] == 1 and result["failures"] == []
-    # the register stops once it is full, two steps in
-    layers, final = zerosum._reach_history(2, np.ones((1, 300), dtype=np.uint8))
+    # the register stops once it holds the target, one step in, or once it
+    # is full, two steps in
+    ones = np.ones((1, 300), dtype=np.uint8)
+    layers, final = zerosum._reach_history(2, ones, (1,))
+    assert (layers.tolist(), final.tolist()) == ([[0b10]], [0b10])
+    layers, final = zerosum._reach_history(2, ones, (0, 1))
     assert (layers.tolist(), final.tolist()) == ([[0b10], [0b01]], [0b11])
     # 299 is first reached at step 299, and the walk takes all 299 steps
     assert subset_with_sum(PrimeField(1009), (1,) * 300, 299) == tuple(range(1, 300))
@@ -409,13 +431,13 @@ def test_corrupt_history_fails_the_resum_instead_of_looping(monkeypatch):
     # below: each layer is read once, and the part witness does not re-sum
     layers = np.array([[0b00001], [0b00100], [0b00000], [0b10000]], dtype=np.uint64)
     history = (layers, np.array([0b11111], dtype=np.uint64))
-    monkeypatch.setattr(zerosum, "_reach_history", lambda p, a: history)
+    monkeypatch.setattr(zerosum, "_reach_history", lambda p, a, targets: history)
     with pytest.raises(VerdictMismatchError, match=r"witness \(4,\) of \(1, 2, 3, 3\) does not"):
         subset_with_sum(PrimeField(5), (1, 2, 3, 3), 4)
     # a register that claims zero with no layer holding it walks to no step at
     # all, and the empty set is no witness, though it sums to zero
     history = (np.array([[0b110]], dtype=np.uint64), np.array([0b111], dtype=np.uint64))
-    monkeypatch.setattr(zerosum, "_reach_history", lambda p, a: history)
+    monkeypatch.setattr(zerosum, "_reach_history", lambda p, a, targets: history)
     with pytest.raises(VerdictMismatchError, match=r"witness \(\) of \(1,\) does not re-sum to 0"):
         zero_sum_subset(PrimeField(3), (1,))
 
