@@ -47,10 +47,11 @@ MAX_TEST_PRIME = 97
 # diagonals summed at once by an audit at n <= 3
 _LOW_CHUNK = 1 << 14
 
-# row bytes an audit at n >= 4 gathers and keys at once: a block stays in
-# cache between its gather and its key (2^18 beat 2^14 and 2^16 at (7,7)
-# and (5,8) on a 2-core VM)
-_BLOCK_BYTES = 1 << 18
+# bytes an audit at n >= 4 gathers and keys at once, rows up to n = 6 and
+# key words past it: a block stays in cache between its gather and its key
+# (2^19 beat 2^17, 2^18 and 2^20 on the words at (7,7), (5,9) and (7,8) and
+# tied on the rows at (13,6), (23,5) and (59,4), on a 2-core VM)
+_BLOCK_BYTES = 1 << 19
 
 # int64 entries in one stack of member systems (2 MB); the elimination holds
 # a few arrays of its size, so a level of thousands of classes stays small
@@ -155,29 +156,78 @@ def _row_block(table: "np.ndarray", need: "np.ndarray") -> "np.ndarray":
     return np.ascontiguousarray(block.transpose(0, 2, 1)).reshape(-1, need.shape[1])
 
 
+def _key_block(words: "np.ndarray", need: "np.ndarray", out: "np.ndarray") -> None:
+    """The keys of a run of high blocks past n = 6, written into out as (b, L).
+
+    The key of diagonal (l, h) is the sum of words[need[h, mH], l] over the
+    high masks mH, so one take gathers a (b, W, L) block and one reduce
+    sums it over mH.
+    """
+    np.add.reduce(np.take(words, need, axis=0), axis=1, out=out)
+
+
+# the golden-ratio increment of splitmix64, and the seed of the stream that
+# gives the audit's key weights past n = 6
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _key_weights(k: int, n: int) -> tuple["np.ndarray", "np.ndarray"]:
+    """The weights of the audit's keys past n = 6: a per low mask, b per high mask.
+
+    Both are disjoint slices of one splitmix64 stream seeded with _MIX, a
+    the first 2^k words and b the next 2^(n-k), forced odd.  Weights from
+    two nearby streams shared values and gave false key repeats at (7, 7).
+    """
+    z = np.arange(2, (1 << k) + (1 << (n - k)) + 2, dtype=np.uint64) * _MIX
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z[: 1 << k], z[1 << k :] | np.uint64(1)
+
+
+def _audit_split(p: int, n: int) -> int:
+    """The audit's low block: its first k coordinates.
+
+    Up to n = 6 rows are built, and k = min(n, 3) makes a table entry one
+    byte.  Past that, keys gather (p-1)^n 2^(n-k) words and the table costs
+    (p-1)^k 2^k scattered adds, each worth about 16 gathered words (2-core
+    VM), and k minimizes the sum: 4 at (7, 7), 5 at (5, 8), 8 at (3, 14).
+    """
+    if n <= 6:
+        return min(n, 3)
+    return min(range(1, n), key=lambda k: ((p - 1) ** n << (n - k)) + 16 * ((p - 1) ** k << k))
+
+
 def _audit_keys(p: int, n: int) -> "np.ndarray":
     """One key per diagonal, in decode order; diagonals with equal rows get equal keys.
 
     A row is the diagonal's signature, packed little-endian.  Diagonal
-    t = l + L*h splits into its first k = min(n, 3) coordinates, the low
-    block l (L = (p-1)^k of them), and the other n - k, the high block h.
-    Mask mL | mH << 3 is a member iff low-sum(mL) = -1 - high-sum(mH), so
-    the members of one low block at one residue fill exactly one byte,
-    table[r, l], and byte mH of row (l, h) is table[need[h, mH], l] with
-    need = (-1 - high sums) mod p.  At p >= 3 neither table nor need
-    outgrows the rows.  With n <= 3 there is no high block and only residue
-    -1 is read: those rows are summed chunk by chunk, and a key is the
-    row's one byte.  Otherwise rows are gathered a run of high blocks at a
-    time, within _BLOCK_BYTES or one high block, and keyed while in cache,
-    so the rows of all diagonals are never held.  A row of at most 8 bytes
-    is its key, read bytewise, so key order is row order; a wider row's key
-    is a mix of its native-order words.
+    t = l + L*h splits into its first k = _audit_split(p, n) coordinates,
+    the low block l (L = (p-1)^k of them), and the other n - k, the high
+    block h.  Mask mL | mH << k is a member iff low-sum(mL) = need[h, mH],
+    with need = (-1 - high sums) mod p.  With n <= 3 there is no high block
+    and only residue -1 is read: those rows are summed chunk by chunk, and
+    a key is the row's one byte.  Otherwise the keys are taken a run of high
+    blocks at a time, within _BLOCK_BYTES of gathered bytes or one high
+    block, from a table indexed by (mH, residue) and l:
+
+    - Up to n = 6, k = 3 and table[r, l] is the byte of the low masks whose
+      sum is r, so byte mH of row (l, h) is table[need[h, mH], l]; the rows
+      are gathered (_row_block), and a key is its row of at most 8 bytes,
+      read bytewise, so key order is row order.
+    - Past n = 6 no row is built.  A key is the sum of a[mL] * b[mH] mod
+      2^64 over the row's members (_key_weights): table[r, l] sums a[mL]
+      over the low masks whose sum is r, row mH * p + r of the word table
+      is b[mH] * table[r], and a key sums one word of it per high mask
+      (_key_block).
     """
     if p == 2:
         # the one diagonal (1, ..., 1) has no copies: its key, never compared, stays 0
         return np.zeros(1, dtype=np.uint8)
     inv = np.array(PrimeField(p).inverse_table(), dtype=np.int32)
-    k = min(n, 3)
+    k = _audit_split(p, n)
     L = (p - 1) ** k
     if n == k:
         keys = np.empty(L, dtype=np.uint8)
@@ -189,46 +239,45 @@ def _audit_keys(p: int, n: int) -> "np.ndarray":
     # residues are below 2^16 and n <= 24, so every sum fits int32
     ls = np.arange(L)
     low = subset_sums(inv[_decode_diagonals(p, k, ls)]) % p
-    table = np.zeros((p, L), dtype=np.uint8)
-    for mL in range(1 << k):
-        table[low[:, mL], ls] |= 1 << mL
     H = (p - 1) ** (n - k)
     need = subset_sums(inv[_decode_diagonals(p, n - k, np.arange(H))])
     np.subtract(-1, need, out=need)
     np.remainder(need, p, out=need)
     width = need.shape[1]
-    exact = width <= 8
-    keys = np.empty(H * L, dtype=f"u{width}" if exact else np.uint64)
-    step = max(1, _BLOCK_BYTES // (L * width))
+    if n <= 6:
+        table = np.zeros((p, L), dtype=np.uint8)
+        for mL in range(1 << k):
+            table[low[:, mL], ls] |= 1 << mL
+        keys = np.empty(H * L, dtype=f"u{width}")
+        step = max(1, _BLOCK_BYTES // (L * width))
+        for h in range(0, H, step):
+            rows = _row_block(table, need[h : h + step])
+            keys[h * L : h * L + len(rows)] = rows.view(f">u{width}")[:, 0]
+        return keys
+    a, b = _key_weights(k, n)
+    # a low block appears once in each step, so no add is lost
+    table = np.zeros(p * L, dtype=np.uint64)
+    at = low * L + ls[:, None]
+    for mL in range(1 << k):
+        table[at[:, mL]] += a[mL]
+    words = (b[:, None, None] * table.reshape(p, L)).reshape(width * p, L)
+    need += np.arange(0, width * p, p, dtype=need.dtype)
+    keys = np.empty((H, L), dtype=np.uint64)
+    step = max(1, _BLOCK_BYTES // (L * width * 8))
     for h in range(0, H, step):
-        rows = _row_block(table, need[h : h + step])
-        at = slice(h * L, h * L + len(rows))
-        keys[at] = rows.view(f">u{width}")[:, 0] if exact else _mix_words(rows.view(np.uint64))
-    return keys
-
-
-# odd multiplier of the row-key mix: the fraction bits of the golden ratio
-_MIX = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _mix_words(words: "np.ndarray") -> "np.ndarray":
-    """One 64-bit key per row of several words; equal rows get equal keys."""
-    key = np.zeros(len(words), dtype=np.uint64)
-    for column in words.T:
-        key ^= column
-        key *= _MIX
-        key ^= key >> np.uint64(29)
-    return key
+        _key_block(words, need[h : h + step], keys[h : h + step])
+    return keys.reshape(-1)
 
 
 def _key_groups(p: int, n: int, keys: "np.ndarray") -> tuple[int, Iterator["np.ndarray"]]:
     """The number of distinct rows, and the groups of diagonals whose rows have copies.
 
     Only the keys are sorted.  A diagonal whose key no other has has a
-    distinct row.  Up to n = 6 a key is its row; past that, the rows of the
-    diagonals that share a key are summed again and sorted bytewise, which
-    compares them exactly and splits any run of distinct rows.  Groups come
-    in bytewise order of their row, each as its diagonals ascending.
+    distinct row.  Up to n = 6 a key is its row; past that it is a hash of
+    the row, and the rows of the diagonals that share a key are summed
+    again and sorted bytewise, which compares them exactly and splits any
+    run of distinct rows.  Groups come in bytewise order of their row, each
+    as its diagonals ascending.
     """
     if len(keys) < 2:
         return len(keys), iter(())
@@ -276,11 +325,14 @@ def uniqueness_audit(p: int, n: int) -> dict:
         raise TooLargeError(f"audit capped at n={SIGNATURE_MAX_N}")
     total = (p - 1) ** n
     # each diagonal is counted its 2^n-bit row and 64 bits.  The row bounds the
-    # time: it is gathered and keyed once, never held.  Both bound the memory:
-    # an audit holds the keys and their sorted copy, two rows a diagonal up to
-    # n = 6 and two 64-bit words past it, plus two bytes a diagonal while it
-    # marks first copies, which the 64 bits cover except at n = 6 (144 bits
-    # held against 128 counted)
+    # time: up to n = 6 it is gathered and keyed once, never held, and past
+    # that no row is built, and a key sums 2^(n-k) gathered words.  Both bound
+    # the memory: an audit holds the keys and their sorted copy, two rows a
+    # diagonal up to n = 6 and two 64-bit words past it, plus two bytes a
+    # diagonal while it marks first copies, which the 64 bits cover except at
+    # n = 6 (144 bits held against 128 counted).  Past n = 6 the word table
+    # and one gathered block are held too, well within the rows' bits (at
+    # (7,8) 3.5 MB and 0.5 MB against 54 MB of rows)
     cost = total * ((1 << n) + 64)
     if cost > AUDIT_BUDGET:
         raise BudgetExceededError(

@@ -32,7 +32,7 @@ from spikelab import (
     swap,
 )
 from spikelab.bitsets import subset_sums
-from spikelab.represent import _decode_diagonals, _mix_words
+from spikelab.represent import _decode_diagonals
 from spikelab.spikes import _closure_multisets, _signature_rows
 
 
@@ -301,8 +301,8 @@ def row_groups_by_keys(rows: np.ndarray) -> tuple[int, list[np.ndarray]]:
     """The number of distinct rows, and the groups of rows that have copies.
 
     Each row is read as big-endian words, so word order is bytewise order,
-    and gets one key: its one word, or a mix of its words.  Rows that share
-    a key are sorted bytewise, which splits any run of distinct rows.
+    and gets one key: its first word.  Rows that share a key are sorted
+    bytewise, which splits any run of distinct rows.
     Groups come in bytewise order of their row, each as its row indices
     ascending.  The rows are overwritten.
     """
@@ -312,7 +312,7 @@ def row_groups_by_keys(rows: np.ndarray) -> tuple[int, list[np.ndarray]]:
     if not words.dtype.isnative:
         words = words.byteswap(inplace=True).view(words.dtype.newbyteorder())
     exact = words.shape[1] == 1
-    key = words[:, 0] if exact else _mix_words(words)
+    key = words[:, 0]
     ranked = np.sort(key)
     repeats = np.unique(ranked[1:][ranked[1:] == ranked[:-1]])
     if exact:

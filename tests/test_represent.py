@@ -383,25 +383,50 @@ def _audit_by_bytes(p: int, n: int) -> dict:
     }
 
 
-@pytest.mark.parametrize(
-    "mix",
-    [lambda words: np.zeros(len(words), dtype=np.uint64), lambda words: words[:, 0].copy()],
-    ids=["constant", "first-word"],
-)
+# the library's key weights, for the degraded weights to wrap
+key_weights = represent._key_weights
+
+
+def _constant_weights(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every weight 1: a key counts its row's members."""
+    return np.ones(1 << k, dtype=np.uint64), np.ones(1 << (n - k), dtype=np.uint64)
+
+
+def _first_word_weights(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The library's weights, zero on every mask past the row's first 64 bits."""
+    a, b = key_weights(k, n)
+    b[np.arange(len(b)) << k >= 64] = 0
+    return a, b
+
+
+@pytest.mark.parametrize("weights", [_constant_weights, _first_word_weights],
+                         ids=["constant", "first-word"])
 @pytest.mark.parametrize("p,n", [(3, 7), (5, 5), (7, 4), (5, 8)])
-def test_audit_survives_a_degenerate_key_mix(monkeypatch, mix, p, n):
+def test_audit_survives_a_degenerate_key_mix(monkeypatch, weights, p, n):
     # distinct rows that share a key must be told apart by their bytes; at
-    # n <= 6 a row is its own key and the mix is never read
-    monkeypatch.setattr(represent, "_mix_words", mix)
-    assert uniqueness_audit(p, n) == _audit_by_bytes(p, n)
+    # n <= 6 a row is its own key and the weights are never read
+    calls = []
+
+    def recording(k, n_):
+        calls.append(k)
+        return weights(k, n_)
+
+    monkeypatch.setattr(represent, "_key_weights", recording)
+    expect = _audit_by_bytes(p, n)
+    assert uniqueness_audit(p, n) == expect
+    assert bool(calls) == (n > 6)
+    if n > 6:
+        # the weak keys do repeat for distinct rows, so the bytes decide
+        assert len(np.unique(represent._audit_keys(p, n))) < expect["distinct_signatures"]
 
 
 def test_audit_of_a_lone_diagonal_builds_no_key(monkeypatch):
     # over GF(2) the one diagonal is (1, ..., 1): its row has no copies to find
-    def no_mix(words):
+    def no_key(*args):
         raise AssertionError("a lone row was keyed")
 
-    monkeypatch.setattr(represent, "_mix_words", no_mix)
+    monkeypatch.setattr(represent, "_key_weights", no_key)
+    monkeypatch.setattr(represent, "_row_block", no_key)
     for n in range(1, spikes.SIGNATURE_MAX_N + 1):
         report = uniqueness_audit(2, n)
         assert (report["distinct_signatures"], report["collisions"]) == (1, 0), n
@@ -430,7 +455,8 @@ def test_audit_refuses_past_signature_cap_before_summing(monkeypatch):
 ])
 def test_audit_rows_match_per_diagonal_rows(monkeypatch, p, n):
     # n = 3 has no high block and n = 4 the first; the bytes must not move,
-    # in the oracle's whole table nor in the audit's blocks
+    # in the oracle's whole table nor in the audit's blocks, and past n = 6,
+    # where no row is gathered, the keys hash the oracle's rows
     expect = audit_rows_per_diagonal(p, n).tobytes()
     table = audit_rows_by_table(p, n)
     assert table.dtype == np.uint8 and table.tobytes() == expect
@@ -449,16 +475,36 @@ def test_audit_rows_match_per_diagonal_rows(monkeypatch, p, n):
         assert not blocks and len(keys) == 1
     elif n <= 3:
         assert not blocks and keys.tobytes() == expect
-    else:
+    elif n <= 6:
         assert b"".join(rows.tobytes() for rows in blocks) == expect
+    else:
+        assert not blocks and np.array_equal(keys, _oracle_keys(p, n))
 
 
 def _oracle_keys(p: int, n: int) -> np.ndarray:
-    """The audit's keys from the oracle's rows: the row read bytewise, or its mix."""
+    """The audit's keys from the oracle's rows.
+
+    Up to n = 6 the row read bytewise; past it the sum of a[mL] * b[mH] mod
+    2^64 over the row's members mL | mH << k, with the library's split and
+    weights, the row's bits unpacked 2^12 rows at a time.
+    """
     rows = audit_rows_by_table(p, n)
-    if rows.shape[1] <= 8:
+    if n <= 6:
         return rows.view(f">u{rows.shape[1]}")[:, 0].astype(f"u{rows.shape[1]}")
-    return represent._mix_words(rows.view(np.uint64))
+    k = represent._audit_split(p, n)
+    a, b = represent._key_weights(k, n)
+    weights = np.multiply.outer(b, a).reshape(-1)
+    keys = np.empty(len(rows), dtype=np.uint64)
+    for start in range(0, len(rows), 1 << 12):
+        bits = np.unpackbits(rows[start : start + (1 << 12)], axis=1, bitorder="little")
+        keys[start : start + len(bits)] = bits.astype(np.uint64) @ weights
+    return keys
+
+
+def _high_block_bytes(p: int, n: int) -> int:
+    """The bytes the audit gathers for one high block: rows up to n = 6, words past it."""
+    k = represent._audit_split(p, n)
+    return (p - 1) ** k << (n - k) if n <= 6 else (p - 1) ** k << (n - k + 3)
 
 
 @pytest.mark.parametrize("shape", ["under-one-high-block", "ragged", "past-the-table"])
@@ -466,14 +512,14 @@ def _oracle_keys(p: int, n: int) -> np.ndarray:
     (3, 5), (5, 4), (7, 4), (5, 6), (13, 5), (7, 6), (3, 7), (5, 7), (3, 9), (7, 7), (5, 8)
 ])
 def test_audit_keys_and_report_match_the_oracle(monkeypatch, shape, p, n):
-    # exact keys up to n = 6, mixed past it; collision-rich (13, 5) and (7, 6)
+    # exact keys up to n = 6, hashed past it; collision-rich (13, 5) and (7, 6)
     # have thousands of groups, the rest of the grid few or none
-    L, H, width = (p - 1) ** 3, (p - 1) ** (n - 3), 1 << (n - 3)
+    H, high = (p - 1) ** (n - represent._audit_split(p, n)), _high_block_bytes(p, n)
     # a block of one high block, a last block shorter than the others, one block
     block_bytes = {
         "under-one-high-block": 1,
-        "ragged": next(s for s in range(2, H) if H % s) * L * width + width - 1,
-        "past-the-table": 2 * H * L * width,
+        "ragged": next(s for s in range(2, H) if H % s) * high + high - 1,
+        "past-the-table": 2 * H * high,
     }
     monkeypatch.setattr(represent, "_BLOCK_BYTES", block_bytes[shape])
     keys = represent._audit_keys(p, n)
@@ -486,27 +532,40 @@ def test_audit_keys_and_report_match_the_oracle(monkeypatch, shape, p, n):
     (7, 7, None), (5, 8, None), (3, 12, None), (59, 4, None), (13, 6, 10**4), (5, 7, 1000),
 ])
 def test_audit_gathers_within_the_block_bytes(monkeypatch, p, n, block_bytes):
-    # a block holds at most _BLOCK_BYTES of rows, or one high block past it
+    # a block holds at most _BLOCK_BYTES of rows up to n = 6, or of key words
+    # past it, or one high block past that; each diagonal is gathered once
     if block_bytes is not None:
         monkeypatch.setattr(represent, "_BLOCK_BYTES", block_bytes)
-    limit = max(represent._BLOCK_BYTES, (p - 1) ** 3 << (n - 3))
-    sizes = []
+    high = _high_block_bytes(p, n)
+    limit = max(represent._BLOCK_BYTES, high)
+    rows, words = [], []
 
-    def recording(table, need):
-        rows = row_block(table, need)
-        sizes.append(rows.nbytes)
-        return rows
+    def recording_rows(table, need):
+        block = row_block(table, need)
+        rows.append(block.nbytes)
+        return block
 
-    row_block = represent._row_block
-    monkeypatch.setattr(represent, "_row_block", recording)
+    def recording_words(table, need, out):
+        words.append(need.size * table.shape[1] * table.itemsize)
+        key_block(table, need, out)
+
+    row_block, key_block = represent._row_block, represent._key_block
+    monkeypatch.setattr(represent, "_row_block", recording_rows)
+    monkeypatch.setattr(represent, "_key_block", recording_words)
     report = uniqueness_audit(p, n)
-    assert sum(sizes) == report["diagonals"] << (n - 3) and max(sizes) <= limit
+    sizes = rows if n <= 6 else words
+    assert not (words if n <= 6 else rows)
+    H = (p - 1) ** (n - represent._audit_split(p, n))
+    assert sum(sizes) == H * high and max(sizes) <= limit
 
 
-@pytest.mark.parametrize("p,n", [(7, 7), (5, 9), (3, 7), (7, 6), (13, 5)])
+@pytest.mark.parametrize("p,n", [(7, 7), (5, 9), (3, 7), (7, 6), (13, 5)] + [
+    (3, 8), (3, 9), (3, 10), (3, 11), (3, 12), (3, 13), (3, 14), (5, 7), (5, 8), (7, 8)
+])
 def test_audit_sums_no_row_again_where_keys_decide(monkeypatch, p, n):
-    # the injective audits past n = 6 repeat no key, and up to n = 6 a key is
-    # its row, collisions or not: past n = 3 no row is summed but by its blocks
+    # every admitted audit past n = 6, (3, 7..14), (5, 7..9) and (7, 7..8), is
+    # injective and repeats no key, and up to n = 6 a key is its row,
+    # collisions or not: past n = 3 no row is summed but by its blocks
     def no_rows(p, z):
         raise AssertionError(f"{len(z)} rows summed again")
 
@@ -517,16 +576,19 @@ def test_audit_sums_no_row_again_where_keys_decide(monkeypatch, p, n):
 
 @pytest.mark.parametrize("p,n", [(3, 7), (5, 7), (7, 7), (5, 8)])
 def test_audit_sums_again_only_the_rows_whose_keys_repeat(monkeypatch, p, n):
-    # the mix cut to 2 (p-1)^n values repeats for some rows and not others:
+    # a weights shifted up to the top j bits keep only a key's low j bits, at
+    # most 2 (p-1)^n values, which repeat for some rows and not others:
     # exactly the rows that share a key are summed again, in one call, and
     # the audit has no collisions to decode after it
     total = (p - 1) ** n
-    mix = represent._mix_words
+    shift = np.uint64(64 - total.bit_length())
 
-    def weak(words):
-        return mix(words) % np.uint64(2 * total)
+    def weak(k, n_):
+        a, b = key_weights(k, n_)
+        return a << shift, b
 
-    keys = weak(audit_rows_by_table(p, n).view(np.uint64))
+    monkeypatch.setattr(represent, "_key_weights", weak)
+    keys = _oracle_keys(p, n)
     values, counts = np.unique(keys, return_counts=True)
     expect = np.flatnonzero(np.isin(keys, values[counts > 1]))
     assert 0 < len(expect) < total
@@ -539,7 +601,6 @@ def test_audit_sums_again_only_the_rows_whose_keys_repeat(monkeypatch, p, n):
 
     decode = represent._decode_diagonals
     monkeypatch.setattr(represent, "_decode_diagonals", recording)
-    monkeypatch.setattr(represent, "_mix_words", weak)
     uniqueness_audit(p, n)
     assert len(calls) == 1 and np.array_equal(calls[0], expect)
 
@@ -562,10 +623,31 @@ def test_audit_sums_stay_within_the_rows(monkeypatch, p, n):
         # chunks of whole rows, never all diagonals at once
         assert len(tables) > 1 and sum(len(sums) for sums in tables) == report["diagonals"]
     else:
-        # the low sums give the (p-1)^3 x p byte table, the high sums become need
+        # the low sums give the (p-1)^k x p table, of bytes up to n = 6 and of
+        # 64-bit words past it, and the high sums become need
+        k = represent._audit_split(p, n)
         low, high = tables
-        assert low.shape == ((p - 1) ** 3, 8) and low.shape[0] * p <= rows
-        assert high.shape == ((p - 1) ** (n - 3), 1 << (n - 3))
+        assert low.shape == ((p - 1) ** k, 1 << k)
+        assert high.shape == ((p - 1) ** (n - k), 1 << (n - k))
+        assert low.shape[0] * p * (1 if n <= 6 else 8) <= rows
+
+
+@pytest.mark.parametrize("p,n", [(7, 8), (3, 14)])
+def test_audit_past_n6_holds_keys_not_rows(p, n):
+    # no row is held past n = 6: the peak is the keys, their sorted copy, the
+    # (W p, L) word table and one gathered block, where the rows alone would
+    # take 54 MB at (7, 8) and 32 MB at (3, 14)
+    total, k = (p - 1) ** n, represent._audit_split(p, n)
+    words = (p - 1) ** k << (n - k)
+    table, block = 8 * p * words, max(represent._BLOCK_BYTES, 8 * words)
+    tracemalloc.start()
+    try:
+        report = uniqueness_audit(p, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["collisions"] == 0
+    assert peak <= 2 * 8 * total + table + block + (1 << 20)
 
 
 def test_audit_of_every_nonzero_residue_is_fast():
